@@ -1,7 +1,6 @@
 #include "inference/query_eval.h"
 
 #include <algorithm>
-#include <string_view>
 
 namespace staccato {
 
@@ -45,11 +44,12 @@ void StepLabel(const Dfa& dfa, const std::string& label,
 constexpr double kBoundSlackRel = 1e-9;
 constexpr double kBoundSlackAbs = 1e-9;
 
-/// The early-terminating DFA×SFA dynamic program, templated over the graph
-/// representation so the Sfa-object and SfaView entry points are one
-/// kernel — and therefore bit-identical to each other and to EvalSfaQuery
-/// (same topological order, same edge/transition order, same arithmetic;
-/// the live-mass bookkeeping never touches the mass arrays).
+}  // namespace
+
+/// The early-terminating DFA×SFA dynamic program over the flat blob view.
+/// Bit-identical to EvalSfaQuery when it does not prune: same topological
+/// order, same edge/transition order, same arithmetic (the live-mass
+/// bookkeeping never touches the mass arrays).
 ///
 /// Invariant behind the bound: `live` = Σ mass pending at unprocessed
 /// non-final nodes + accepting mass already at the final node. Mass only
@@ -57,77 +57,81 @@ constexpr double kBoundSlackAbs = 1e-9;
 /// reaches the final node in a non-accepting state (the final node has no
 /// out-edges, so such mass can never be accepted), or shrunk by node
 /// probability sums below 1 (approximation leak). Provided no node's
-/// outgoing probabilities sum above 1 (G::MassBoundSafe), pending mass can
-/// at best funnel into accepting states unshrunk, so `live` bounds the
-/// final probability from above and only tightens as the DP advances.
-template <typename G>
-double EvalBoundedImpl(const G& g, const Dfa& dfa, double threshold,
-                       EvalScratch* scratch, EvalBound* bound) {
+/// outgoing probabilities sum above 1 (SfaView::MassBoundSafe), pending
+/// mass can at best funnel into accepting states unshrunk, so `live`
+/// bounds the final probability from above and only tightens as the DP
+/// advances.
+double EvalSfaViewBounded(const SfaView& view, const Dfa& dfa,
+                          double threshold, EvalScratch* scratch,
+                          EvalBound* bound) {
   const size_t q = static_cast<size_t>(dfa.NumStates());
   if (bound != nullptr) {
     bound->pruned = false;
     bound->steps = 0;
-    bound->steps_total = g.TotalLabelChars() * q;
+    bound->steps_total = view.TotalLabelChars() * q;
   }
-  if (g.NumNodes() == 0) return 0.0;
+  if (view.NumNodes() == 0) return 0.0;
 
   std::vector<double>& mass = scratch->mass;
-  mass.assign(g.NumNodes() * q, 0.0);
+  mass.assign(view.NumNodes() * q, 0.0);
   std::vector<double>& cur = scratch->cur;
   std::vector<double>& next = scratch->next;
   cur.resize(q);
   next.resize(q);
 
-  const NodeId fin = g.final();
-  mass[static_cast<size_t>(g.start()) * q + static_cast<size_t>(dfa.start())] =
-      1.0;
-  const bool can_prune = threshold > 0.0 && g.MassBoundSafe();
+  const NodeId fin = view.final();
+  mass[static_cast<size_t>(view.start()) * q +
+       static_cast<size_t>(dfa.start())] = 1.0;
+  const bool can_prune = threshold > 0.0 && view.MassBoundSafe();
   const double cutoff = threshold * (1.0 - kBoundSlackRel) - kBoundSlackAbs;
   double live = 1.0;
   uint64_t steps = 0;
   bool pruned = false;
 
-  for (NodeId n : g.Topo()) {
+  for (NodeId n : view.TopologicalOrder()) {
     if (n == fin) continue;  // no out-edges; its mass is scored at the end
     const double* in = &mass[static_cast<size_t>(n) * q];
     double sum_in = 0.0;
     for (size_t s = 0; s < q; ++s) sum_in += in[s];
     if (sum_in == 0.0) continue;  // masses are non-negative: all-zero node
     live -= sum_in;
-    g.ForEachOutTransition(n, [&](NodeId to, std::string_view label,
-                                  double prob) {
-      for (size_t s = 0; s < q; ++s) cur[s] = in[s] * prob;
-      for (char c : label) {
-        std::fill(next.begin(), next.end(), 0.0);
-        for (size_t s = 0; s < q; ++s) {
-          double m = cur[s];
-          if (m == 0.0) continue;
-          DfaState t = dfa.Next(static_cast<DfaState>(s), c);
-          if (t == kDfaDead) continue;  // rejected mass is dropped
-          next[static_cast<size_t>(t)] += m;
+    for (const EdgeId* it = view.out_begin(n); it != view.out_end(n); ++it) {
+      const ViewEdge& e = view.edge(*it);
+      double* out = &mass[static_cast<size_t>(e.to) * q];
+      for (uint32_t k = 0; k < e.num_transitions; ++k) {
+        const ViewTransition& tr = view.transition(e.first_transition + k);
+        for (size_t s = 0; s < q; ++s) cur[s] = in[s] * tr.prob;
+        for (char c : tr.label) {
+          std::fill(next.begin(), next.end(), 0.0);
+          for (size_t s = 0; s < q; ++s) {
+            double m = cur[s];
+            if (m == 0.0) continue;
+            DfaState t = dfa.Next(static_cast<DfaState>(s), c);
+            if (t == kDfaDead) continue;  // rejected mass is dropped
+            next[static_cast<size_t>(t)] += m;
+          }
+          cur.swap(next);
         }
-        cur.swap(next);
+        steps += static_cast<uint64_t>(tr.label.size()) * q;
+        if (e.to == fin) {
+          // Only accepting arrivals stay alive: the final node has no
+          // out-edges, so non-accepting mass here is already dead.
+          double accepted = 0.0;
+          for (size_t s = 0; s < q; ++s) {
+            out[s] += cur[s];
+            if (dfa.IsAccept(static_cast<DfaState>(s))) accepted += cur[s];
+          }
+          live += accepted;
+        } else {
+          double survived = 0.0;
+          for (size_t s = 0; s < q; ++s) {
+            out[s] += cur[s];
+            survived += cur[s];
+          }
+          live += survived;
+        }
       }
-      steps += static_cast<uint64_t>(label.size()) * q;
-      double* out = &mass[static_cast<size_t>(to) * q];
-      if (to == fin) {
-        // Only accepting arrivals stay alive: the final node has no
-        // out-edges, so non-accepting mass here is already dead.
-        double accepted = 0.0;
-        for (size_t s = 0; s < q; ++s) {
-          out[s] += cur[s];
-          if (dfa.IsAccept(static_cast<DfaState>(s))) accepted += cur[s];
-        }
-        live += accepted;
-      } else {
-        double survived = 0.0;
-        for (size_t s = 0; s < q; ++s) {
-          out[s] += cur[s];
-          survived += cur[s];
-        }
-        live += survived;
-      }
-    });
+    }
     // Check only at node boundaries: mid-node, the not-yet-propagated
     // share of sum_in is missing from `live`, which would over-prune.
     if (can_prune && live < cutoff) {
@@ -149,55 +153,6 @@ double EvalBoundedImpl(const G& g, const Dfa& dfa, double threshold,
   // Guard against accumulated floating point drift above 1.
   return p > 1.0 ? 1.0 : p;
 }
-
-/// Graph adapter over the deserialized Sfa object graph.
-struct SfaGraph {
-  const Sfa& sfa;
-  bool mass_safe;
-  uint64_t label_chars;
-
-  size_t NumNodes() const { return sfa.NumNodes(); }
-  NodeId start() const { return sfa.start(); }
-  NodeId final() const { return sfa.final(); }
-  const std::vector<NodeId>& Topo() const { return sfa.TopologicalOrder(); }
-  bool MassBoundSafe() const { return mass_safe; }
-  uint64_t TotalLabelChars() const { return label_chars; }
-
-  template <typename F>
-  void ForEachOutTransition(NodeId n, F&& f) const {
-    for (EdgeId eid : sfa.OutEdges(n)) {
-      const Edge& e = sfa.edge(eid);
-      for (const Transition& t : e.transitions) {
-        f(e.to, std::string_view(t.label), t.prob);
-      }
-    }
-  }
-};
-
-/// Graph adapter over the flat blob view.
-struct ViewGraph {
-  const SfaView& view;
-
-  size_t NumNodes() const { return view.NumNodes(); }
-  NodeId start() const { return view.start(); }
-  NodeId final() const { return view.final(); }
-  const std::vector<NodeId>& Topo() const { return view.TopologicalOrder(); }
-  bool MassBoundSafe() const { return view.MassBoundSafe(); }
-  uint64_t TotalLabelChars() const { return view.TotalLabelChars(); }
-
-  template <typename F>
-  void ForEachOutTransition(NodeId n, F&& f) const {
-    for (const EdgeId* it = view.out_begin(n); it != view.out_end(n); ++it) {
-      const ViewEdge& e = view.edge(*it);
-      for (uint32_t t = 0; t < e.num_transitions; ++t) {
-        const ViewTransition& tr = view.transition(e.first_transition + t);
-        f(e.to, tr.label, tr.prob);
-      }
-    }
-  }
-};
-
-}  // namespace
 
 double EvalSfaQuery(const Sfa& sfa, const Dfa& dfa) {
   if (sfa.NumNodes() == 0) return 0.0;
@@ -239,46 +194,6 @@ double EvalSfaQuery(const Sfa& sfa, const Dfa& dfa) {
   }
   // Guard against accumulated floating point drift above 1.
   return p > 1.0 ? 1.0 : p;
-}
-
-SfaEvalInfo ComputeSfaEvalInfo(const Sfa& sfa) {
-  SfaEvalInfo info;
-  for (const Edge& e : sfa.edges()) {
-    for (const Transition& t : e.transitions) {
-      info.label_chars += t.label.size();
-    }
-  }
-  // The bound is only an upper bound when no node amplifies mass.
-  info.mass_safe = true;
-  for (NodeId n = 0; n < sfa.NumNodes() && info.mass_safe; ++n) {
-    double sum = 0.0;
-    for (EdgeId eid : sfa.OutEdges(n)) {
-      for (const Transition& t : sfa.edge(eid).transitions) sum += t.prob;
-    }
-    if (sum > 1.0 + 1e-6) info.mass_safe = false;
-  }
-  return info;
-}
-
-double EvalSfaQueryBounded(const Sfa& sfa, const Dfa& dfa, double threshold,
-                           const SfaEvalInfo& info, EvalScratch* scratch,
-                           EvalBound* bound) {
-  SfaGraph g{sfa, info.mass_safe, info.label_chars};
-  EvalScratch local;
-  return EvalBoundedImpl(g, dfa, threshold,
-                         scratch != nullptr ? scratch : &local, bound);
-}
-
-double EvalSfaQueryBounded(const Sfa& sfa, const Dfa& dfa, double threshold,
-                           EvalScratch* scratch, EvalBound* bound) {
-  return EvalSfaQueryBounded(sfa, dfa, threshold, ComputeSfaEvalInfo(sfa),
-                             scratch, bound);
-}
-
-double EvalSfaViewBounded(const SfaView& view, const Dfa& dfa,
-                          double threshold, EvalScratch* scratch,
-                          EvalBound* bound) {
-  return EvalBoundedImpl(ViewGraph{view}, dfa, threshold, scratch, bound);
 }
 
 Result<double> EvalSerializedSfaBounded(const std::string& blob,

@@ -12,8 +12,9 @@
 // Two flavours exist:
 //
 //  * EvalSfaQuery / EvalSerializedSfa — the reference kernel over the
-//    deserialized Sfa object graph.
-//  * The *bounded* kernels (EvalSfaQueryBounded, EvalSerializedSfaBounded)
+//    deserialized Sfa object graph, kept as the test oracle and for the
+//    offline tuning and example code.
+//  * The *bounded* kernels (EvalSfaViewBounded, EvalSerializedSfaBounded)
 //    — the executor's hot path. They additionally track an exact upper
 //    bound on the final probability, `accepted_so_far + live_mass`: mass
 //    only ever leaks to dead DFA states (and to non-accepting states at the
@@ -50,11 +51,10 @@ double EvalStringsQuery(const std::vector<ScoredString>& strings, const Dfa& dfa
 /// number of (dfa-state × transition-character) steps EvalSfaQuery performs.
 uint64_t CountEvalWork(const Sfa& sfa, const Dfa& dfa);
 
-/// The per-candidate unit of the executor's Eval stage: deserializes one
-/// stored SFA and scores it against the query DFA. The stage is
-/// embarrassingly parallel, as the paper notes — the executor fans this
-/// call out over the shared thread pool (util/parallel.h) with positional
-/// gather, so ranked answers are bit-identical for any thread count.
+/// Reference evaluation of one stored SFA: deserializes the blob into an
+/// Sfa graph and runs EvalSfaQuery. The executor does not call this; its
+/// per-candidate unit is EvalSerializedSfaBounded, which returns the same
+/// value bit for bit whenever it does not prune.
 Result<double> EvalSerializedSfa(const std::string& blob, const Dfa& dfa);
 
 /// \brief How one bounded evaluation ended, for the executor's pruning
@@ -78,40 +78,16 @@ struct EvalScratch {
   std::vector<double> next;    ///< q — StepLabel swap partner
 };
 
-/// \brief Per-Sfa invariants of the bounded kernel — total label chars
-/// (for steps accounting) and the mass-bound safety of the graph. Both
-/// are O(transitions) sweeps, so callers that evaluate one Sfa many times
-/// (the batch executor shares a deserialized transducer across every
-/// query) compute them once and pass them in.
-struct SfaEvalInfo {
-  uint64_t label_chars = 0;
-  /// No node's outgoing probabilities sum above 1 — the precondition for
-  /// live-mass pruning (see EvalSfaQueryBounded).
-  bool mass_safe = false;
-};
-
-SfaEvalInfo ComputeSfaEvalInfo(const Sfa& sfa);
-
-/// EvalSfaQuery with early termination: aborts — returning 0 and setting
-/// `bound->pruned` — as soon as the exact upper bound accepted + live_mass
-/// drops below `threshold`. threshold <= 0 never prunes, and the result is
-/// then bit-identical to EvalSfaQuery (the bound bookkeeping never touches
-/// the mass arithmetic). Pruning engages only when the SFA is mass-bound
-/// safe (no node's outgoing probabilities sum above 1 — true of every
-/// engine-built SFA), because the bound is only an upper bound under that
-/// invariant; otherwise the call silently degrades to a full evaluation.
-/// `scratch` may be null (buffers are then local).
-double EvalSfaQueryBounded(const Sfa& sfa, const Dfa& dfa, double threshold,
-                           EvalScratch* scratch = nullptr,
-                           EvalBound* bound = nullptr);
-
-/// Same, with the per-Sfa invariants precomputed by the caller.
-double EvalSfaQueryBounded(const Sfa& sfa, const Dfa& dfa, double threshold,
-                           const SfaEvalInfo& info, EvalScratch* scratch,
-                           EvalBound* bound = nullptr);
-
-/// The bounded kernel over an already-decoded view. Bit-identical to
-/// EvalSfaQuery on the blob's deserialized Sfa when it does not prune.
+/// The bounded kernel over an already-decoded view: EvalSfaQuery with early
+/// termination. Aborts — returning 0 and setting `bound->pruned` — as soon
+/// as the exact upper bound accepted + live_mass drops below `threshold`.
+/// threshold <= 0 never prunes, and the result is then bit-identical to
+/// EvalSfaQuery on the blob's deserialized Sfa (the bound bookkeeping never
+/// touches the mass arithmetic). Pruning engages only when the SFA is
+/// mass-bound safe (no node's outgoing probabilities sum above 1 — true of
+/// every engine-built SFA), because the bound is only an upper bound under
+/// that invariant; otherwise the call silently degrades to a full
+/// evaluation.
 double EvalSfaViewBounded(const SfaView& view, const Dfa& dfa,
                           double threshold, EvalScratch* scratch,
                           EvalBound* bound = nullptr);

@@ -4,9 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
-#include <deque>
 #include <limits>
-#include <map>
 #include <numeric>
 #include <utility>
 
@@ -462,9 +460,9 @@ Result<const std::vector<char>*> EqualityBitmap(const PlanContext& ctx,
 
 /// One kMAPData row's contribution to its doc's match mass, or false if
 /// the row is filtered out / does not match. The single scoring rule
-/// shared by the solo scan (ExecuteStrings, serial and chunked) and the
-/// batched scan (ExecutePlanBatch), so the paths cannot drift — chunked
-/// and batch answers must stay bit-identical to the serial solo scan.
+/// shared by the serial and chunked scans (ExecuteStrings) and the delta
+/// documents, so the paths cannot drift — chunked answers must stay
+/// bit-identical to the serial scan.
 bool KMapRowMass(const PlanSpec& plan, const Dfa& dfa,
                  const std::vector<char>& allowed, const Tuple& t, size_t key,
                  double* mass) {
@@ -527,35 +525,17 @@ std::vector<Answer> RankStringAnswers(const std::vector<double>& prob,
   return RankAnswers(std::move(answers), num_ans);
 }
 
-/// Execution prologue shared by ExecutePlan and ExecutePlanBatch: every
-/// run-scoped QueryStats field is (re)set here so a reused stats object
-/// never leaks a previous run's values into either path.
-void InitQueryStats(QueryStats* stats, const PlanSpec& plan,
-                    size_t batch_size) {
+/// ExecutePlan's prologue: starts `stats` over, so a reused stats object
+/// never leaks (or accumulates) a previous run's values, and records the
+/// plan's shape and estimate.
+void InitQueryStats(QueryStats* stats, const PlanSpec& plan) {
   if (stats == nullptr) return;
+  *stats = QueryStats{};
   stats->used_index = plan.source == CandidateSource::kIndexProbe;
   stats->used_projection = plan.fetch == FetchMethod::kProjection;
   stats->plan_summary = PlanSummary(plan);
-  stats->threads_used = 1;
-  stats->fetch_threads = 1;
   stats->est_candidates = plan.cost.chosen_cost().candidates;
   stats->est_cost = plan.cost.chosen_cost().total;
-  stats->filter_from_cache = false;
-  stats->candidates_from_cache = false;
-  stats->eval_pruned = 0;
-  stats->eval_steps_saved = 0;
-  stats->batch_size = batch_size;
-  stats->shared_candidate_pass = false;
-  stats->cache_hits = 0;
-  stats->cache_misses = 0;
-  stats->cache_bytes = 0;
-  stats->shared_plan_hit = false;
-  stats->shards.clear();
-  stats->degraded = false;
-  stats->visited_candidates = 0;
-  stats->io_retries = 0;
-  stats->stage = StageTimings{};
-  stats->trace = nullptr;
 }
 
 /// Entries built against older data are dead; start the cache over at the
@@ -770,11 +750,13 @@ struct SfaCandidate {
   size_t est_postings = 0;
 };
 
-/// Projection Eval over an already-deserialized transducer: score the
-/// region around each posting start; the best region bounds the match
+/// Projection Eval for one fetched candidate blob: score the region
+/// around each posting start; the best region bounds the match
 /// probability.
-double EvalProjectedSfa(const Sfa& sfa, const std::vector<uint64_t>& postings,
-                        const Dfa& dfa, size_t horizon) {
+Result<double> EvalProjectedBlob(const std::string& blob,
+                                 const std::vector<uint64_t>& postings,
+                                 const Dfa& dfa, size_t horizon) {
+  STACCATO_ASSIGN_OR_RETURN(Sfa sfa, Sfa::Deserialize(blob));
   double best = 0.0;
   for (uint64_t packed : postings) {
     Posting post = UnpackPosting(packed);
@@ -783,14 +765,6 @@ double EvalProjectedSfa(const Sfa& sfa, const std::vector<uint64_t>& postings,
     best = std::max(best, EvalProjected(sfa, dfa, from, horizon));
   }
   return best;
-}
-
-/// Projection Eval for one fetched candidate blob (solo execution path).
-Result<double> EvalProjectedBlob(const std::string& blob,
-                                 const std::vector<uint64_t>& postings,
-                                 const Dfa& dfa, size_t horizon) {
-  STACCATO_ASSIGN_OR_RETURN(Sfa sfa, Sfa::Deserialize(blob));
-  return EvalProjectedSfa(sfa, postings, dfa, horizon);
 }
 
 /// The CandidateGen operator for the SFA approaches: the plan's candidate
@@ -915,8 +889,8 @@ Result<std::vector<Answer>> ExecuteSfas(const PlanContext& ctx,
     });
   }
   // The pruning threshold: query-local by default; a caller-owned one
-  // (ShardedDb scatter-gather) forwards the *global* k-th best into this
-  // shard's Eval. The global bound is always >= any shard-local bound and
+  // (PreparedQuery's scatter-gather) forwards the *global* k-th best into
+  // this shard's Eval. The global bound is always >= any shard-local bound and
   // the kernel prunes strictly below it, so forwarding is answer-neutral.
   TopKThreshold local_topk(plan.num_ans);
   TopKThreshold& topk = shared_topk != nullptr ? *shared_topk : local_topk;
@@ -1091,7 +1065,7 @@ Result<std::vector<Answer>> ExecutePlan(const PlanContext& ctx,
                                         const PlanSpec& plan, const Dfa& dfa,
                                         QueryStats* stats, PlanCache* cache,
                                         TopKThreshold* shared_topk) {
-  InitQueryStats(stats, plan, /*batch_size=*/0);
+  InitQueryStats(stats, plan);
   const uint64_t plan_start_ns = telemetry::MonotonicNanos();
   // Cancellation point: query entry. An already-expired deadline fails (or
   // degrades to an empty answer set) here — before the filter bitmap is
@@ -1132,372 +1106,6 @@ Result<std::vector<Answer>> ExecutePlan(const PlanContext& ctx,
   }
   if (stats != nullptr) stats->stage.total_s = SecondsSince(plan_start_ns);
   return result;
-}
-
-Result<std::vector<std::vector<Answer>>> ExecutePlanBatch(
-    const PlanContext& ctx, const std::vector<BatchItem>& items,
-    BatchStats* batch_stats) {
-  const size_t n = items.size();
-  std::vector<std::vector<Answer>> results(n);
-  if (batch_stats != nullptr) {
-    batch_stats->queries = n;
-    batch_stats->kmap_scan_passes = 0;
-    batch_stats->distinct_docs_fetched = 0;
-    batch_stats->total_candidates = 0;
-    batch_stats->fetch_threads = 1;
-    batch_stats->eval_threads = 1;
-    batch_stats->eval_pruned = 0;
-    batch_stats->eval_steps_saved = 0;
-  }
-  if (n == 0) return results;
-  // Batch-wide stage clock: one physical pass serves every member, so all
-  // members report the same stage times (same attribution caveat as the
-  // batch I/O counters; see StageTimings).
-  const uint64_t batch_start_ns = telemetry::MonotonicNanos();
-  StageTimings batch_stage;
-
-  // Per-item prologue, identical to ExecutePlan: stats shape, cache
-  // generation check, equality bitmap. Then split by eval strategy — the
-  // string approaches share a kMAPData scan, the SFA approaches share a
-  // Fetch pass.
-  std::vector<std::vector<char>> scratch(n);
-  std::vector<const std::vector<char>*> allowed(n, nullptr);
-  // Per-item budget control: the item's own block, else the batch-wide
-  // context one. An item whose budget is already blown at entry degrades
-  // to an empty answer set (allow_partial) or fails the batch — batched
-  // execution shares physical passes, so a hard per-item abort cannot be
-  // isolated mid-pass.
-  std::vector<QueryControl*> controls(n, nullptr);
-  std::vector<size_t> strings_items, sfa_items;
-  for (size_t i = 0; i < n; ++i) {
-    const BatchItem& item = items[i];
-    if (item.plan == nullptr || item.dfa == nullptr) {
-      return Status::InvalidArgument("batch item missing plan or DFA");
-    }
-    const PlanSpec& plan = *item.plan;
-    InitQueryStats(item.stats, plan, /*batch_size=*/n);
-    controls[i] = item.control != nullptr ? item.control : ctx.control;
-    bool cut_now = false;
-    STACCATO_RETURN_NOT_OK(PollControl(controls[i], &cut_now));
-    if (cut_now) {
-      if (item.stats != nullptr) item.stats->degraded = true;
-      continue;  // results[i] stays empty: top-k of zero visited candidates
-    }
-    ResetStaleCache(item.cache, ctx);
-    STACCATO_ASSIGN_OR_RETURN(
-        allowed[i],
-        EqualityBitmap(ctx, plan, item.stats, item.cache, &scratch[i]));
-    (plan.eval == EvalStrategy::kStrings ? strings_items : sfa_items)
-        .push_back(i);
-  }
-  batch_stage.filter_s = SecondsSince(batch_start_ns);
-
-  // ---- String-eval members: one shared kMAPData scan -----------------------
-  // Every member sees the rows in storage order and accumulates its own
-  // per-doc mass, so each result is bit-identical to its solo ExecuteStrings
-  // pass — the scan itself just happens once instead of once per query.
-  if (!strings_items.empty()) {
-    const size_t m = strings_items.size();
-    const uint64_t scan_start_ns = telemetry::MonotonicNanos();
-    std::vector<std::vector<double>> prob(
-        m, std::vector<double>(ctx.num_sfas, 0.0));
-    ctx.kmap->ResetIoStats();
-    STACCATO_RETURN_NOT_OK(ctx.kmap->Scan([&](RecordId, const Tuple& t) {
-      size_t key = static_cast<size_t>(t[0].AsInt());
-      if (key >= ctx.num_sfas) return true;  // row beyond loaded cardinality
-      for (size_t j = 0; j < m; ++j) {
-        AccumulateKMapRow(*items[strings_items[j]].plan,
-                          *items[strings_items[j]].dfa,
-                          *allowed[strings_items[j]], t, key, &prob[j]);
-      }
-      return true;
-    }));
-    for (size_t j = 0; j < m; ++j) {
-      AccumulateDeltaKMap(ctx, *items[strings_items[j]].plan,
-                          *items[strings_items[j]].dfa,
-                          *allowed[strings_items[j]], &prob[j]);
-    }
-    const uint64_t scan_reads = ctx.kmap->io_stats().page_reads;
-    batch_stage.fetch_eval_s += SecondsSince(scan_start_ns);
-    const uint64_t rank_start_ns = telemetry::MonotonicNanos();
-    for (size_t j = 0; j < m; ++j) {
-      const size_t i = strings_items[j];
-      const PlanSpec& plan = *items[i].plan;
-      size_t candidates = CountStringCandidates(ctx, plan, *allowed[i]);
-      if (QueryStats* st = items[i].stats; st != nullptr) {
-        st->heap_pages_read += scan_reads;
-        st->candidates = candidates;
-        st->selectivity = ctx.num_sfas == 0
-                              ? 0.0
-                              : static_cast<double>(candidates) /
-                                    static_cast<double>(ctx.num_sfas);
-        st->threads_used = 1;
-        st->shared_candidate_pass = m > 1;
-      }
-      if (batch_stats != nullptr) batch_stats->total_candidates += candidates;
-      results[i] = RankStringAnswers(prob[j], plan.num_ans);
-    }
-    batch_stage.topk_s += SecondsSince(rank_start_ns);
-    if (batch_stats != nullptr) batch_stats->kmap_scan_passes = 1;
-  }
-
-  // ---- SFA-eval members: one shared Fetch pass ----------------------------
-  if (!sfa_items.empty()) {
-    struct SfaWork {
-      size_t item = 0;                  // index into `items`
-      std::vector<SfaCandidate> cands;  // this plan's candidates, doc order
-      size_t total_postings = 0;
-    };
-    std::vector<SfaWork> group;
-    group.reserve(sfa_items.size());
-    const uint64_t cand_start_ns = telemetry::MonotonicNanos();
-    for (size_t i : sfa_items) {
-      SfaWork w;
-      w.item = i;
-      STACCATO_ASSIGN_OR_RETURN(
-          w.cands,
-          BuildSfaCandidates(ctx, *items[i].plan, *allowed[i], items[i].stats,
-                             items[i].cache, &w.total_postings));
-      group.push_back(std::move(w));
-    }
-    batch_stage.candidate_gen_s = SecondsSince(cand_start_ns);
-    const uint64_t fetch_start_ns = telemetry::MonotonicNanos();
-
-    // Shared Fetch: each distinct (representation, doc) blob is read AND
-    // deserialized once, however many batch members evaluate it — the eval
-    // stage then shares the transducer (and its precomputed per-Sfa
-    // invariants) across every (query, doc) pair. Keyed also by
-    // representation because FullSFA and Staccato plans fetch from
-    // different tables.
-    struct SharedSfa {
-      Sfa sfa;
-      SfaEvalInfo info;  // computed once at fetch, reused per pair
-    };
-    ctx.blobs->ResetStats();
-    std::map<std::pair<bool, DocId>, SharedSfa> sfa_map;
-    for (const SfaWork& w : group) {
-      const bool full = items[w.item].plan->approach == Approach::kFullSfa;
-      for (const SfaCandidate& c : w.cands) {
-        sfa_map.emplace(std::make_pair(full, c.doc), SharedSfa());
-      }
-    }
-    using SfaEntry = std::pair<const std::pair<bool, DocId>, SharedSfa>;
-    std::vector<SfaEntry*> fetches;
-    fetches.reserve(sfa_map.size());
-    for (auto& entry : sfa_map) fetches.push_back(&entry);
-    size_t requested = 1;
-    for (const SfaWork& w : group) {
-      requested = std::max(requested, items[w.item].plan->eval_threads);
-    }
-    // Clamp each stage's fan-out to its work size, like solo ExecuteSfas
-    // does, so reported thread counts never exceed what could run.
-    const size_t fetch_workers =
-        std::min(requested, std::max<size_t>(1, fetches.size()));
-    STACCATO_RETURN_NOT_OK(ParallelFor(
-        fetches.size(), /*grain=*/1,
-        [&](size_t k) -> Status {
-          const bool full = fetches[k]->first.first;
-          const DocId doc = fetches[k]->first.second;
-          if (ctx.delta.Contains(doc)) {
-            const DeltaDoc& d = ctx.delta.Doc(doc);
-            STACCATO_ASSIGN_OR_RETURN(
-                fetches[k]->second.sfa,
-                Sfa::Deserialize(full ? d.full_blob : d.graph_blob));
-            fetches[k]->second.info = ComputeSfaEvalInfo(fetches[k]->second.sfa);
-            return Status::OK();
-          }
-          const std::vector<RecordId>& rids =
-              full ? *ctx.fullsfa_rid : *ctx.graph_rid;
-          if (doc >= rids.size()) return Status::NotFound("no such DataKey");
-          HeapTable* table = full ? ctx.fullsfa : ctx.staccato_graph;
-          // Read through the shared buffer cache when present — like the
-          // solo path, a hit skips the heap point get too; the pin lives
-          // only for the deserialize. Plain read otherwise.
-          if (ctx.cache != nullptr) {
-            STACCATO_ASSIGN_OR_RETURN(
-                cache::BufferCache::Handle pin,
-                ctx.blobs->GetCached(
-                    BlobCacheKey(full, doc, ctx.blob_generation),
-                    [&]() -> Result<BlobId> {
-                      STACCATO_ASSIGN_OR_RETURN(Tuple t,
-                                                table->Get(rids[doc]));
-                      return t[1].AsBlobId();
-                    }));
-            STACCATO_ASSIGN_OR_RETURN(fetches[k]->second.sfa,
-                                      Sfa::Deserialize(pin.value()));
-          } else {
-            STACCATO_ASSIGN_OR_RETURN(Tuple t, table->Get(rids[doc]));
-            STACCATO_ASSIGN_OR_RETURN(std::string blob,
-                                      ctx.blobs->Get(t[1].AsBlobId()));
-            STACCATO_ASSIGN_OR_RETURN(fetches[k]->second.sfa,
-                                      Sfa::Deserialize(blob));
-          }
-          fetches[k]->second.info = ComputeSfaEvalInfo(fetches[k]->second.sfa);
-          return Status::OK();
-        },
-        ParallelOptions{fetch_workers}));
-    const BlobIoStats fetch_bio = ctx.blobs->io_stats();
-    const uint64_t fetched_bytes = fetch_bio.bytes_read;
-    const uint64_t fetch_cache_bytes =
-        ctx.cache != nullptr ? ctx.cache->bytes_in_use() : 0;
-
-    // Eval every (query, candidate) pair on the pool; results gather
-    // positionally per query, exactly as in solo execution. The shared
-    // transducer is resolved once per pair here — the map is frozen after
-    // the fetch pass — keeping the tree lookups out of the hot loop.
-    // Each query keeps its own top-k threshold, so pruning works exactly
-    // as in solo execution: a pair is aborted once its query's k-th best
-    // answer provably beats the candidate's upper bound. Pairs are laid
-    // out query-major with each query's candidates in descending
-    // posting-count order, mirroring the solo visit order.
-    struct PairRef {
-      size_t g = 0;
-      size_t k = 0;
-      const SharedSfa* sfa = nullptr;
-    };
-    std::vector<PairRef> pairs;
-    std::vector<std::vector<double>> prob(group.size());
-    std::vector<std::vector<char>> was_pruned(group.size());
-    std::vector<std::vector<uint64_t>> steps_saved(group.size());
-    std::vector<std::vector<char>> pair_visited(group.size());
-    // Each query prunes against its own threshold — a caller-provided one
-    // (BatchItem::topk; the sharded ExecuteBatch shares one instance
-    // across every shard's copy of a query) or a batch-local fallback.
-    std::deque<TopKThreshold> local_thresholds;
-    std::vector<TopKThreshold*> thresholds(group.size(), nullptr);
-    std::vector<char> prune_group(group.size(), 0);
-    for (size_t g = 0; g < group.size(); ++g) {
-      const PlanSpec& plan = *items[group[g].item].plan;
-      prob[g].assign(group[g].cands.size(), 0.0);
-      was_pruned[g].assign(group[g].cands.size(), 0);
-      steps_saved[g].assign(group[g].cands.size(), 0);
-      pair_visited[g].assign(group[g].cands.size(), 0);
-      if (items[group[g].item].topk != nullptr) {
-        thresholds[g] = items[group[g].item].topk;
-      } else {
-        local_thresholds.emplace_back(plan.num_ans);
-        thresholds[g] = &local_thresholds.back();
-      }
-      prune_group[g] =
-          plan.early_stop && plan.fetch == FetchMethod::kFullBlob ? 1 : 0;
-      const bool full = plan.approach == Approach::kFullSfa;
-      std::vector<size_t> order(group[g].cands.size());
-      std::iota(order.begin(), order.end(), size_t{0});
-      if (prune_group[g] && plan.source == CandidateSource::kIndexProbe) {
-        std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-          return group[g].cands[a].est_postings >
-                 group[g].cands[b].est_postings;
-        });
-      }
-      for (size_t k : order) {
-        pairs.push_back(
-            {g, k, &sfa_map.at(std::make_pair(full, group[g].cands[k].doc))});
-      }
-    }
-    const size_t eval_workers =
-        std::min(requested, std::max<size_t>(1, pairs.size()));
-    std::vector<EvalScratch> scratches(eval_workers);
-    STACCATO_RETURN_NOT_OK(ParallelForWorker(
-        pairs.size(), /*grain=*/1,
-        [&](size_t worker, size_t p) -> Status {
-          const size_t g = pairs[p].g;
-          const SfaWork& w = group[g];
-          const SfaCandidate& cand = w.cands[pairs[p].k];
-          const PlanSpec& plan = *items[w.item].plan;
-          const Dfa& dfa = *items[w.item].dfa;
-          const SharedSfa& shared = *pairs[p].sfa;
-          double& out = prob[g][pairs[p].k];
-          // Cancellation point: per-(query, candidate) pair, against that
-          // query's own control. A cut query stops visiting pairs; the
-          // rest of the batch keeps going.
-          QueryControl* control = controls[w.item];
-          bool cut_now = false;
-          STACCATO_RETURN_NOT_OK(PollControl(control, &cut_now));
-          if (cut_now) return Status::OK();
-          if (plan.fetch == FetchMethod::kProjection) {
-            out = EvalProjectedSfa(shared.sfa, cand.postings, dfa,
-                                   plan.pattern.size() + 8);
-            pair_visited[g][pairs[p].k] = 1;
-            return Status::OK();
-          }
-          EvalBound bound;
-          const double threshold = prune_group[g] ? thresholds[g]->Get() : 0.0;
-          out = EvalSfaQueryBounded(shared.sfa, dfa, threshold, shared.info,
-                                    &scratches[worker], &bound);
-          if (control != nullptr) control->AddDpSteps(bound.steps);
-          if (bound.pruned) {
-            out = 0.0;
-            was_pruned[g][pairs[p].k] = 1;
-            steps_saved[g][pairs[p].k] = bound.steps_total - bound.steps;
-          } else if (prune_group[g]) {  // nobody reads the threshold otherwise
-            thresholds[g]->Offer(out);
-          }
-          pair_visited[g][pairs[p].k] = 1;
-          return Status::OK();
-        },
-        ParallelOptions{eval_workers}));
-    batch_stage.fetch_eval_s += SecondsSince(fetch_start_ns);
-
-    const uint64_t rank_start_ns = telemetry::MonotonicNanos();
-    for (size_t g = 0; g < group.size(); ++g) {
-      const SfaWork& w = group[g];
-      const PlanSpec& plan = *items[w.item].plan;
-      size_t pruned = 0;
-      uint64_t saved = 0;
-      for (size_t k = 0; k < w.cands.size(); ++k) {
-        if (was_pruned[g][k]) {
-          ++pruned;
-          saved += steps_saved[g][k];
-        }
-      }
-      if (QueryStats* st = items[w.item].stats; st != nullptr) {
-        st->blob_bytes_read += fetched_bytes;  // batch-wide shared pass
-        st->cache_hits += fetch_bio.cache_hits;
-        st->cache_misses += fetch_bio.cache_misses;
-        st->cache_bytes = fetch_cache_bytes;
-        st->candidates = w.cands.size();
-        st->index_postings = w.total_postings;
-        st->selectivity = ctx.num_sfas == 0
-                              ? 0.0
-                              : static_cast<double>(w.cands.size()) /
-                                    static_cast<double>(ctx.num_sfas);
-        st->threads_used = eval_workers;
-        st->fetch_threads = fetch_workers;
-        st->shared_candidate_pass = group.size() > 1;
-        st->eval_pruned = pruned;
-        st->eval_steps_saved = saved;
-        if (QueryControl* control = controls[w.item]; control != nullptr) {
-          st->degraded = control->cut();
-          st->visited_candidates = static_cast<size_t>(std::count(
-              pair_visited[g].begin(), pair_visited[g].end(), 1));
-        }
-      }
-      if (batch_stats != nullptr) {
-        batch_stats->total_candidates += w.cands.size();
-        batch_stats->eval_pruned += pruned;
-        batch_stats->eval_steps_saved += saved;
-      }
-      std::vector<Answer> answers;
-      for (size_t k = 0; k < w.cands.size(); ++k) {
-        if (prob[g][k] > 0.0) answers.push_back({w.cands[k].doc, prob[g][k]});
-      }
-      results[w.item] = RankAnswers(std::move(answers), plan.num_ans);
-    }
-    batch_stage.topk_s += SecondsSince(rank_start_ns);
-    if (batch_stats != nullptr) {
-      batch_stats->distinct_docs_fetched = sfa_map.size();
-      batch_stats->fetch_threads = fetch_workers;
-      batch_stats->eval_threads = eval_workers;
-      batch_stats->cache_hits = fetch_bio.cache_hits;
-      batch_stats->cache_misses = fetch_bio.cache_misses;
-      batch_stats->cache_bytes = fetch_cache_bytes;
-    }
-  }
-  batch_stage.total_s = SecondsSince(batch_start_ns);
-  for (const BatchItem& item : items) {
-    if (item.stats != nullptr) item.stats->stage = batch_stage;
-  }
-  return results;
 }
 
 std::string ExplainPlan(const PlanSpec& plan) {
@@ -1563,11 +1171,6 @@ std::string ExplainPlan(const PlanSpec& plan, const QueryStats& stats) {
         static_cast<unsigned long long>(stats.cache_bytes),
         stats.shared_plan_hit ? "hit" : "miss");
   }
-  if (stats.batch_size > 0) {
-    out += StringPrintf("  Batch: size=%zu shared-candidate-pass=%s\n",
-                        stats.batch_size,
-                        stats.shared_candidate_pass ? "yes" : "no");
-  }
   // Scatter-gather breakdown: one line per shard so skew (candidate
   // imbalance, cold shards, pruning asymmetry) is visible at a glance.
   if (!stats.shards.empty()) {
@@ -1629,8 +1232,6 @@ void FoldShardStats(const std::vector<QueryStats>& per_shard,
     out->cache_bytes += ps.cache_bytes;
     out->eval_pruned += ps.eval_pruned;
     out->eval_steps_saved += ps.eval_steps_saved;
-    out->batch_size = std::max(out->batch_size, ps.batch_size);
-    out->shared_candidate_pass |= ps.shared_candidate_pass;
     // Budget observability: any degraded shard degrades the whole query;
     // visited counts sum. io_retries is NOT folded — per-shard stats all
     // read the one shared QueryControl counter, so summing would multiply

@@ -125,9 +125,7 @@ struct QueryOptions {
 /// renders est-vs-actual from these, and each ShardStats row carries its
 /// own copy so per-stage skew across shards is visible. Fetch and Eval
 /// stream together per candidate on the SFA path, so they are timed as
-/// one stage. Under batching every member of the batch reports the
-/// batch-wide stage times (one physical pass serves them all — the same
-/// attribution caveat as the batch I/O counters).
+/// one stage.
 struct StageTimings {
   double candidate_gen_s = 0.0;  ///< index probe / candidate enumeration
   double filter_s = 0.0;         ///< equality-bitmap build + apply
@@ -137,11 +135,11 @@ struct StageTimings {
 };
 
 /// \brief One shard's slice of a scatter-gather execution, recorded by
-/// ShardedDb::Query (and the sharded Session paths) so skew across shards
-/// is visible without a profiler. `ExplainPlan(plan, stats)` renders one
-/// "Shards:" line per entry. Every counter here is this shard's own
-/// figure — FoldShardStats copies them from the shard's QueryStats, so
-/// the solo and batch paths report identically.
+/// every PreparedQuery::Execute so skew across shards is visible without
+/// a profiler (a plain StaccatoDb runs as one shard and reports one row).
+/// `ExplainPlan(plan, stats)` renders one "Shards:" line per entry. Every
+/// counter here is this shard's own figure — FoldShardStats copies them
+/// from the shard's QueryStats.
 struct ShardStats {
   size_t shard = 0;            ///< shard ordinal (directory suffix)
   size_t candidates = 0;       ///< SFAs evaluated on this shard
@@ -201,15 +199,9 @@ struct QueryStats {
   // answers always are.
   size_t eval_pruned = 0;
   uint64_t eval_steps_saved = 0;
-  // Batched-execution observability (ExecutePlanBatch / ExecuteBatch).
-  // Under batching the blob/page counters are batch-wide totals — one
-  // physical pass serves every member — not per-query attributions.
-  size_t batch_size = 0;  ///< queries in the batch this ran in (0 = solo)
-  bool shared_candidate_pass = false;  ///< CandidateGen/Fetch shared with
-                                       ///< other batch members
-  // Scatter-gather observability: one entry per shard when the query ran
-  // through a ShardedDb (empty on a single StaccatoDb). The top-level
-  // counters above are the cross-shard totals.
+  // Scatter-gather observability: one entry per shard (a plain
+  // StaccatoDb is one shard). The top-level counters above are the
+  // cross-shard totals.
   std::vector<ShardStats> shards;
   // Deadline/budget observability (rdbms/service.h). `degraded` = the
   // budget ran out mid-query and, because the caller allowed partial
@@ -384,9 +376,8 @@ struct PlanContext {
   QueryControl* control = nullptr;
   /// Optional per-query trace (telemetry/trace.h). Null = tracing off:
   /// every instrumentation point is one branch. The executor's stage
-  /// spans nest under `trace_parent` (the per-shard scatter span on
-  /// sharded paths, 0 = top level). Tracing only observes — it must never
-  /// change an answer.
+  /// spans nest under `trace_parent` (the per-shard scatter span, 0 = top
+  /// level). Tracing only observes — it must never change an answer.
   telemetry::QueryTrace* trace = nullptr;
   uint64_t trace_parent = 0;
 };
@@ -419,7 +410,7 @@ CostEstimate EstimateCost(const PlanContext& ctx, Approach approach,
 /// against a lower-or-equal threshold than the final one — races only
 /// ever make pruning more conservative, never wrong.
 ///
-/// Public (not an executor detail) because ShardedDb's scatter-gather
+/// Public (not an executor detail) because PreparedQuery's scatter-gather
 /// shares one instance across every shard's in-flight Eval: the global
 /// k-th best forwards into each shard so the bounded DP prunes across
 /// shards, not just within one. Monotonicity makes that sharing safe —
@@ -468,7 +459,7 @@ class TopKThreshold {
 /// warm call reuses the equality bitmap and the probed CandidateSet (and
 /// reports doing so in `stats`) as long as `ctx.load_generation` still
 /// matches the cached generation. `shared_topk`, when non-null, replaces
-/// the Eval stage's query-local pruning threshold — ShardedDb passes one
+/// the Eval stage's query-local pruning threshold — the scatter passes one
 /// instance to every shard's ExecutePlan so the global k-th best bound
 /// forwards across shards (answer-neutral: the kernel prunes strictly
 /// below the threshold, and the global bound is at least as high as any
@@ -484,62 +475,6 @@ Result<std::vector<Answer>> ExecutePlan(const PlanContext& ctx,
 Result<CandidateSet> ProbeIndex(const PlanContext& ctx,
                                 const std::string& anchor);
 
-/// \brief One member of a batched execution: a prepared plan, its compiled
-/// DFA, and (optionally) its plan cache and stats sink. Borrowed pointers;
-/// the PreparedQuery that owns them must outlive the call.
-struct BatchItem {
-  const PlanSpec* plan = nullptr;
-  const Dfa* dfa = nullptr;
-  PlanCache* cache = nullptr;   ///< optional per-query plan cache
-  QueryStats* stats = nullptr;  ///< optional per-query stats
-  /// Optional externally owned pruning threshold for this query's Eval
-  /// stage. A sharded ExecuteBatch points every shard's copy of the same
-  /// logical query at one instance, so the global k-th best forwards
-  /// across shards exactly as in solo scatter-gather. Null = query-local.
-  TopKThreshold* topk = nullptr;
-  /// Optional per-query budget/cancel block, overriding the batch-wide
-  /// PlanContext::control for this member's checks. Null = use the
-  /// context's (possibly null) control.
-  QueryControl* control = nullptr;
-};
-
-/// \brief Batch-level statistics: what one ExecutePlanBatch physically did,
-/// as opposed to the logical per-query view in QueryStats.
-struct BatchStats {
-  double seconds = 0.0;
-  size_t queries = 0;
-  /// Physical kMAPData scans performed for the string-eval members
-  /// (executed one by one, each member would pay its own).
-  size_t kmap_scan_passes = 0;
-  /// Distinct blobs fetched for the whole SFA-eval group — each is read
-  /// and deserialized once no matter how many queries evaluate it.
-  size_t distinct_docs_fetched = 0;
-  size_t total_candidates = 0;  ///< Σ per-query candidates (overlap counted)
-  size_t fetch_threads = 1;     ///< pool fan-out of the shared Fetch pass
-  size_t eval_threads = 1;      ///< pool fan-out of the per-(query,doc) Eval
-  /// Batch-wide early-termination totals (Σ of the per-query counters).
-  size_t eval_pruned = 0;
-  uint64_t eval_steps_saved = 0;
-  /// Buffer-cache totals of the shared Fetch pass (blob reads served warm
-  /// vs from disk) and the cache's resident bytes afterwards.
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  uint64_t cache_bytes = 0;
-  std::vector<QueryStats> per_query;  ///< filled by Session::ExecuteBatch
-};
-
-/// Executes many prepared plans as one batch over a single physical pass:
-/// string-eval members share one kMAPData scan, and SFA-eval members share
-/// one Fetch pass that reads each distinct candidate document's blob once,
-/// then evaluates every (query, candidate) pair on the shared pool.
-/// Answers are bit-identical to executing each plan alone (per-query
-/// accumulation order and per-pair evaluation are unchanged); only the
-/// physical data movement is shared. Per-item caches are consulted and
-/// warmed exactly as in ExecutePlan.
-Result<std::vector<std::vector<Answer>>> ExecutePlanBatch(
-    const PlanContext& ctx, const std::vector<BatchItem>& items,
-    BatchStats* batch_stats = nullptr);
-
 /// Multi-line operator-tree rendering, stable across executions:
 ///
 ///   QueryPlan approach=STACCATO pattern='Ford'
@@ -552,9 +487,10 @@ Result<std::vector<std::vector<Answer>>> ExecutePlanBatch(
 std::string ExplainPlan(const PlanSpec& plan);
 
 /// ExplainPlan plus an "Actual:" line comparing the estimate against what
-/// one execution measured (candidates, cache hits) and a "Pruned:" line
+/// one execution measured (candidates, cache hits), a "Pruned:" line
 /// reporting the early-termination outcome (candidates aborted, DP steps
-/// saved, whether early-stop was enabled for the plan).
+/// saved, whether early-stop was enabled for the plan), and one "Shards:"
+/// row per shard the query scattered to (one for a plain StaccatoDb).
 std::string ExplainPlan(const PlanSpec& plan, const QueryStats& stats);
 
 /// Compact one-line shape for QueryStats::plan_summary, e.g.
@@ -566,12 +502,10 @@ std::string PlanSummary(const PlanSpec& plan);
 /// per shard records the skew (ExplainPlan renders them as "Shards:"
 /// lines), carrying the shard's full counter set — candidates, pruning,
 /// cache hits/misses, heap pages, blob bytes, and per-stage timings.
-/// `total_docs` is the global document count for selectivity. The ONLY
-/// shard-stats folding function: both the solo scatter-gather path and
-/// the batch path route through it, so the per-shard rows can never
-/// diverge between them. io_retries is deliberately not folded — every
-/// shard reads the one shared QueryControl counter, so summing would
-/// multiply it by the shard count; the top-level Execute writes it once.
+/// `total_docs` is the global document count for selectivity. io_retries
+/// is deliberately not folded — every shard reads the one shared
+/// QueryControl counter, so summing would multiply it by the shard count;
+/// the top-level Execute writes it once.
 void FoldShardStats(const std::vector<QueryStats>& per_shard,
                     size_t total_docs, QueryStats* out);
 

@@ -1,7 +1,7 @@
 // The prepared-query surface of the engine.
 //
-// A Session borrows a StaccatoDb and turns logical queries (pattern +
-// options, or the paper's SQL) into PreparedQuery objects:
+// A Session borrows a StaccatoDb or a ShardedDb and turns logical queries
+// (pattern + options, or the paper's SQL) into PreparedQuery objects:
 //
 //   Session session(db.get());
 //   STACCATO_ASSIGN_OR_RETURN(
@@ -19,24 +19,33 @@
 // QueryOptions::index_mode pins the choice. A SQL LIMIT clause maps to the
 // TopK answer budget (NumAns).
 //
-// Execute runs the plan, and each PreparedQuery carries a plan-level cache:
-// the first Execute memoizes the index-probe CandidateSet and the
-// equality-filter bitmap, so warm Executes skip the CandidateGen and
-// Filter operators entirely (QueryStats::candidates_from_cache /
-// filter_from_cache report this). Cached entries live until the database's
-// load generation moves — any Load or BuildInvertedIndex invalidates them
-// on the next Execute — and warm answers are always bit-identical to cold
+// Every Execute is one scatter-gather over the session's shard list: a
+// ShardedDb contributes its N shards and owns the global <-> local id map,
+// and a plain StaccatoDb is a 1-shard list whose id map is the identity.
+// Prepare plans each shard from that shard's own statistics; Execute runs
+// every shard's plan over the shared ThreadPool against one forwarded
+// TopKThreshold, then remaps and re-ranks the per-shard top-k lists. The
+// 1-shard case runs inline on the calling thread, so a plain database pays
+// no scheduling cost for the uniform shape.
+//
+// Each PreparedQuery carries one plan-level cache per shard: the first
+// Execute memoizes the index-probe CandidateSet and the equality-filter
+// bitmap, so warm Executes skip the CandidateGen and Filter operators
+// entirely (QueryStats::candidates_from_cache / filter_from_cache report
+// this). Cached entries live until the shard's load generation moves —
+// any Load, BuildInvertedIndex, Append or Checkpoint invalidates them on
+// the next Execute — and warm answers are always bit-identical to cold
 // ones. Plan caches are also shared *across* the PreparedQueries of one
 // Session: after a successful Execute the warmed artifacts are published
-// (as immutable snapshots, keyed by plan fingerprint) into a session-wide
-// table, and a cold PreparedQuery with the same fingerprint adopts them
-// on its first Execute instead of recomputing (QueryStats::shared_plan_hit,
-// Session::shared_plan_hits). A PreparedQuery is not synchronized: run
-// concurrent Executes on separate PreparedQuery objects. Open streams the
-// ranked answers through a Cursor. The legacy StaccatoDb::Query call is a thin flag-driven
-// wrapper over this engine (it pins index_mode from use_index);
-// StaccatoDb::QuerySql is cost-based like any SQL prepare. Both run
-// prepare + execute in one shot, so they never hit the warm path.
+// (as immutable snapshots, keyed by shard ordinal plus plan fingerprint)
+// into a session-wide table, and a cold PreparedQuery with the same
+// fingerprint adopts them on its first Execute instead of recomputing
+// (QueryStats::shared_plan_hit, Session::shared_plan_hits). A
+// PreparedQuery is not synchronized: run concurrent Executes on separate
+// PreparedQuery objects. The legacy StaccatoDb::Query call is a thin
+// flag-driven wrapper over this engine (it pins index_mode from
+// use_index); StaccatoDb::QuerySql is cost-based like any SQL prepare.
+// Both run prepare + execute in one shot, so they never hit the warm path.
 #pragma once
 
 #include <atomic>
@@ -55,18 +64,18 @@ namespace staccato::rdbms {
 class StaccatoDb;
 class ShardedDb;
 class PreparedQuery;
-class Cursor;
 
 /// \brief The session-wide shared plan-cache table: immutable snapshots of
-/// warmed PlanCache artifacts, keyed by plan fingerprint (candidate
-/// source + anchor + bound equalities — exactly what the memoized
-/// CandidateSet and bitmap depend on). Entries carry their load
-/// generation inside the PlanCache; a PreparedQuery adopts an entry only
-/// when the generation still matches, and publishes a fresh snapshot
-/// after warming its own cache. Shared (via shared_ptr) between a Session
-/// and every PreparedQuery it creates, so queries stay valid if the
-/// Session dies first. All access goes through the mutex; the snapshots
-/// themselves are immutable, so concurrent Executes on separate
+/// warmed PlanCache artifacts, keyed by shard ordinal plus plan
+/// fingerprint (candidate source + anchor + bound equalities — exactly
+/// what the memoized CandidateSet and bitmap depend on; the ordinal keeps
+/// one shard's artifacts from serving another). Entries carry their
+/// shard's load generation inside the PlanCache; a PreparedQuery adopts
+/// an entry only when the generation still matches, and publishes a fresh
+/// snapshot after warming its own cache. Shared (via shared_ptr) between a
+/// Session and every PreparedQuery it creates, so queries stay valid if
+/// the Session dies first. All access goes through the mutex; the
+/// snapshots themselves are immutable, so concurrent Executes on separate
 /// PreparedQuery objects stay safe.
 struct SharedPlanCacheTable {
   /// Bound on distinct fingerprints retained (each entry can hold an
@@ -79,7 +88,7 @@ struct SharedPlanCacheTable {
   util::Mutex mu;
   std::unordered_map<std::string, std::shared_ptr<const PlanCache>> entries
       GUARDED_BY(mu);
-  std::atomic<uint64_t> hits{0};  ///< Executes that adopted an entry
+  std::atomic<uint64_t> hits{0};  ///< Executes that adopted any entry
 };
 
 /// \brief Session-wide defaults applied at prepare time.
@@ -94,19 +103,18 @@ struct SessionOptions {
 /// \brief Prepared-query factory over one database.
 class Session {
  public:
+  /// A session over a single database: every query runs as a 1-shard
+  /// scatter-gather with the identity id map.
   explicit Session(StaccatoDb* db, SessionOptions opts = {})
-      : db_(db), opts_(opts) {}
+      : shards_{db}, opts_(opts) {}
 
   /// A session over a sharded database. Prepare plans every shard
   /// independently (each shard's own statistics drive its scan-vs-probe
   /// choice) and Execute scatter-gathers: shard evals fan out over the
   /// shared pool, share one global TopKThreshold when the database has
   /// threshold forwarding on, and the merged ranking is bit-identical to
-  /// the 1-shard answer. The shared plan-cache table is per-shard-query
-  /// only (fingerprints would collide across shards), so sharded
-  /// PreparedQueries rely on their own per-shard plan caches.
-  explicit Session(ShardedDb* db, SessionOptions opts = {})
-      : db_(nullptr), sdb_(db), opts_(opts) {}
+  /// the 1-shard answer.
+  explicit Session(ShardedDb* db, SessionOptions opts = {});
 
   /// Compiles + plans a pattern query. The returned PreparedQuery remains
   /// valid as long as the database outlives it.
@@ -116,34 +124,13 @@ class Session {
   /// LIKE and any number of equality predicates) and prepares it.
   Result<PreparedQuery> PrepareSql(Approach approach, const std::string& sql);
 
-  /// Prepares one PreparedQuery per options entry, all under `approach` —
-  /// the natural input to ExecuteBatch. Fails on the first bad query.
-  Result<std::vector<PreparedQuery>> PrepareBatch(
-      Approach approach, const std::vector<QueryOptions>& queries);
-
-  /// Executes many prepared queries as one batch over shared physical
-  /// passes: string-eval members share a single kMAPData scan, SFA-eval
-  /// members share one Fetch pass that reads each distinct candidate blob
-  /// once, and every (query, candidate) evaluation fans out over the
-  /// shared thread pool. Answer sets are bit-identical to calling
-  /// Execute on each query individually; per-query plan caches are
-  /// consulted and warmed exactly as in a solo Execute. All queries must
-  /// have been prepared against this session's database. This is the
-  /// multi-user serving shape: N concurrent patterns, one storage pass.
-  Result<std::vector<std::vector<Answer>>> ExecuteBatch(
-      const std::vector<PreparedQuery*>& queries,
-      BatchStats* stats = nullptr);
-
-  StaccatoDb* db() const { return db_; }
-  /// The sharded database this session serves, or null for a
-  /// single-partition session (exactly one of db() / sharded_db() is set).
-  ShardedDb* sharded_db() const { return sdb_; }
   const SessionOptions& options() const { return opts_; }
 
-  /// How many Executes (solo or batched) served CandidateGen/Filter from
-  /// the session's shared plan-cache table — i.e. were warmed by a
-  /// *different* PreparedQuery with the same plan fingerprint
-  /// (QueryStats::shared_plan_hit flags the individual executions).
+  /// How many Executes served CandidateGen/Filter on at least one shard
+  /// from the session's shared plan-cache table — i.e. were warmed by a
+  /// *different* PreparedQuery with the same plan fingerprint. Counts once
+  /// per Execute however many shards adopted (QueryStats::shared_plan_hit
+  /// flags the individual executions).
   uint64_t shared_plan_hits() const {
     return shared_caches_->hits.load(std::memory_order_relaxed);
   }
@@ -164,13 +151,11 @@ class Session {
   }
 
  private:
-  /// Scatter-gather batch execution: one ExecutePlanBatch per shard fans
-  /// out over the pool, every shard's copy of one logical query shares
-  /// one forwarded TopKThreshold, and per-query answers merge globally.
-  Result<std::vector<std::vector<Answer>>> ExecuteBatchSharded(
-      const std::vector<PreparedQuery*>& queries, BatchStats* stats);
-
-  StaccatoDb* db_;
+  /// The shards every query scatters to: the ShardedDb's shards in
+  /// ordinal order, or the one plain database.
+  std::vector<StaccatoDb*> shards_;
+  /// The sharded database that owns the global <-> local id map; null for
+  /// a plain database, whose id map is the identity.
   ShardedDb* sdb_ = nullptr;
   SessionOptions opts_;
   std::shared_ptr<SharedPlanCacheTable> shared_caches_ =
@@ -204,99 +189,66 @@ class PreparedQuery {
   Result<std::vector<Answer>> Execute(QueryControl* control,
                                       QueryStats* stats);
 
-  /// Executes and wraps the ranked answers in a streaming cursor.
-  Result<Cursor> Open(QueryStats* stats = nullptr);
+  /// Stable text rendering of the physical plan (shard 0's; every shard
+  /// shares the operator pipeline but prices it from its own statistics).
+  std::string Explain() const { return ExplainPlan(plans_.front()); }
 
-  /// Stable text rendering of the physical plan.
-  std::string Explain() const { return ExplainPlan(plan_); }
-
-  const PlanSpec& plan() const { return plan_; }
+  const PlanSpec& plan() const { return plans_.front(); }
   const Dfa& dfa() const { return dfa_; }
 
   /// Re-binds the answer budget without re-planning. (Cache-safe: the
   /// memoized CandidateSet/bitmap do not depend on NumAns.)
   void set_num_ans(size_t n) {
-    plan_.num_ans = n;
-    for (PlanSpec& p : shard_plans_) p.num_ans = n;
+    for (PlanSpec& p : plans_) p.num_ans = n;
   }
   /// Re-binds the Eval worker count without re-planning (>= 1).
   void set_eval_threads(size_t t) {
-    plan_.eval_threads = t == 0 ? 1 : t;
-    for (PlanSpec& p : shard_plans_) p.eval_threads = plan_.eval_threads;
+    for (PlanSpec& p : plans_) p.eval_threads = t == 0 ? 1 : t;
   }
   /// Toggles threshold-pruned top-k Eval without re-planning. Answer sets
   /// are identical either way; only the work performed changes
   /// (QueryStats::eval_pruned / eval_steps_saved report it).
   void set_early_stop(bool on) {
-    plan_.early_stop = on;
-    for (PlanSpec& p : shard_plans_) p.early_stop = on;
+    for (PlanSpec& p : plans_) p.early_stop = on;
   }
 
  private:
   friend class Session;
-  PreparedQuery(StaccatoDb* db, PlanSpec plan, Dfa dfa,
-                std::shared_ptr<SharedPlanCacheTable> shared);
-  /// Sharded flavor: one plan (and one plan cache) per shard; `plan_`
-  /// mirrors shard 0's plan for Explain()/plan() introspection.
-  PreparedQuery(ShardedDb* db, std::vector<PlanSpec> shard_plans, Dfa dfa);
+  PreparedQuery(std::vector<StaccatoDb*> shards, ShardedDb* sdb,
+                std::vector<PlanSpec> plans, Dfa dfa,
+                std::shared_ptr<SharedPlanCacheTable> shared,
+                std::shared_ptr<telemetry::TraceSink> tracer);
 
-  /// Scatter-gather Execute over the owning ShardedDb (see session.cc).
-  /// `control` (nullable) threads the query budget into every shard's
-  /// ExecutePlan and is polled again at the per-shard gather. `trace`
-  /// (nullable) receives a scatter span with one child span per shard.
-  Result<std::vector<Answer>> ExecuteSharded(QueryControl* control,
-                                             QueryStats* stats,
-                                             telemetry::QueryTrace* trace);
+  /// The scatter-gather body (see session.cc). `control` (nullable)
+  /// threads the query budget into every shard's ExecutePlan and is polled
+  /// again at the per-shard gather. `trace` (nullable) receives a scatter
+  /// span with one child span per shard, then a gather span.
+  Result<std::vector<Answer>> ScatterGather(QueryControl* control,
+                                            QueryStats* stats,
+                                            telemetry::QueryTrace* trace);
 
-  /// Copies any artifacts the plan will need from the session table into
-  /// the local cache, when the local cache lacks them for `generation`.
-  /// Returns true if anything was adopted.
-  bool AdoptSharedCache(uint64_t generation);
-  /// Publishes a snapshot of the warmed local cache into the session
-  /// table when it carries more artifacts than the current entry.
-  void PublishSharedCache(uint64_t generation);
+  /// Copies any artifacts shard `s`'s plan will need from the session
+  /// table into that shard's local cache, when the local cache lacks them
+  /// for `generation`. Returns true if anything was adopted.
+  bool AdoptSharedCache(size_t s, uint64_t generation);
+  /// Publishes a snapshot of shard `s`'s warmed local cache into the
+  /// session table when it carries more artifacts than the current entry.
+  void PublishSharedCache(size_t s, uint64_t generation);
 
-  StaccatoDb* db_;
-  PlanSpec plan_;
+  std::vector<StaccatoDb*> shards_;
+  ShardedDb* sdb_;  ///< owns the id map; null = identity (plain database)
+  /// One independently planned PlanSpec per shard, one generation-tagged
+  /// PlanCache per shard (plan.h), and each shard's key into the shared
+  /// table (shard ordinal + plan fingerprint).
+  std::vector<PlanSpec> plans_;
+  std::vector<PlanCache> caches_;
+  std::vector<std::string> shared_keys_;
   Dfa dfa_;
-  /// Memoized CandidateGen/Filter artifacts, generation-tagged (plan.h).
-  PlanCache cache_;
-  /// The owning session's shared plan-cache table (null only for
-  /// hand-built queries) plus this plan's fingerprint into it.
+  /// The owning session's shared plan-cache table and trace sink. Shared
+  /// so the query stays valid (and keeps tracing) if the Session dies
+  /// first.
   std::shared_ptr<SharedPlanCacheTable> shared_;
-  std::string fingerprint_;
-  /// Sharded-execution state (empty / null for single-partition queries):
-  /// the owning sharded database, one independently planned PlanSpec per
-  /// shard, and one generation-tagged PlanCache per shard.
-  ShardedDb* sdb_ = nullptr;
-  std::vector<PlanSpec> shard_plans_;
-  std::vector<PlanCache> shard_caches_;
-  /// The owning session's trace sink (null for hand-built queries =
-  /// tracing off). Shared so the query can keep tracing if the Session
-  /// dies first.
   std::shared_ptr<telemetry::TraceSink> tracer_;
-};
-
-/// \brief Forward-only iteration over one execution's ranked answers.
-class Cursor {
- public:
-  /// Advances to the next answer; false at end of stream.
-  bool Next(Answer* out) {
-    if (pos_ >= answers_.size()) return false;
-    *out = answers_[pos_++];
-    return true;
-  }
-
-  size_t position() const { return pos_; }
-  size_t size() const { return answers_.size(); }
-
- private:
-  friend class PreparedQuery;
-  explicit Cursor(std::vector<Answer> answers)
-      : answers_(std::move(answers)) {}
-
-  std::vector<Answer> answers_;
-  size_t pos_ = 0;
 };
 
 }  // namespace staccato::rdbms

@@ -29,9 +29,9 @@ std::string ShardsMetaPath(const std::string& dir) {
   return dir + "/shards.meta";
 }
 
-/// Persists the shard count ("STACSHRD <n>\n", atomic rename) so
-/// OpenExisting recovers the partition width without guessing from the
-/// directory listing.
+/// Persists the shard count ("STACSHRD <n>\n", atomic rename plus a
+/// directory sync) so OpenExisting recovers the partition width without
+/// guessing from the directory listing.
 Status WriteShardsMeta(const std::string& dir, size_t shards) {
   const std::string path = ShardsMetaPath(dir);
   const std::string tmp = path + ".tmp";
@@ -49,7 +49,7 @@ Status WriteShardsMeta(const std::string& dir, size_t shards) {
     std::remove(tmp.c_str());
     return Status::IOError("cannot commit " + path);
   }
-  return Status::OK();
+  return util::SyncDir(dir);  // make the rename itself durable
 }
 
 Result<size_t> ReadShardsMeta(const std::string& dir) {

@@ -26,9 +26,10 @@
 //
 // Ingest routes Append to the owning shard (per-shard WAL + delta);
 // Checkpoint and BuildInvertedIndex run shard-parallel. Session /
-// PreparedQuery / ExecuteBatch sit on top unchanged in API — construct a
-// Session from a ShardedDb and the prepared-query surface transparently
-// plans per shard and scatter-gathers each Execute.
+// PreparedQuery sit on top with the same API as for a plain StaccatoDb:
+// every PreparedQuery executes as a scatter-gather (a plain StaccatoDb is
+// its 1-shard case), so a Session built from a ShardedDb plans per shard
+// and remaps answers through this database's id map.
 //
 // Caveat: global doc ids are stable across shard counts (DocName / Year
 // equality predicates are shard-invariant), but the *DataKey / SFANum

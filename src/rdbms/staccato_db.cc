@@ -131,9 +131,13 @@ Status WriteMetaAtomic(const std::string& dir, const DbMeta& meta) {
   // The atomic commit point: readers see either the old pointer or the
   // new one, never a torn write.
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
     return Status::IOError("cannot commit " + path);
   }
-  return Status::OK();
+  // The rename is durable only once the directory entry is: without this
+  // sync a power loss could keep Checkpoint's later WAL truncate but lose
+  // the rename, dropping committed appends.
+  return util::SyncDir(dir);
 }
 
 Result<DbMeta> ReadMeta(const std::string& dir) {

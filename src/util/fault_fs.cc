@@ -1,5 +1,6 @@
 #include "util/fault_fs.h"
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -136,6 +137,24 @@ Status CheckedSync(FILE* file, const std::string& path) {
   if (fsync(fileno(file)) != 0) {
     return Status::IOError("fsync failed: " + path + ": " +
                            std::strerror(errno));
+  }
+  return Status::OK();
+}
+
+Status SyncDir(const std::string& dir) {
+  if (FaultInjector::Global()->ShouldFail(FaultOp::kDirSync, dir, nullptr)) {
+    return Status::IOError("injected directory sync fault: " + dir);
+  }
+  const int fd = open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd < 0) {
+    return Status::IOError("cannot open directory " + dir + ": " +
+                           std::strerror(errno));
+  }
+  const int rc = fsync(fd);
+  const int err = errno;
+  close(fd);
+  if (rc != 0) {
+    return Status::IOError("fsync failed: " + dir + ": " + std::strerror(err));
   }
   return Status::OK();
 }

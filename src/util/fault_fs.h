@@ -1,13 +1,13 @@
 // Deterministic fault injection for the stdio file operations the storage
 // layer depends on (WAL appends, heap-page write-back, blob flushes).
 //
-// Production code calls CheckedWrite/CheckedFlush/CheckedSync instead of
-// bare fwrite/fflush/fsync. Each wrapper consults the process-global
-// FaultInjector first: tests Install() rules that make the Nth matching
-// operation fail (optionally as a *short* write that really leaves torn
-// bytes on disk), then assert the failure surfaces as a Status instead of
-// being swallowed. With no rules armed the wrappers are a single relaxed
-// atomic load away from the bare calls.
+// Production code calls CheckedWrite/CheckedFlush/CheckedSync/SyncDir
+// instead of bare fwrite/fflush/fsync. Each wrapper consults the
+// process-global FaultInjector first: tests Install() rules that make the
+// Nth matching operation fail (optionally as a *short* write that really
+// leaves torn bytes on disk), then assert the failure surfaces as a Status
+// instead of being swallowed. With no rules armed the wrappers are a
+// single relaxed atomic load away from the bare calls.
 #pragma once
 
 #include <atomic>
@@ -26,6 +26,7 @@ enum class FaultOp : uint8_t {
   kFlush = 1,  ///< fflush via CheckedFlush
   kSync = 2,   ///< fsync via CheckedSync
   kRead = 3,   ///< pread via CheckedPRead (blob/heap read paths)
+  kDirSync = 4,  ///< fsync of a directory via SyncDir
 };
 
 /// \brief One injected failure: the `countdown`-th matching operation on a
@@ -80,6 +81,12 @@ Status CheckedFlush(FILE* file, const std::string& path);
 
 /// \brief fflush + fsync(fileno(file)) with fault injection.
 Status CheckedSync(FILE* file, const std::string& path);
+
+/// \brief fsync of directory `dir` with fault injection (FaultOp::kDirSync,
+/// matched against `dir`). A rename is durable only once its parent
+/// directory is synced: call this after every atomic tmp-file rename that
+/// later steps (a WAL truncate) rely on having persisted.
+Status SyncDir(const std::string& dir);
 
 /// \brief pread(fd, buf, n, offset) that retries EINTR and short reads and
 /// fails unless all `n` bytes arrive, with fault injection (FaultOp::kRead)

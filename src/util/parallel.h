@@ -2,12 +2,12 @@
 // ThreadPool plus ParallelFor/ParallelMap helpers built on it.
 //
 // Every parallel stage in the system — Load-time Staccato construction,
-// the executor's Fetch and Eval fan-out, and batched multi-query
-// execution — schedules through this pool instead of spawning its own
-// std::thread workers. Work is claimed from a shared atomic cursor in
-// chunks of `grain` indices and results are written positionally, so the
-// output of a parallel region is bit-identical to running it serially,
-// for any thread count and any scheduling order.
+// the executor's Fetch and Eval fan-out, and the per-query shard scatter —
+// schedules through this pool instead of spawning its own std::thread
+// workers. Work is claimed from a shared atomic cursor in chunks of
+// `grain` indices and results are written positionally, so the output of
+// a parallel region is bit-identical to running it serially, for any
+// thread count and any scheduling order.
 //
 // The calling thread always participates in the parallel region, so a
 // ParallelFor makes progress even when every pool worker is busy; and a

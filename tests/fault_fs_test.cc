@@ -2,19 +2,27 @@
 // short writes, flush failures, and fsync failures must surface as
 // Status errors through every storage layer that writes bytes —
 // HeapTable, BlobStore, and the WAL writer — instead of being swallowed.
+// Directory-sync failures after the atomic meta renames must surface from
+// Load, Checkpoint, and ShardedDb::Open.
 
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "eval/workbench.h"
+#include "ocr/corpus.h"
+#include "ocr/generator.h"
 #include "rdbms/blob_store.h"
 #include "rdbms/heap_table.h"
+#include "rdbms/shard.h"
+#include "rdbms/staccato_db.h"
 #include "rdbms/value.h"
 #include "rdbms/wal.h"
 #include "util/fault_fs.h"
+#include "util/strings.h"
 
 namespace staccato {
 namespace util {
@@ -192,6 +200,85 @@ TEST_F(FaultFsTest, WalWriterSurfacesFaults) {
   FaultInjector::Global()->Install({FaultOp::kSync, "faulty_wal", 0, 0, false});
   EXPECT_FALSE(writer->Commit().ok());
   EXPECT_TRUE(writer->Commit().ok());
+}
+
+bool FileExists(const std::string& path) {
+  FILE* f = fopen(path.c_str(), "rb");
+  if (f == nullptr) return false;
+  fclose(f);
+  return true;
+}
+
+// A rename is durable only once its directory is synced, so every meta
+// commit (StaccatoDb's staccato.meta, ShardedDb's shards.meta) syncs the
+// directory and reports a failed sync instead of claiming durability.
+TEST_F(FaultFsTest, DirSyncFaultsSurfaceFromMetaCommits) {
+  EXPECT_TRUE(SyncDir(dir_).ok());
+  EXPECT_TRUE(SyncDir(Path("no_such_dir")).IsIOError());
+  FaultInjector::Global()->Install({FaultOp::kDirSync, dir_, 0, 0, false});
+  EXPECT_TRUE(SyncDir(dir_).IsIOError());
+  EXPECT_TRUE(SyncDir(dir_).ok()) << "one-shot rule";
+
+  CorpusSpec spec;
+  spec.kind = DatasetKind::kCongressActs;
+  spec.num_pages = 1;
+  spec.lines_per_page = 4;
+  spec.max_line_chars = 30;
+  spec.seed = 99;
+  OcrNoiseModel noise;
+  noise.alternatives = 4;
+  auto data = GenerateOcrDataset(spec, noise);
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  rdbms::LoadOptions load;
+  load.kmap_k = 4;
+  load.staccato.m = 8;
+  load.staccato.k = 4;
+
+  const std::string db_dir = Path("db");
+  auto db = rdbms::StaccatoDb::Open(db_dir);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  FaultInjector::Global()->Install({FaultOp::kDirSync, db_dir, 0, 0, false});
+  Status load_st = (*db)->Load(*data, load);
+  EXPECT_TRUE(load_st.IsIOError()) << load_st.ToString();
+  ASSERT_TRUE((*db)->Load(*data, load).ok());
+
+  // Checkpoint reports the failed sync and leaves the WAL alone, so the
+  // committed append survives a reopen.
+  rdbms::DocumentInput doc;
+  doc.doc_name = StringPrintf("%s-page-0", data->corpus.name.c_str());
+  doc.year = 2010;
+  doc.truth = data->corpus.lines[0];
+  doc.sfa = data->sfas[0];
+  ASSERT_TRUE((*db)->Append(doc).ok());
+  FaultInjector::Global()->Install({FaultOp::kDirSync, db_dir, 0, 0, false});
+  Status ckpt_st = (*db)->Checkpoint();
+  EXPECT_TRUE(ckpt_st.IsIOError()) << ckpt_st.ToString();
+  EXPECT_FALSE(FileExists(db_dir + "/staccato.meta.tmp"));
+  db->reset();
+  auto reopened = rdbms::StaccatoDb::OpenExisting(db_dir);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->NumSfas(), data->sfas.size() + 1);
+
+  // A rename that fails (the target is a non-empty directory) leaves no
+  // staccato.meta.tmp behind.
+  const std::string blocked_dir = Path("blocked");
+  auto blocked = rdbms::StaccatoDb::Open(blocked_dir);
+  ASSERT_TRUE(blocked.ok()) << blocked.status().ToString();
+  std::error_code ec;
+  std::filesystem::create_directories(blocked_dir + "/staccato.meta/occupied",
+                                      ec);
+  ASSERT_FALSE(ec) << ec.message();
+  Status blocked_st = (*blocked)->Load(*data, load);
+  EXPECT_TRUE(blocked_st.IsIOError()) << blocked_st.ToString();
+  EXPECT_FALSE(FileExists(blocked_dir + "/staccato.meta.tmp"));
+
+  const std::string sharded_dir = Path("sharded");
+  FaultInjector::Global()->Install(
+      {FaultOp::kDirSync, sharded_dir, 0, 0, false});
+  auto sharded =
+      rdbms::ShardedDb::Open(sharded_dir, rdbms::ShardConfig{2, {}});
+  ASSERT_FALSE(sharded.ok());
+  EXPECT_TRUE(sharded.status().IsIOError()) << sharded.status().ToString();
 }
 
 }  // namespace

@@ -238,16 +238,18 @@ TEST(BoundedEvalTest, ZeroThresholdBitIdenticalToReference) {
   Sfa sfa = Figure1Sfa();
   auto chain = MakeChainSfa(6, 4);
   ASSERT_TRUE(chain.ok());
+  EvalScratch scratch;
   for (const Sfa* s : {&sfa, &*chain}) {
+    const std::string blob = s->Serialize();
     for (const char* pat : {"F", "rd", "aa", "(F|T)", "\\d", "zzz"}) {
       auto dfa = Dfa::Compile(pat, MatchMode::kContains);
       ASSERT_TRUE(dfa.ok()) << pat;
       EvalBound bound;
       // Bit-identical, not just close: the bounded kernel runs the same
       // arithmetic in the same order.
-      EXPECT_EQ(EvalSfaQueryBounded(*s, *dfa, 0.0, nullptr, &bound),
-                EvalSfaQuery(*s, *dfa))
-          << pat;
+      auto p = EvalSerializedSfaBounded(blob, *dfa, 0.0, &scratch, &bound);
+      ASSERT_TRUE(p.ok()) << p.status().ToString();
+      EXPECT_EQ(*p, EvalSfaQuery(*s, *dfa)) << pat;
       EXPECT_FALSE(bound.pruned);
       EXPECT_EQ(bound.steps, bound.steps_total) << pat;
       EXPECT_EQ(bound.steps_total, CountEvalWork(*s, *dfa)) << pat;
@@ -291,23 +293,20 @@ TEST(BoundedEvalTest, PrunesWhenLiveMassFallsBelowThreshold) {
   ASSERT_NEAR(EvalSfaQuery(*sfa, *dfa), 0.25, 1e-12);
 
   // Threshold above the post-first-node bound: aborts after node 0.
-  EvalBound bound;
-  EXPECT_EQ(EvalSfaQueryBounded(*sfa, *dfa, 0.6, nullptr, &bound), 0.0);
-  EXPECT_TRUE(bound.pruned);
-  EXPECT_LT(bound.steps, bound.steps_total);
-
-  // Threshold below the final probability: runs to completion, same value.
-  EXPECT_EQ(EvalSfaQueryBounded(*sfa, *dfa, 0.2, nullptr, &bound),
-            EvalSfaQuery(*sfa, *dfa));
-  EXPECT_FALSE(bound.pruned);
-
-  // The view kernel prunes the same way.
   const std::string blob = sfa->Serialize();
   EvalScratch scratch;
+  EvalBound bound;
   auto pruned = EvalSerializedSfaBounded(blob, *dfa, 0.6, &scratch, &bound);
   ASSERT_TRUE(pruned.ok());
   EXPECT_EQ(*pruned, 0.0);
   EXPECT_TRUE(bound.pruned);
+  EXPECT_LT(bound.steps, bound.steps_total);
+
+  // Threshold below the final probability: runs to completion, same value.
+  auto full = EvalSerializedSfaBounded(blob, *dfa, 0.2, &scratch, &bound);
+  ASSERT_TRUE(full.ok());
+  EXPECT_EQ(*full, EvalSfaQuery(*sfa, *dfa));
+  EXPECT_FALSE(bound.pruned);
 }
 
 TEST(SfaViewTest, DecodeMatchesDeserializeStructurally) {

@@ -1,7 +1,7 @@
 // Tests for the unified parallel execution layer: the ThreadPool /
-// ParallelFor substrate (util/parallel.h), concurrent PreparedQuery
+// ParallelFor substrate (util/parallel.h) and concurrent PreparedQuery
 // execution against one StaccatoDb (the storage layer's concurrent-read
-// contract), and batched multi-query execution.
+// contract).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,7 +20,6 @@ namespace {
 using eval::Workbench;
 using eval::WorkbenchSpec;
 using rdbms::Approach;
-using rdbms::BatchStats;
 using rdbms::IndexMode;
 using rdbms::PreparedQuery;
 using rdbms::QueryOptions;
@@ -327,43 +326,6 @@ TEST(ParallelQueryStressTest, ConcurrentExecutesMatchSerialBaseline) {
       ExpectSameAnswers(got[qi][r], baseline[qi]);
     }
   }
-}
-
-// ---- Batched execution -----------------------------------------------------
-
-TEST(ExecuteBatchTest, EmptyBatchAndBadInputs) {
-  auto wb = Workbench::Create(StressSpec());
-  ASSERT_TRUE(wb.ok());
-  Session session(&(*wb)->db());
-  auto empty = session.ExecuteBatch({});
-  ASSERT_TRUE(empty.ok());
-  EXPECT_TRUE(empty->empty());
-  EXPECT_TRUE(
-      session.ExecuteBatch({nullptr}).status().IsInvalidArgument());
-}
-
-TEST(ExecuteBatchTest, SharedFetchServesDuplicateCandidatesOnce) {
-  auto wb = Workbench::Create(StressSpec());
-  ASSERT_TRUE(wb.ok());
-  Session session(&(*wb)->db());
-  // Two full-scan Staccato queries have identical candidate sets; the
-  // shared Fetch pass must read each doc's blob once, not twice.
-  std::vector<QueryOptions> qs(2);
-  qs[0].pattern = "President";
-  qs[0].index_mode = IndexMode::kNever;
-  qs[1].pattern = "Congress";
-  qs[1].index_mode = IndexMode::kNever;
-  auto batch = session.PrepareBatch(Approach::kStaccato, qs);
-  ASSERT_TRUE(batch.ok());
-  std::vector<PreparedQuery*> ptrs{&(*batch)[0], &(*batch)[1]};
-  BatchStats stats;
-  auto results = session.ExecuteBatch(ptrs, &stats);
-  ASSERT_TRUE(results.ok()) << results.status().ToString();
-  EXPECT_EQ(stats.queries, 2u);
-  EXPECT_EQ(stats.distinct_docs_fetched, (*wb)->db().NumSfas());
-  EXPECT_EQ(stats.total_candidates, 2 * (*wb)->db().NumSfas());
-  EXPECT_TRUE(stats.per_query[0].shared_candidate_pass);
-  EXPECT_EQ(stats.per_query[0].batch_size, 2u);
 }
 
 }  // namespace

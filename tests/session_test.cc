@@ -1,5 +1,5 @@
-// Tests for the prepared-query engine: Session / PreparedQuery / Cursor
-// over the physical plans of rdbms/plan.h.
+// Tests for the prepared-query engine: Session / PreparedQuery over the
+// physical plans of rdbms/plan.h.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,7 +19,6 @@ using eval::Workbench;
 using eval::WorkbenchSpec;
 using rdbms::Approach;
 using rdbms::CandidateSource;
-using rdbms::Cursor;
 using rdbms::IndexMode;
 using rdbms::PreparedQuery;
 using rdbms::QueryOptions;
@@ -177,33 +176,6 @@ TEST(SessionTest, PaperExampleSqlExecutesEndToEnd) {
   ASSERT_TRUE(answers.ok()) << answers.status().ToString();
   EXPECT_EQ(stats.candidates, kLinesPerPage);
   EXPECT_FALSE(stats.plan_summary.empty());
-}
-
-TEST(SessionTest, CursorStreamsTheRankedAnswers) {
-  auto wb = Workbench::Create(SmallSpec());
-  ASSERT_TRUE(wb.ok());
-  Session session(&(*wb)->db());
-  QueryOptions q;
-  q.pattern = "President";
-  auto pq = session.Prepare(Approach::kKMap, q);
-  ASSERT_TRUE(pq.ok());
-  auto reference = pq->Execute();
-  ASSERT_TRUE(reference.ok());
-  ASSERT_FALSE(reference->empty());
-
-  auto cursor = pq->Open();
-  ASSERT_TRUE(cursor.ok());
-  EXPECT_EQ(cursor->size(), reference->size());
-  Answer ans;
-  size_t i = 0;
-  while (cursor->Next(&ans)) {
-    ASSERT_LT(i, reference->size());
-    EXPECT_EQ(ans.doc, (*reference)[i].doc);
-    EXPECT_EQ(ans.prob, (*reference)[i].prob);
-    ++i;
-  }
-  EXPECT_EQ(i, reference->size());
-  EXPECT_FALSE(cursor->Next(&ans)) << "exhausted cursor must stay exhausted";
 }
 
 TEST(SessionTest, ParallelEvalBitIdenticalToSerial) {
@@ -495,136 +467,6 @@ TEST(SessionTest, SqlLimitMapsToNumAns) {
                   .IsInvalidArgument());
 }
 
-TEST(SessionTest, ExecuteBatchBitIdenticalToSoloWithOneSharedPass) {
-  auto wb = Workbench::Create(SmallSpec(/*index=*/true));
-  ASSERT_TRUE(wb.ok()) << wb.status().ToString();
-  Session session(&(*wb)->db());
-
-  // >= 8 prepared patterns over one approach, mixed plan shapes: scans,
-  // forced probes, equality filters.
-  std::vector<QueryOptions> qs;
-  for (const char* pat : {"President", "Congress", "United States", "act",
-                          "law", "section", "amend", "public"}) {
-    QueryOptions q;
-    q.pattern = pat;
-    q.index_mode = IndexMode::kNever;
-    qs.push_back(q);
-  }
-  qs[1].index_mode = IndexMode::kForce;  // 'congress' resolves as an anchor
-  qs[2].index_mode = IndexMode::kAuto;
-  qs[3].equalities = {{"Year", "2010"}};
-  auto batch = session.PrepareBatch(Approach::kStaccato, qs);
-  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  ASSERT_EQ(batch->size(), qs.size());
-
-  // Solo baseline on separately prepared queries (same cold-cache state).
-  std::vector<std::vector<Answer>> solo;
-  std::vector<QueryStats> solo_stats(qs.size());
-  for (size_t i = 0; i < qs.size(); ++i) {
-    auto pq = session.Prepare(Approach::kStaccato, qs[i]);
-    ASSERT_TRUE(pq.ok());
-    auto ans = pq->Execute(&solo_stats[i]);
-    ASSERT_TRUE(ans.ok()) << ans.status().ToString();
-    solo.push_back(std::move(*ans));
-  }
-
-  std::vector<PreparedQuery*> ptrs;
-  for (PreparedQuery& pq : *batch) ptrs.push_back(&pq);
-  rdbms::BatchStats stats;
-  auto results = session.ExecuteBatch(ptrs, &stats);
-  ASSERT_TRUE(results.ok()) << results.status().ToString();
-  ASSERT_EQ(results->size(), qs.size());
-  for (size_t i = 0; i < qs.size(); ++i) {
-    ExpectSameAnswers((*results)[i], solo[i]);
-  }
-
-  // One shared CandidateGen/Fetch pass for the whole group, observable in
-  // both the batch-level and per-query stats.
-  EXPECT_EQ(stats.queries, qs.size());
-  EXPECT_GT(stats.distinct_docs_fetched, 0u);
-  EXPECT_LE(stats.distinct_docs_fetched, (*wb)->db().NumSfas());
-  ASSERT_EQ(stats.per_query.size(), qs.size());
-  for (size_t i = 0; i < qs.size(); ++i) {
-    EXPECT_EQ(stats.per_query[i].batch_size, qs.size()) << i;
-    EXPECT_TRUE(stats.per_query[i].shared_candidate_pass) << i;
-    EXPECT_EQ(stats.per_query[i].candidates, solo_stats[i].candidates) << i;
-    EXPECT_EQ(stats.per_query[i].index_postings, solo_stats[i].index_postings)
-        << i;
-  }
-  std::string explained =
-      rdbms::ExplainPlan((*batch)[0].plan(), stats.per_query[0]);
-  EXPECT_NE(explained.find("Batch: size=8 shared-candidate-pass=yes"),
-            std::string::npos)
-      << explained;
-
-  // A second ExecuteBatch serves the warmed per-query caches.
-  rdbms::BatchStats warm;
-  auto again = session.ExecuteBatch(ptrs, &warm);
-  ASSERT_TRUE(again.ok());
-  for (size_t i = 0; i < qs.size(); ++i) {
-    ExpectSameAnswers((*again)[i], solo[i]);
-  }
-  EXPECT_TRUE(warm.per_query[1].candidates_from_cache);  // forced probe
-  EXPECT_TRUE(warm.per_query[3].filter_from_cache);      // equality bitmap
-}
-
-TEST(SessionTest, ExecuteBatchSharesOneKMapScanAcrossStringQueries) {
-  auto wb = Workbench::Create(SmallSpec());
-  ASSERT_TRUE(wb.ok());
-  Session session(&(*wb)->db());
-  std::vector<QueryOptions> qs;
-  for (const char* pat : {"President", "Congress", "act", "law"}) {
-    QueryOptions q;
-    q.pattern = pat;
-    qs.push_back(q);
-  }
-  auto batch = session.PrepareBatch(Approach::kKMap, qs);
-  ASSERT_TRUE(batch.ok());
-
-  std::vector<std::vector<Answer>> solo;
-  for (const QueryOptions& q : qs) {
-    auto pq = session.Prepare(Approach::kKMap, q);
-    ASSERT_TRUE(pq.ok());
-    auto ans = pq->Execute();
-    ASSERT_TRUE(ans.ok());
-    solo.push_back(std::move(*ans));
-  }
-
-  std::vector<PreparedQuery*> ptrs;
-  for (PreparedQuery& pq : *batch) ptrs.push_back(&pq);
-  rdbms::BatchStats stats;
-  auto results = session.ExecuteBatch(ptrs, &stats);
-  ASSERT_TRUE(results.ok()) << results.status().ToString();
-  EXPECT_EQ(stats.kmap_scan_passes, 1u)
-      << "string queries must share one physical kMAPData scan";
-  for (size_t i = 0; i < qs.size(); ++i) {
-    ExpectSameAnswers((*results)[i], solo[i]);
-    EXPECT_TRUE(stats.per_query[i].shared_candidate_pass);
-  }
-
-  // Mixed batch: string and SFA members in one call, each group sharing
-  // its own pass.
-  QueryOptions sfa_q;
-  sfa_q.pattern = "President";
-  sfa_q.index_mode = IndexMode::kNever;
-  auto sfa_pq = session.Prepare(Approach::kStaccato, sfa_q);
-  ASSERT_TRUE(sfa_pq.ok());
-  auto sfa_solo = sfa_pq->Execute();
-  ASSERT_TRUE(sfa_solo.ok());
-  auto mixed_pq = session.Prepare(Approach::kStaccato, sfa_q);
-  ASSERT_TRUE(mixed_pq.ok());
-  ptrs.push_back(&*mixed_pq);
-  rdbms::BatchStats mixed;
-  auto mixed_results = session.ExecuteBatch(ptrs, &mixed);
-  ASSERT_TRUE(mixed_results.ok()) << mixed_results.status().ToString();
-  EXPECT_EQ(mixed.kmap_scan_passes, 1u);
-  EXPECT_EQ(mixed.distinct_docs_fetched, (*wb)->db().NumSfas());
-  for (size_t i = 0; i < qs.size(); ++i) {
-    ExpectSameAnswers((*mixed_results)[i], solo[i]);
-  }
-  ExpectSameAnswers((*mixed_results)[qs.size()], *sfa_solo);
-}
-
 TEST(SessionTest, EarlyStopPruningIsAnswerNeutralAcrossThreads) {
   auto wb = Workbench::Create(SmallSpec(/*index=*/true));
   ASSERT_TRUE(wb.ok()) << wb.status().ToString();
@@ -698,46 +540,6 @@ TEST(SessionTest, EarlyStopPruningIsAnswerNeutralAcrossThreads) {
   off->set_early_stop(false);
   EXPECT_NE(off->Explain().find("early-stop=off"), std::string::npos)
       << off->Explain();
-}
-
-TEST(SessionTest, BatchExecutePrunesPerQueryAndStaysBitIdentical) {
-  auto wb = Workbench::Create(SmallSpec(/*index=*/true));
-  ASSERT_TRUE(wb.ok());
-  Session session(&(*wb)->db());
-
-  std::vector<QueryOptions> qs;
-  for (const char* pat : {"President", "Congress", "act", "law"}) {
-    QueryOptions q;
-    q.pattern = pat;
-    q.num_ans = 3;
-    q.index_mode = IndexMode::kNever;
-    qs.push_back(q);
-  }
-  // Solo baseline with pruning disabled: the strictest possible reference.
-  std::vector<std::vector<Answer>> solo;
-  for (QueryOptions q : qs) {
-    q.early_stop = false;
-    auto pq = session.Prepare(Approach::kStaccato, q);
-    ASSERT_TRUE(pq.ok());
-    auto ans = pq->Execute();
-    ASSERT_TRUE(ans.ok());
-    solo.push_back(std::move(*ans));
-  }
-
-  auto batch = session.PrepareBatch(Approach::kStaccato, qs);
-  ASSERT_TRUE(batch.ok());
-  std::vector<PreparedQuery*> ptrs;
-  for (PreparedQuery& pq : *batch) ptrs.push_back(&pq);
-  rdbms::BatchStats stats;
-  auto results = session.ExecuteBatch(ptrs, &stats);
-  ASSERT_TRUE(results.ok()) << results.status().ToString();
-  for (size_t i = 0; i < qs.size(); ++i) {
-    ExpectSameAnswers((*results)[i], solo[i]);
-  }
-  // Batch-wide totals aggregate the per-query counters.
-  size_t per_query_pruned = 0;
-  for (const QueryStats& st : stats.per_query) per_query_pruned += st.eval_pruned;
-  EXPECT_EQ(stats.eval_pruned, per_query_pruned);
 }
 
 TEST(SessionTest, BufferCacheWarmExecuteBitIdenticalToColdAndToCacheOff) {

@@ -4,9 +4,11 @@
 // to the single-partition StaccatoDb holding the same dataset — the same
 // ranked documents with exactly equal probabilities — for every shard
 // count (1/2/4/7), eval thread count (1/4/8), early-stop setting, and
-// threshold-forwarding setting, including Append/Checkpoint interleavings,
-// reopen with per-shard WAL replay, and batched execution. Concurrent
-// Executes race against Append under the TSan CI job.
+// threshold-forwarding setting, including Append/Checkpoint interleavings
+// and reopen with per-shard WAL replay. A plain StaccatoDb session runs the
+// same scatter-gather as a 1-shard ShardedDb, and sharded sessions share
+// the session-wide plan cache. Concurrent Executes race against Append
+// under the TSan CI job.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +20,7 @@
 
 #include "eval/workbench.h"
 #include "ocr/corpus.h"
+#include "telemetry/trace.h"
 #include "ocr/generator.h"
 #include "rdbms/session.h"
 #include "rdbms/shard.h"
@@ -265,98 +268,212 @@ TEST_F(ShardTest, ReopenReplaysEveryShardWal) {
   }
 }
 
-TEST_F(ShardTest, ExecuteBatchMatchesSoloExecutes) {
-  auto db = ShardedDb::Open(eval::MakeScratchDir("shard_batch"),
-                            ShardConfig{4, cache::CacheConfig()});
-  ASSERT_TRUE(db.ok()) << db.status().ToString();
-  ASSERT_TRUE((*db)->Load(*dataset_, SmallLoad()).ok());
-  Session session(db->get(), SessionOptions{2, 50});
-  std::vector<QueryOptions> qs;
-  for (const std::string& pat : Patterns()) {
-    QueryOptions q;
-    q.pattern = pat;
-    q.num_ans = 50;
-    qs.push_back(q);
-  }
-  auto prepared = session.PrepareBatch(Approach::kStaccato, qs);
-  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
-  std::vector<PreparedQuery*> ptrs;
-  for (PreparedQuery& pq : *prepared) ptrs.push_back(&pq);
-  BatchStats bstats;
-  auto batched = session.ExecuteBatch(ptrs, &bstats);
-  ASSERT_TRUE(batched.ok()) << batched.status().ToString();
-  ASSERT_EQ(batched->size(), qs.size());
-  EXPECT_EQ(bstats.queries, qs.size());
-  for (size_t i = 0; i < qs.size(); ++i) {
-    auto solo = RunQuery(db->get(), Approach::kStaccato, qs[i].pattern, 2,
-                         true);
-    ExpectSameAnswers(solo, (*batched)[i], "batch member " + qs[i].pattern);
-    EXPECT_EQ(bstats.per_query[i].shards.size(), 4u);
-  }
-}
-
-// Regression: the batch path used to fold per-shard stats through its own
-// ad-hoc loop that dropped the cache/io counters from the ShardStats rows.
-// Both solo ExecuteSharded and ExecuteBatchSharded now route through the
-// one audited FoldShardStats, so the batch rows must carry the same
-// counter set the solo rows do.
-TEST_F(ShardTest, BatchFoldPreservesPerShardCounters) {
+// The top-level I/O and cache counters are exactly the sums of the
+// per-shard rows: FoldShardStats carries every shard's full counter set.
+TEST_F(ShardTest, FoldPreservesPerShardCounters) {
   auto db = ShardedDb::Open(eval::MakeScratchDir("shard_fold"),
                             ShardConfig{4, cache::CacheConfig()});
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   ASSERT_TRUE((*db)->Load(*dataset_, SmallLoad()).ok());
+  // Blob reads (Staccato) and heap page reads (the k-MAP scan), cold.
+  for (Approach approach : {Approach::kStaccato, Approach::kKMap}) {
+    ASSERT_TRUE((*db)->DropCaches().ok());
+    QueryStats stats;
+    (void)RunQuery(db->get(), approach, Patterns()[0], 2, true, &stats);
+    ASSERT_EQ(stats.shards.size(), 4u);
+    uint64_t blob = 0, pages = 0, hits = 0, misses = 0;
+    for (size_t s = 0; s < 4; ++s) {
+      const ShardStats& row = stats.shards[s];
+      EXPECT_EQ(row.shard, s);
+      blob += row.blob_bytes_read;
+      pages += row.heap_pages_read;
+      hits += row.cache_hits;
+      misses += row.cache_misses;
+    }
+    EXPECT_GT(blob + pages, 0u) << "cold run did no physical reads";
+    EXPECT_EQ(stats.blob_bytes_read, blob);
+    EXPECT_EQ(stats.heap_pages_read, pages);
+    EXPECT_EQ(stats.cache_hits, hits);
+    EXPECT_EQ(stats.cache_misses, misses);
+  }
+}
+
+/// The ids of the spans named `name`, in recording order.
+std::vector<uint64_t> SpanIds(const telemetry::QueryTrace& trace,
+                              const std::string& name) {
+  std::vector<uint64_t> ids;
+  for (const telemetry::TraceSpan& span : trace.spans()) {
+    if (span.name == name) ids.push_back(span.id);
+  }
+  return ids;
+}
+
+// One executor: a Session over a plain StaccatoDb runs the same
+// scatter-gather as one over a 1-shard ShardedDb — identical answers, one
+// "Shards:" row, and the Scatter > shard-0 span nesting plus a Gather span.
+TEST_F(ShardTest, PlainDatabaseRunsAsOneShardScatterGather) {
+  auto db = ShardedDb::Open(eval::MakeScratchDir("shard_one"),
+                            ShardConfig{1, cache::CacheConfig()});
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  ASSERT_TRUE((*db)->Load(*dataset_, SmallLoad()).ok());
+  ASSERT_TRUE((*db)
+                  ->BuildInvertedIndex(
+                      DatasetQueries(DatasetKind::kCongressActs))
+                  .ok());
+  Session plain(oracle_, SessionOptions{2, 50});
+  Session one(db->get(), SessionOptions{2, 50});
+  plain.set_tracing(true);
+  one.set_tracing(true);
+  for (Approach approach : {Approach::kKMap, Approach::kStaccato}) {
+    for (const std::string& pat : Patterns()) {
+      const std::string what =
+          StringPrintf("%s %s", ApproachName(approach), pat.c_str());
+      QueryOptions q;
+      q.pattern = pat;
+      q.num_ans = 50;
+      q.equalities = {{"Year", "2010"}};
+      auto plain_pq = plain.Prepare(approach, q);
+      auto one_pq = one.Prepare(approach, q);
+      ASSERT_TRUE(plain_pq.ok()) << plain_pq.status().ToString();
+      ASSERT_TRUE(one_pq.ok()) << one_pq.status().ToString();
+      EXPECT_EQ(plain_pq->plan().source, one_pq->plan().source) << what;
+      QueryStats plain_stats, one_stats;
+      auto plain_ans = plain_pq->Execute(&plain_stats);
+      auto one_ans = one_pq->Execute(&one_stats);
+      ASSERT_TRUE(plain_ans.ok()) << plain_ans.status().ToString();
+      ASSERT_TRUE(one_ans.ok()) << one_ans.status().ToString();
+      ExpectSameAnswers(*plain_ans, *one_ans, what);
+
+      for (const QueryStats* st : {&plain_stats, &one_stats}) {
+        ASSERT_EQ(st->shards.size(), 1u) << what;
+        EXPECT_EQ(st->shards[0].shard, 0u) << what;
+        EXPECT_EQ(st->shards[0].candidates, st->candidates) << what;
+        const std::string explained = ExplainPlan(plain_pq->plan(), *st);
+        EXPECT_NE(explained.find("Shards: 1\n    shard 0:"),
+                  std::string::npos)
+            << explained;
+        ASSERT_NE(st->trace, nullptr) << what;
+        const telemetry::QueryTrace& trace = *st->trace;
+        const std::vector<uint64_t> scatter = SpanIds(trace, "Scatter");
+        const std::vector<uint64_t> shard0 = SpanIds(trace, "shard-0");
+        ASSERT_EQ(scatter.size(), 1u) << what;
+        ASSERT_EQ(shard0.size(), 1u) << what;
+        EXPECT_EQ(SpanIds(trace, "Gather").size(), 1u) << what;
+        for (const telemetry::TraceSpan& span : trace.spans()) {
+          if (span.name == "shard-0") {
+            EXPECT_EQ(span.parent, scatter[0]) << what;
+          } else if (span.name == "TopK") {
+            EXPECT_EQ(span.parent, shard0[0]) << what;
+          }
+        }
+      }
+      EXPECT_EQ(plain_stats.candidates, one_stats.candidates) << what;
+      EXPECT_EQ(plain_stats.index_postings, one_stats.index_postings) << what;
+      EXPECT_EQ(plain_stats.used_index, one_stats.used_index) << what;
+      EXPECT_EQ(plain_stats.plan_summary, one_stats.plan_summary) << what;
+      EXPECT_EQ(plain_stats.est_candidates, one_stats.est_candidates) << what;
+      EXPECT_EQ(plain_stats.selectivity, one_stats.selectivity) << what;
+      std::vector<std::string> plain_names, one_names;
+      for (const auto& span : plain_stats.trace->spans()) {
+        plain_names.push_back(span.name);
+      }
+      for (const auto& span : one_stats.trace->spans()) {
+        one_names.push_back(span.name);
+      }
+      EXPECT_EQ(plain_names, one_names) << what;
+    }
+  }
+}
+
+// Sharded sessions reach the session-wide plan cache: a sibling
+// PreparedQuery with the same SQL adopts every shard's CandidateGen and
+// Filter artifacts on its first Execute, the session counts one shared hit
+// per Execute (not per shard), and answers stay bit-identical to a cold
+// run — also after an Append moves one shard's generation.
+TEST_F(ShardTest, ShardedSiblingsAdoptTheSharedPlanCache) {
+  const size_t total = dataset_->sfas.size();
+  auto db = ShardedDb::Open(eval::MakeScratchDir("shard_shared_plan"),
+                            ShardConfig{2, cache::CacheConfig()});
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  ASSERT_TRUE((*db)->Load(Prefix(*dataset_, total - 1), SmallLoad()).ok());
+  ASSERT_TRUE((*db)
+                  ->BuildInvertedIndex(
+                      DatasetQueries(DatasetKind::kCongressActs))
+                  .ok());
+  // The reference: a cold query in a fresh session, prepared after the
+  // data it runs over is final.
+  auto cold_answers = [&](const std::string& sql,
+                          QueryStats* stats) -> std::vector<Answer> {
+    Session fresh(db->get(), SessionOptions{2, 50});
+    auto pq = fresh.PrepareSql(Approach::kStaccato, sql);
+    EXPECT_TRUE(pq.ok()) << pq.status().ToString();
+    if (!pq.ok()) return {};
+    auto ans = pq->Execute(stats);
+    EXPECT_TRUE(ans.ok()) << ans.status().ToString();
+    return ans.ok() ? *ans : std::vector<Answer>{};
+  };
+  // A Year-filtered LIKE whose plan probes the index on some shard and
+  // that has answers, so both memoized artifacts exist.
+  std::string sql;
+  for (const std::string& pat : DatasetQueries(DatasetKind::kCongressActs)) {
+    for (int year : {2010, 2011}) {
+      const std::string candidate = StringPrintf(
+          "SELECT DocID FROM Acts WHERE Year = %d AND DocData LIKE '%%%s%%' "
+          "LIMIT 10;",
+          year, pat.c_str());
+      QueryStats probe;
+      if (sql.empty() && !cold_answers(candidate, &probe).empty() &&
+          probe.used_index) {
+        sql = candidate;
+      }
+    }
+  }
+  ASSERT_FALSE(sql.empty()) << "no indexed Year-filtered query has answers";
+
   Session session(db->get(), SessionOptions{2, 50});
-  QueryOptions q;
-  q.pattern = Patterns()[0];
-  q.num_ans = 50;
-  // Solo run: the oracle for which row fields must be populated.
-  QueryStats solo_stats;
-  (void)RunQuery(db->get(), Approach::kStaccato, q.pattern, 2, true,
-                 &solo_stats);
-  ASSERT_EQ(solo_stats.shards.size(), 4u);
-  // Batch of one: same plan, batch fold path.
-  auto prepared = session.PrepareBatch(Approach::kStaccato, {q});
-  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
-  std::vector<PreparedQuery*> ptrs = {&(*prepared)[0]};
-  BatchStats bstats;
-  auto batched = session.ExecuteBatch(ptrs, &bstats);
-  ASSERT_TRUE(batched.ok()) << batched.status().ToString();
-  ASSERT_EQ(bstats.per_query.size(), 1u);
-  const QueryStats& bq = bstats.per_query[0];
-  ASSERT_EQ(bq.shards.size(), 4u);
-  uint64_t solo_blob = 0, batch_blob = 0, solo_pages = 0, batch_pages = 0;
-  for (size_t s = 0; s < 4; ++s) {
-    EXPECT_EQ(bq.shards[s].shard, s);
-    EXPECT_EQ(bq.shards[s].candidates, solo_stats.shards[s].candidates)
-        << "shard " << s;
-    solo_blob += solo_stats.shards[s].blob_bytes_read;
-    batch_blob += bq.shards[s].blob_bytes_read;
-    solo_pages += solo_stats.shards[s].heap_pages_read;
-    batch_pages += bq.shards[s].heap_pages_read;
-  }
-  // The solo run did physical work (cold DB); the batch rows must report
-  // the same classes of counters rather than silently dropping them.
-  // Exact equality is not required (the solo run warmed the cache), but a
-  // batch row set that sums to zero while the top-level counters are
-  // non-zero is precisely the dropped-counters bug.
-  if (bq.blob_bytes_read > 0) EXPECT_GT(batch_blob, 0u);
-  if (bq.heap_pages_read > 0) EXPECT_GT(batch_pages, 0u);
-  // Cross-check the fold itself: top-level totals equal the row sums.
-  EXPECT_EQ(bq.blob_bytes_read, batch_blob);
-  EXPECT_EQ(bq.heap_pages_read, batch_pages);
-  uint64_t row_hits = 0, row_misses = 0;
-  for (const ShardStats& row : bq.shards) {
-    row_hits += row.cache_hits;
-    row_misses += row.cache_misses;
-  }
-  EXPECT_EQ(bq.cache_hits, row_hits);
-  EXPECT_EQ(bq.cache_misses, row_misses);
-  // Solo totals fold identically (both paths share FoldShardStats).
-  uint64_t solo_row_hits = 0;
-  for (const ShardStats& row : solo_stats.shards) solo_row_hits += row.cache_hits;
-  EXPECT_EQ(solo_stats.cache_hits, solo_row_hits);
-  (void)solo_blob;
-  (void)solo_pages;
+  auto first = session.PrepareSql(Approach::kStaccato, sql);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  QueryStats warming;
+  auto warmed = first->Execute(&warming);
+  ASSERT_TRUE(warmed.ok()) << warmed.status().ToString();
+  ASSERT_TRUE(warming.used_index) << "no shard probes the index";
+  EXPECT_FALSE(warming.shared_plan_hit);
+  EXPECT_EQ(session.shared_plan_hits(), 0u);
+  ExpectSameAnswers(cold_answers(sql, nullptr), *warmed, "first execute");
+
+  auto sibling = session.PrepareSql(Approach::kStaccato, sql);
+  ASSERT_TRUE(sibling.ok()) << sibling.status().ToString();
+  QueryStats adopted;
+  auto sib_ans = sibling->Execute(&adopted);
+  ASSERT_TRUE(sib_ans.ok()) << sib_ans.status().ToString();
+  EXPECT_TRUE(adopted.shared_plan_hit);
+  EXPECT_TRUE(adopted.filter_from_cache);
+  EXPECT_TRUE(adopted.candidates_from_cache);
+  EXPECT_EQ(session.shared_plan_hits(), 1u) << "one hit per Execute";
+  ExpectSameAnswers(*warmed, *sib_ans, "adopting sibling");
+
+  // Append to one shard: its entries go stale, the other shard's stay
+  // current. A new sibling adopts only what is still valid and answers
+  // like a cold query over the grown database. The appended copy of the
+  // best answer ties it and so ranks second, so stale artifacts on the
+  // appended shard would show.
+  ASSERT_FALSE(warmed->empty());
+  ASSERT_TRUE((*db)->Append(InputFor(*dataset_, (*warmed)[0].doc)).ok());
+  auto after = session.PrepareSql(Approach::kStaccato, sql);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  QueryStats post;
+  auto post_ans = after->Execute(&post);
+  ASSERT_TRUE(post_ans.ok()) << post_ans.status().ToString();
+  EXPECT_TRUE(post.shared_plan_hit) << "the untouched shard's entry is live";
+  EXPECT_EQ(session.shared_plan_hits(), 2u);
+  ExpectSameAnswers(cold_answers(sql, nullptr), *post_ans, "after append");
+  bool has_new_doc = false;
+  for (const Answer& a : *post_ans) has_new_doc |= a.doc == total - 1;
+  EXPECT_TRUE(has_new_doc) << "the appended document is missing";
+  // The warm siblings re-validate against the new generation too.
+  auto again = sibling->Execute();
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  ExpectSameAnswers(*post_ans, *again, "sibling after append");
 }
 
 TEST_F(ShardTest, ConcurrentExecutesRaceAppendsSafely) {
