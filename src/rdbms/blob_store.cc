@@ -61,13 +61,13 @@ Status BlobStore::Sync() {
   return Status::OK();
 }
 
-Result<std::string> BlobStore::Get(BlobId id) {
+Result<std::string> BlobStore::Get(BlobId id, BlobIoStats* tally) {
   std::string data;
-  STACCATO_RETURN_NOT_OK(GetInto(id, &data));
+  STACCATO_RETURN_NOT_OK(GetInto(id, &data, tally));
   return data;
 }
 
-Status BlobStore::GetInto(BlobId id, std::string* out) {
+Status BlobStore::GetInto(BlobId id, std::string* out, BlobIoStats* tally) {
   if (id >= end_) return Status::NotFound("blob id out of range");
   // Writes go through the buffered FILE*; make them visible to pread once
   // per write burst. Double-checked so the steady read state takes no
@@ -102,6 +102,10 @@ Status BlobStore::GetInto(BlobId id, std::string* out) {
   // read flavours report identical accounting for the same blob.
   reads_.fetch_add(1, std::memory_order_relaxed);
   bytes_read_.fetch_add(sizeof(len) + len, std::memory_order_relaxed);
+  if (tally != nullptr) {
+    ++tally->reads;
+    tally->bytes_read += sizeof(len) + len;
+  }
   // Process-wide mirrors of the per-store counters above, for scrapes.
   struct BlobMetrics {
     telemetry::Counter* reads;
@@ -118,29 +122,27 @@ Status BlobStore::GetInto(BlobId id, std::string* out) {
 }
 
 Result<cache::BufferCache::Handle> BlobStore::GetCached(
-    BlobId id, const cache::CacheKey& key) {
-  return GetCached(key, [id]() -> Result<BlobId> { return id; });
-}
-
-Result<cache::BufferCache::Handle> BlobStore::GetCached(
     const cache::CacheKey& key,
-    const std::function<Result<BlobId>()>& resolve_id) {
+    const std::function<Result<BlobId>()>& resolve_id, BlobIoStats* tally) {
   if (cache_ != nullptr) {
     if (cache::BufferCache::Handle h = cache_->Lookup(key)) {
       reads_.fetch_add(1, std::memory_order_relaxed);
       cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      lifetime_hits_.fetch_add(1, std::memory_order_relaxed);
+      if (tally != nullptr) {
+        ++tally->reads;
+        ++tally->cache_hits;
+      }
       return h;
     }
   }
   STACCATO_ASSIGN_OR_RETURN(BlobId id, resolve_id());
   std::string data;
-  STACCATO_RETURN_NOT_OK(GetInto(id, &data));  // counts reads/bytes_read
+  STACCATO_RETURN_NOT_OK(GetInto(id, &data, tally));  // counts reads/bytes
   if (cache_ == nullptr) {
     return cache::BufferCache::Detached(std::move(data));
   }
   cache_misses_.fetch_add(1, std::memory_order_relaxed);
-  lifetime_misses_.fetch_add(1, std::memory_order_relaxed);
+  if (tally != nullptr) ++tally->cache_misses;
   return cache_->Insert(key, std::move(data));
 }
 

@@ -36,9 +36,9 @@ using BlobId = uint64_t;
 /// \brief Read accounting, counted identically by every read path: Get,
 /// GetInto, and GetCached all count one `reads`; `bytes_read` counts
 /// physical disk bytes only (a cache hit serves no physical bytes and
-/// counts under `cache_hits` instead). Counters are shared across
-/// concurrent readers, so per-query attribution is only meaningful when
-/// one query runs at a time — same caveat as HeapTable::io_stats().
+/// counts under `cache_hits` instead). The store keeps lifetime totals
+/// (io_stats()); a caller that wants one query's share passes its own
+/// tally to each read, which the store bumps beside its totals.
 struct BlobIoStats {
   uint64_t reads = 0;         ///< blob reads served (any path)
   uint64_t bytes_read = 0;    ///< physical bytes read from disk
@@ -76,31 +76,30 @@ class BlobStore {
 
   /// Reads a blob back. Concurrent-safe: buffered writes are flushed once
   /// (under a mutex), then the payload is read with pread, which takes no
-  /// lock and shares no seek position.
-  Result<std::string> Get(BlobId id);
+  /// lock and shares no seek position. Every read flavour bumps `tally`,
+  /// when given, by exactly what it adds to io_stats(); concurrent callers
+  /// pass distinct tallies.
+  Result<std::string> Get(BlobId id, BlobIoStats* tally = nullptr);
 
   /// Buffer-reusing flavour for hot read loops: resizes `*out` to the blob
-  /// length, reusing its capacity, so a worker that keeps one buffer warm
+  /// length, reusing its capacity, so a caller that keeps one buffer warm
   /// reads successive blobs without heap allocation. Same concurrency
-  /// contract as Get; distinct callers must pass distinct buffers. Reports
-  /// exactly the io_stats() a Get of the same blob would.
-  Status GetInto(BlobId id, std::string* out);
+  /// contract as Get; distinct callers must pass distinct buffers. Counts
+  /// exactly what a Get of the same blob would.
+  Status GetInto(BlobId id, std::string* out, BlobIoStats* tally = nullptr);
 
   /// Cache-aware read: consults the attached buffer cache under `key`; on
-  /// a miss, reads the blob from disk and installs it. The returned handle
-  /// pins the bytes (zero-copy view) until released. Without an attached
-  /// cache this degrades to a plain disk read on a detached handle, so
-  /// callers need not branch. Same concurrency contract as Get.
-  Result<cache::BufferCache::Handle> GetCached(BlobId id,
-                                               const cache::CacheKey& key);
-
-  /// GetCached for callers whose blob id itself costs a lookup (the
-  /// executor resolves it with a heap point get): `resolve_id` runs only
-  /// on a cache miss, so a hit serves the pinned bytes with no heap-table
-  /// access and no pread at all.
+  /// a miss, runs `resolve_id` (the executor resolves the blob id with a
+  /// heap point get), reads the blob from disk and installs it. A hit
+  /// serves the pinned bytes with no heap-table access and no pread at
+  /// all. The returned handle pins the bytes (zero-copy view) until
+  /// released. Without an attached cache this degrades to a plain disk
+  /// read on a detached handle, so callers need not branch. Same
+  /// concurrency contract as Get.
   Result<cache::BufferCache::Handle> GetCached(
       const cache::CacheKey& key,
-      const std::function<Result<BlobId>()>& resolve_id);
+      const std::function<Result<BlobId>()>& resolve_id,
+      BlobIoStats* tally = nullptr);
 
   /// Attaches the process-shared buffer cache (null detaches). Not
   /// synchronized against concurrent reads: wire it at open/load time.
@@ -119,7 +118,10 @@ class BlobStore {
 
   uint64_t FileBytes() const { return end_; }
 
-  /// Snapshot of the read counters (see BlobIoStats for the contract).
+  /// Lifetime read totals over every caller (see BlobIoStats). The
+  /// planner's warm-cache Fetch pricing reads the hit rate from here: the
+  /// shared BufferCache's own stats mix in heap-page traffic, which says
+  /// nothing about how warm the blobs are.
   BlobIoStats io_stats() const {
     BlobIoStats s;
     s.reads = reads_.load(std::memory_order_relaxed);
@@ -127,26 +129,6 @@ class BlobStore {
     s.cache_hits = cache_hits_.load(std::memory_order_relaxed);
     s.cache_misses = cache_misses_.load(std::memory_order_relaxed);
     return s;
-  }
-  uint64_t bytes_read() const {
-    return bytes_read_.load(std::memory_order_relaxed);
-  }
-  void ResetStats() {
-    reads_.store(0, std::memory_order_relaxed);
-    bytes_read_.store(0, std::memory_order_relaxed);
-    cache_hits_.store(0, std::memory_order_relaxed);
-    cache_misses_.store(0, std::memory_order_relaxed);
-  }
-
-  /// Lifetime (never reset) cache-hit counters over *blob* reads only —
-  /// what the planner's warm-cache Fetch pricing reads. The shared
-  /// BufferCache's own stats mix in heap-page traffic, which says nothing
-  /// about how warm the blobs are; these do.
-  uint64_t lifetime_cache_hits() const {
-    return lifetime_hits_.load(std::memory_order_relaxed);
-  }
-  uint64_t lifetime_cache_misses() const {
-    return lifetime_misses_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -166,8 +148,6 @@ class BlobStore {
   std::atomic<uint64_t> bytes_read_{0};
   std::atomic<uint64_t> cache_hits_{0};
   std::atomic<uint64_t> cache_misses_{0};
-  std::atomic<uint64_t> lifetime_hits_{0};    ///< never reset (planner)
-  std::atomic<uint64_t> lifetime_misses_{0};  ///< never reset (planner)
 };
 
 }  // namespace staccato::rdbms

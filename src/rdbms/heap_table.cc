@@ -197,19 +197,6 @@ Status HeapTable::Scan(const std::function<bool(RecordId, const Tuple&)>& fn) {
   return Status::OK();
 }
 
-Status HeapTable::SnapshotPages(uint32_t begin, uint32_t end, char* out) {
-  util::MutexLock lock(&latch_);
-  if (end > num_pages_ || begin > end) {
-    return Status::InvalidArgument("page snapshot range out of bounds");
-  }
-  for (uint32_t p = begin; p < end; ++p) {
-    STACCATO_ASSIGN_OR_RETURN(Frame * frame, FetchPage(p));
-    std::memcpy(out + static_cast<size_t>(p - begin) * kPageSize,
-                frame->page.raw(), kPageSize);
-  }
-  return Status::OK();
-}
-
 Status HeapTable::Flush() {
   util::MutexLock lock(&latch_);
   return FlushLocked();

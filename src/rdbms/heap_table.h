@@ -11,9 +11,8 @@
 // the callback must not re-enter the same table. Compound operations that
 // replace table handles wholesale (StaccatoDb::Load / BuildInvertedIndex)
 // require external exclusion: no concurrent queries while they run.
-// io_stats() snapshots under the latch; concurrent queries share the
-// counters, so per-query attribution is only meaningful when one query
-// runs at a time.
+// io_stats() snapshots the table's lifetime counters under the latch; the
+// executor counts a query's own page reads from the pages its scans visit.
 #pragma once
 
 #include <cstdio>
@@ -67,16 +66,6 @@ class HeapTable {
   /// Full filescan in storage order. The callback returns false to stop.
   Status Scan(const std::function<bool(RecordId, const Tuple&)>& fn);
 
-  /// Copies the raw bytes of pages [begin, end) into `out` (caller
-  /// provides (end - begin) * kPageSize bytes), taking the table latch
-  /// once for the whole range. Pages flow through the same buffer-pool /
-  /// shared-cache tiers as Scan and count in io_stats() identically, but
-  /// tuple decoding and any per-tuple work happen on the *caller's* copy,
-  /// outside the latch — this is what lets the chunked parallel kMAP scan
-  /// decode and DFA-match concurrently instead of serializing a whole
-  /// Scan pass on the latch. `end` must not exceed NumPages().
-  Status SnapshotPages(uint32_t begin, uint32_t end, char* out);
-
   /// Flushes dirty pages to disk.
   Status Flush();
 
@@ -97,14 +86,10 @@ class HeapTable {
     return static_cast<uint64_t>(num_pages_) * kPageSize;
   }
 
-  /// Snapshot of the I/O counters, taken under the table latch.
+  /// Snapshot of the lifetime I/O counters, taken under the table latch.
   IoStats io_stats() const {
     util::MutexLock lock(&latch_);
     return io_;
-  }
-  void ResetIoStats() {
-    util::MutexLock lock(&latch_);
-    io_ = IoStats{};
   }
 
   /// Drops all cached pages (simulates a cold cache for benchmarks),

@@ -1,7 +1,6 @@
 #include "rdbms/plan.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -13,20 +12,12 @@
 #include "inference/query_eval.h"
 #include "rdbms/service.h"
 #include "telemetry/clock.h"
-#include "util/mutex.h"
 #include "util/parallel.h"
 #include "util/strings.h"
 
 namespace staccato::rdbms {
 
 namespace {
-
-/// Stage-timing read: seconds elapsed since a MonotonicNanos() reading.
-/// All executor stage timings go through the telemetry clock seam so a
-/// FakeClock makes them deterministic under test.
-double SecondsSince(uint64_t start_ns) {
-  return static_cast<double>(telemetry::MonotonicNanos() - start_ns) / 1e9;
-}
 
 /// One cancellation-point poll of the (optional) per-query control block.
 /// OK with `*cut_now` false = keep going; OK with `*cut_now` true = the
@@ -134,18 +125,17 @@ CostEstimate EstimateCost(const PlanContext& ctx, Approach approach,
   est.equality_selectivity = std::pow(consts.equality_default_selectivity,
                                       static_cast<double>(num_equalities));
   // Warm-cache Fetch pricing: the blob store's lifetime cached-read
-  // counters say what fraction of *blob* fetches have been skipping disk
+  // totals say what fraction of *blob* fetches have been skipping disk
   // (the shared cache's own stats mix in heap-page traffic, which says
   // nothing about blob warmth). A cold or absent cache estimates 0 and
   // the formulas below degrade to the pure disk model. The estimate is a
   // snapshot frozen into the plan — it does not chase the cache while the
   // plan executes.
   if (ctx.cache != nullptr && ctx.blobs != nullptr) {
-    const uint64_t hits = ctx.blobs->lifetime_cache_hits();
-    const uint64_t misses = ctx.blobs->lifetime_cache_misses();
-    if (hits + misses > 0) {
-      est.cache_hit_rate =
-          static_cast<double>(hits) / static_cast<double>(hits + misses);
+    const BlobIoStats io = ctx.blobs->io_stats();
+    if (io.cache_hits + io.cache_misses > 0) {
+      est.cache_hit_rate = static_cast<double>(io.cache_hits) /
+                           static_cast<double>(io.cache_hits + io.cache_misses);
     }
   }
   const double miss_rate = 1.0 - est.cache_hit_rate;
@@ -198,17 +188,15 @@ CostEstimate EstimateCost(const PlanContext& ctx, Approach approach,
   // anchor must have resolved against the dictionary.
   if (approach == Approach::kStaccato && !anchor.empty() &&
       ctx.index != nullptr) {
-    if (ctx.term_stats != nullptr) {
-      auto it = ctx.term_stats->find(anchor);
-      if (it != ctx.term_stats->end()) {
-        est.anchor_postings = it->second.postings;
-        est.anchor_docs = it->second.docs;
-      }
-    } else {
+    if (ctx.term_stats == nullptr) {
       // No maintained stats: posting length from the B+-tree, distinct-doc
       // count bounded by it.
       est.anchor_postings = ctx.index->CountKey(anchor);
       est.anchor_docs = std::min(est.anchor_postings, ctx.num_sfas);
+    } else if (auto it = ctx.term_stats->find(anchor);
+               it != ctx.term_stats->end()) {
+      est.anchor_postings = it->second.postings;
+      est.anchor_docs = it->second.docs;
     }
     est.index.feasible = true;
     est.index.candidates =
@@ -320,12 +308,9 @@ Result<PlanSpec> BuildPlan(const PlanContext& ctx, Approach approach,
 
   // Candidate generation. The inverted index serves the Staccato
   // representation only. Under kAuto the cost estimate decides; kForce
-  // reproduces the legacy flag behavior (error without an index, silent
-  // full-scan when the pattern has no dictionary anchor); kNever pins the
-  // scan.
-  IndexMode mode = q.index_mode;
-  if (mode == IndexMode::kAuto && q.use_index) mode = IndexMode::kForce;
-
+  // probes whenever it can (error without an index, silent full-scan when
+  // the pattern has no dictionary anchor); kNever pins the scan.
+  const IndexMode mode = q.index_mode;
   std::string anchor;
   if (approach == Approach::kStaccato && mode != IndexMode::kNever) {
     if (mode == IndexMode::kForce &&
@@ -357,9 +342,7 @@ Result<PlanSpec> BuildPlan(const PlanContext& ctx, Approach approach,
     case Approach::kKMap:
       plan.fetch = FetchMethod::kNone;
       plan.eval = EvalStrategy::kStrings;
-      // The kMAPData pass chunks across the pool (page-snapshot scan with
-      // order-preserving merge), so it fans out like the SFA eval does.
-      plan.eval_threads = ResolveThreads(q.eval_threads, default_threads);
+      plan.eval_threads = 1;  // one serial kMAPData scan
       break;
     case Approach::kFullSfa:
     case Approach::kStaccato:
@@ -402,6 +385,18 @@ Result<CandidateSet> ProbeIndex(const PlanContext& ctx,
 
 namespace {
 
+/// Closes one executor stage opened at `start_ns`: one clock read sets
+/// both its StageTimings field and, when the query is traced and `span` is
+/// non-null, its trace span — so the two can never disagree.
+void EndStage(const PlanContext& ctx, const char* span, uint64_t start_ns,
+              double* seconds) {
+  const uint64_t end_ns = telemetry::MonotonicNanos();
+  *seconds = static_cast<double>(end_ns - start_ns) / 1e9;
+  if (span != nullptr && ctx.trace != nullptr) {
+    ctx.trace->AddSpan(span, start_ns, end_ns, ctx.trace_parent);
+  }
+}
+
 /// The Filter operator: docs whose MasterData row satisfies every bound
 /// equality. The bitmap stays empty when the plan has no predicates (all
 /// docs pass). Returns a pointer into the cache (warm: no MasterData scan,
@@ -413,12 +408,11 @@ Result<const std::vector<char>*> EqualityBitmap(const PlanContext& ctx,
                                                 std::vector<char>* scratch) {
   if (plan.equalities.empty()) return scratch;  // left empty: all pass
   if (cache != nullptr && cache->bitmap_valid) {
-    if (stats != nullptr) stats->filter_from_cache = true;
+    stats->filter_from_cache = true;
     return &cache->bitmap;
   }
   std::vector<char>& allowed = *scratch;
   allowed.assign(ctx.num_sfas, 0);
-  ctx.master->ResetIoStats();
   STACCATO_RETURN_NOT_OK(ctx.master->Scan([&](RecordId, const Tuple& t) {
     for (const BoundEquality& eq : plan.equalities) {
       if (t[static_cast<size_t>(eq.column_index)] != eq.value) return true;
@@ -427,6 +421,7 @@ Result<const std::vector<char>*> EqualityBitmap(const PlanContext& ctx,
     if (key < allowed.size()) allowed[key] = 1;
     return true;
   }));
+  stats->heap_pages_read += ctx.master->NumPages();  // one full pass
   // Delta documents have no MasterData row yet; evaluate the bound
   // equalities against the same column values Load would have written
   // (DataKey, DocName, Year, SFANum), so filtering is representation-
@@ -447,9 +442,6 @@ Result<const std::vector<char>*> EqualityBitmap(const PlanContext& ctx,
     }
     if (pass) allowed[key] = 1;
   }
-  if (stats != nullptr) {
-    stats->heap_pages_read += ctx.master->io_stats().page_reads;
-  }
   if (cache != nullptr) {
     cache->bitmap = std::move(allowed);
     cache->bitmap_valid = true;
@@ -458,33 +450,20 @@ Result<const std::vector<char>*> EqualityBitmap(const PlanContext& ctx,
   return scratch;
 }
 
-/// One kMAPData row's contribution to its doc's match mass, or false if
-/// the row is filtered out / does not match. The single scoring rule
-/// shared by the serial and chunked scans (ExecuteStrings) and the delta
-/// documents, so the paths cannot drift — chunked answers must stay
-/// bit-identical to the serial scan.
-bool KMapRowMass(const PlanSpec& plan, const Dfa& dfa,
-                 const std::vector<char>& allowed, const Tuple& t, size_t key,
-                 double* mass) {
-  if (!plan.equalities.empty() &&
-      (key >= allowed.size() || !allowed[key])) {
-    return false;
-  }
-  if (plan.map_only && t[1].AsInt() != 0) return false;
-  if (!dfa.Matches(t[2].AsString())) return false;
-  *mass = std::exp(t[3].AsDouble());
-  return true;
-}
-
-/// One kMAPData row applied to one string-eval query's per-doc mass. The
-/// caller guarantees `key < prob->size()`.
+/// One kMAPData row applied to its doc's match mass: a row the filter
+/// drops, a non-rank-0 row under MAP, or a non-matching string adds
+/// nothing. The single scoring rule shared by the kMAPData scan and the
+/// delta documents. The caller guarantees `key < prob->size()`.
 void AccumulateKMapRow(const PlanSpec& plan, const Dfa& dfa,
                        const std::vector<char>& allowed, const Tuple& t,
                        size_t key, std::vector<double>* prob) {
-  double mass = 0.0;
-  if (KMapRowMass(plan, dfa, allowed, t, key, &mass)) {
-    (*prob)[key] += mass;
+  if (!plan.equalities.empty() &&
+      (key >= allowed.size() || !allowed[key])) {
+    return;
   }
+  if (plan.map_only && t[1].AsInt() != 0) return;
+  if (!dfa.Matches(t[2].AsString())) return;
+  (*prob)[key] += std::exp(t[3].AsDouble());
 }
 
 /// Delta documents' k-map rows, applied after the kMAPData scan through
@@ -515,21 +494,10 @@ size_t CountStringCandidates(const PlanContext& ctx, const PlanSpec& plan,
   return static_cast<size_t>(std::count(allowed.begin(), allowed.end(), 1));
 }
 
-/// TopK over accumulated per-doc mass, clamped to a probability.
-std::vector<Answer> RankStringAnswers(const std::vector<double>& prob,
-                                      size_t num_ans) {
-  std::vector<Answer> answers;
-  for (size_t i = 0; i < prob.size(); ++i) {
-    if (prob[i] > 0.0) answers.push_back({i, std::min(prob[i], 1.0)});
-  }
-  return RankAnswers(std::move(answers), num_ans);
-}
-
 /// ExecutePlan's prologue: starts `stats` over, so a reused stats object
 /// never leaks (or accumulates) a previous run's values, and records the
 /// plan's shape and estimate.
 void InitQueryStats(QueryStats* stats, const PlanSpec& plan) {
-  if (stats == nullptr) return;
   *stats = QueryStats{};
   stats->used_index = plan.source == CandidateSource::kIndexProbe;
   stats->used_projection = plan.fetch == FetchMethod::kProjection;
@@ -547,156 +515,40 @@ void ResetStaleCache(PlanCache* cache, const PlanContext& ctx) {
   }
 }
 
-/// One page-range chunk's accumulation state for the parallel kMAP scan.
-///
-/// Bit-identity argument: kMAPData stores each document's rows
-/// contiguously, and a doc's mass only ever folds that doc's own rows.
-/// So a doc strictly interior to a chunk (not the chunk's first or last
-/// key run) has ALL its rows in that chunk, and folding them in row order
-/// from 0.0 reproduces the serial fold exactly. Only the chunk's first
-/// and last runs can straddle a boundary — their contributing rows are
-/// kept individually (at most 2 runs per chunk) and re-folded in row
-/// order at merge time, so every doc's masses fold in exactly the order
-/// the serial scan would have used.
-struct KMapChunk {
-  size_t head_key = SIZE_MAX;        ///< key of the chunk's first row run
-  std::vector<double> head;          ///< its contributing masses, row order
-  size_t tail_key = SIZE_MAX;        ///< last run's key (if a second run)
-  std::vector<double> tail;          ///< its contributing masses, row order
-  std::vector<std::pair<size_t, double>> interior;  ///< complete-doc folds
-};
-
-/// Decodes and scores pages [begin, end) of kMAPData from a raw page
-/// snapshot, outside the table latch.
-Status ScanKMapChunk(const PlanContext& ctx, const PlanSpec& plan,
-                     const Dfa& dfa, const std::vector<char>& allowed,
-                     const char* pages, uint32_t begin, uint32_t end,
-                     KMapChunk* out) {
-  SlottedPage page;
-  size_t cur_key = SIZE_MAX;
-  bool cur_is_head = true;             // current run is the chunk's first
-  std::vector<double> cur;             // current run's masses, row order
-  for (uint32_t p = begin; p < end; ++p) {
-    std::memcpy(page.raw(),
-                pages + static_cast<size_t>(p - begin) * kPageSize, kPageSize);
-    const uint16_t slots = page.NumSlots();
-    for (uint16_t s = 0; s < slots; ++s) {
-      STACCATO_ASSIGN_OR_RETURN(std::string_view rec, page.Get(s));
-      BinaryReader r(rec.data(), rec.size());
-      STACCATO_ASSIGN_OR_RETURN(Tuple t, ctx.kmap->schema().DecodeTuple(&r));
-      const size_t key = static_cast<size_t>(t[0].AsInt());
-      if (key != cur_key) {
-        if (cur_key != SIZE_MAX) {
-          if (cur_is_head) {
-            out->head_key = cur_key;
-            out->head = std::move(cur);
-            cur_is_head = false;
-          } else {
-            double sum = 0.0;
-            for (double m : cur) sum += m;  // row order, from 0.0: serial fold
-            if (sum > 0.0) out->interior.emplace_back(cur_key, sum);
-          }
-          cur.clear();
-        }
-        cur_key = key;
-      }
-      double mass = 0.0;
-      if (key < ctx.num_sfas &&  // skip rows beyond the loaded cardinality
-          KMapRowMass(plan, dfa, allowed, t, key, &mass)) {
-        cur.push_back(mass);
-      }
-    }
-  }
-  if (cur_key != SIZE_MAX) {
-    if (cur_is_head) {  // single run: the whole chunk is one doc
-      out->head_key = cur_key;
-      out->head = std::move(cur);
-    } else {
-      out->tail_key = cur_key;
-      out->tail = std::move(cur);
-    }
-  }
-  return Status::OK();
-}
-
-/// Strings Eval: one pass over kMAPData accumulating per-doc match mass.
-/// With eval_threads > 1 the pass is chunked across the shared pool —
-/// each worker snapshots a page range under the latch and decodes /
-/// DFA-matches outside it — and the chunks merge serially in page order,
-/// bit-identical to the serial scan (see KMapChunk).
+/// Strings Eval: one serial pass over kMAPData accumulating per-doc match
+/// mass, then the delta documents; returns the unranked answers. kMAPData
+/// stores keys in ascending order, so a budget cut mid-scan degrades to a
+/// clean doc prefix.
 Result<std::vector<Answer>> ExecuteStrings(const PlanContext& ctx,
                                            const PlanSpec& plan,
                                            const Dfa& dfa,
                                            const std::vector<char>& allowed,
                                            QueryStats* stats) {
   std::vector<double> prob(ctx.num_sfas, 0.0);
-  ctx.kmap->ResetIoStats();
   // Strings eval has no separate Fetch: the kMAP scan reads and matches in
-  // one pass, so the whole pass is the fetch+eval stage. The interval is
-  // measured once and recorded as both the stage timing and the trace
-  // span, so the two can never disagree.
+  // one pass, so the whole pass is the fetch+eval stage.
   const uint64_t scan_start_ns = telemetry::MonotonicNanos();
-  const size_t num_pages = ctx.kmap->NumPages();
-  constexpr uint32_t kChunkPages = 8;  // 64 KiB snapshot per worker step
-  size_t threads = std::max<size_t>(1, plan.eval_threads);
-  const size_t num_chunks = (num_pages + kChunkPages - 1) / kChunkPages;
-  threads = std::min(threads, std::max<size_t>(1, num_chunks));
-  // Budgeted executions scan serially: kMAPData stores keys in ascending
-  // order, so a mid-scan cut degrades to a clean doc prefix — the chunked
-  // scan completes chunks out of order, which would leave straddling docs
-  // with partially folded (wrong, not merely partial) mass.
-  if (ctx.control != nullptr) threads = 1;
+  uint64_t pages = ctx.kmap->NumPages();  // a full pass visits every page
   size_t cut_key = SIZE_MAX;  // first doc key NOT fully folded before a cut
-  if (threads <= 1) {
-    Status ctl_status = Status::OK();
-    size_t rows_seen = 0;
-    STACCATO_RETURN_NOT_OK(ctx.kmap->Scan([&](RecordId, const Tuple& t) {
-      size_t key = static_cast<size_t>(t[0].AsInt());
-      if (ctx.control != nullptr && (rows_seen++ & 255) == 0) {
-        bool cut_now = false;
-        ctl_status = PollControl(ctx.control, &cut_now);
-        if (!ctl_status.ok() || cut_now) {
-          cut_key = key;
-          return false;  // stop the scan at this row
-        }
-      }
-      if (key < prob.size()) {  // skip rows beyond the loaded cardinality
-        AccumulateKMapRow(plan, dfa, allowed, t, key, &prob);
-      }
-      return true;
-    }));
-    STACCATO_RETURN_NOT_OK(ctl_status);
-  } else {
-    std::vector<KMapChunk> chunks(num_chunks);
-    std::vector<std::string> snapshots(threads);  // per-worker page buffer
-    STACCATO_RETURN_NOT_OK(ParallelForWorker(
-        num_chunks, /*grain=*/1,
-        [&](size_t worker, size_t c) -> Status {
-          const uint32_t begin = static_cast<uint32_t>(c * kChunkPages);
-          const uint32_t end = static_cast<uint32_t>(
-              std::min<size_t>(num_pages, begin + kChunkPages));
-          std::string& buf = snapshots[worker];
-          buf.resize(static_cast<size_t>(end - begin) * kPageSize);
-          STACCATO_RETURN_NOT_OK(
-              ctx.kmap->SnapshotPages(begin, end, buf.data()));
-          return ScanKMapChunk(ctx, plan, dfa, allowed, buf.data(), begin,
-                               end, &chunks[c]);
-        },
-        ParallelOptions{threads}));
-    // Serial merge in chunk (= page, = row) order: straddling runs re-fold
-    // row by row; interior docs land as one complete fold each.
-    for (const KMapChunk& c : chunks) {
-      if (c.head_key < prob.size()) {
-        for (double m : c.head) prob[c.head_key] += m;
-      }
-      for (const auto& [key, sum] : c.interior) {
-        if (key < prob.size()) prob[key] += sum;  // prob[key] == 0.0 here
-      }
-      if (c.tail_key < prob.size()) {
-        for (double m : c.tail) prob[c.tail_key] += m;
+  Status ctl_status = Status::OK();
+  size_t rows_seen = 0;
+  STACCATO_RETURN_NOT_OK(ctx.kmap->Scan([&](RecordId rid, const Tuple& t) {
+    size_t key = static_cast<size_t>(t[0].AsInt());
+    if (ctx.control != nullptr && (rows_seen++ & 255) == 0) {
+      bool cut_now = false;
+      ctl_status = PollControl(ctx.control, &cut_now);
+      if (!ctl_status.ok() || cut_now) {
+        cut_key = key;
+        pages = rid.page + 1;
+        return false;  // stop the scan at this row
       }
     }
-  }
+    if (key < prob.size()) {  // skip rows beyond the loaded cardinality
+      AccumulateKMapRow(plan, dfa, allowed, t, key, &prob);
+    }
+    return true;
+  }));
+  STACCATO_RETURN_NOT_OK(ctl_status);
   if (cut_key != SIZE_MAX) {
     // Degraded: keep the fully folded doc prefix [0, cut_key). The doc the
     // cut interrupted has only a lower bound of its mass, so it leaves the
@@ -706,39 +558,19 @@ Result<std::vector<Answer>> ExecuteStrings(const PlanContext& ctx,
   } else {
     AccumulateDeltaKMap(ctx, plan, dfa, allowed, &prob);
   }
-  const uint64_t scan_end_ns = telemetry::MonotonicNanos();
-  if (ctx.trace != nullptr) {
-    ctx.trace->AddSpan("Eval(kmap-scan)", scan_start_ns, scan_end_ns,
-                       ctx.trace_parent);
+  EndStage(ctx, "Eval(kmap-scan)", scan_start_ns, &stats->stage.fetch_eval_s);
+  stats->heap_pages_read += pages;
+  stats->candidates = CountStringCandidates(ctx, plan, allowed);
+  if (ctx.control != nullptr) {
+    stats->visited_candidates = cut_key != SIZE_MAX
+                                    ? std::min(cut_key, ctx.num_sfas)
+                                    : stats->candidates;
   }
-  if (stats != nullptr) {
-    stats->stage.fetch_eval_s =
-        static_cast<double>(scan_end_ns - scan_start_ns) / 1e9;
-    size_t candidates = CountStringCandidates(ctx, plan, allowed);
-    stats->heap_pages_read += ctx.kmap->io_stats().page_reads;
-    stats->candidates = candidates;
-    stats->selectivity = ctx.num_sfas == 0
-                             ? 0.0
-                             : static_cast<double>(candidates) /
-                                   static_cast<double>(ctx.num_sfas);
-    stats->threads_used = threads;
-    if (ctx.control != nullptr) {
-      stats->degraded = ctx.control->cut();
-      stats->visited_candidates =
-          cut_key != SIZE_MAX ? std::min(cut_key, ctx.num_sfas) : candidates;
-    }
+  std::vector<Answer> answers;
+  for (size_t i = 0; i < prob.size(); ++i) {
+    if (prob[i] > 0.0) answers.push_back({i, std::min(prob[i], 1.0)});
   }
-  const uint64_t topk_start_ns = telemetry::MonotonicNanos();
-  std::vector<Answer> ranked = RankStringAnswers(prob, plan.num_ans);
-  const uint64_t topk_end_ns = telemetry::MonotonicNanos();
-  if (ctx.trace != nullptr) {
-    ctx.trace->AddSpan("TopK", topk_start_ns, topk_end_ns, ctx.trace_parent);
-  }
-  if (stats != nullptr) {
-    stats->stage.topk_s =
-        static_cast<double>(topk_end_ns - topk_start_ns) / 1e9;
-  }
-  return ranked;
+  return answers;
 }
 
 struct SfaCandidate {
@@ -793,7 +625,7 @@ Result<std::vector<SfaCandidate>> BuildSfaCandidates(
     const CandidateSet* set = nullptr;
     if (cache != nullptr && cache->candidates_valid) {
       set = &cache->candidates;
-      if (stats != nullptr) stats->candidates_from_cache = true;
+      stats->candidates_from_cache = true;
     } else {
       STACCATO_ASSIGN_OR_RETURN(probed, ProbeIndex(ctx, plan.anchor));
       if (cache != nullptr) {
@@ -836,16 +668,16 @@ Result<std::vector<SfaCandidate>> BuildSfaCandidates(
 }
 
 /// SFA Eval, streaming and threshold-pruned: every worker fetches one
-/// candidate's blob into its own reusable buffer (heap point-get + pread;
-/// the storage read paths are concurrent-safe), decodes it through the
-/// flat SfaView into its own EvalScratch arena, and runs the bounded DP
-/// against the running top-k threshold — aborting candidates whose exact
-/// probability upper bound can no longer reach the k-th best answer.
-/// Candidates are visited in descending posting-count order so the
-/// threshold tightens early; results are gathered positionally, and a
-/// pruned candidate provably cannot enter the top-k, so the ranked
-/// answers are bit-identical for any thread count, visit order, or
-/// early-stop setting. Peak memory is one blob + one DP arena per worker.
+/// candidate's blob through the blob store's cache-aware read (the storage
+/// read paths are concurrent-safe), decodes it through the flat SfaView
+/// into its own EvalScratch arena, and runs the bounded DP against the
+/// running top-k threshold — aborting candidates whose exact probability
+/// upper bound can no longer reach the k-th best answer. Candidates are
+/// visited in descending posting-count order so the threshold tightens
+/// early; results are gathered positionally, and a pruned candidate
+/// provably cannot enter the top-k, so the answers are bit-identical for
+/// any thread count, visit order, or early-stop setting. Returns the
+/// unranked answers. Peak memory is one blob + one DP arena per worker.
 Result<std::vector<Answer>> ExecuteSfas(const PlanContext& ctx,
                                         const PlanSpec& plan, const Dfa& dfa,
                                         const std::vector<char>& allowed,
@@ -860,15 +692,7 @@ Result<std::vector<Answer>> ExecuteSfas(const PlanContext& ctx,
   STACCATO_ASSIGN_OR_RETURN(
       std::vector<SfaCandidate> cands,
       BuildSfaCandidates(ctx, plan, allowed, stats, cache, &total_postings));
-  const uint64_t cand_end_ns = telemetry::MonotonicNanos();
-  if (ctx.trace != nullptr) {
-    ctx.trace->AddSpan("CandidateGen", cand_start_ns, cand_end_ns,
-                       ctx.trace_parent);
-  }
-  if (stats != nullptr) {
-    stats->stage.candidate_gen_s =
-        static_cast<double>(cand_end_ns - cand_start_ns) / 1e9;
-  }
+  EndStage(ctx, "CandidateGen", cand_start_ns, &stats->stage.candidate_gen_s);
 
   size_t threads = std::max<size_t>(1, plan.eval_threads);
   threads = std::min(threads, cands.empty() ? size_t{1} : cands.size());
@@ -897,17 +721,16 @@ Result<std::vector<Answer>> ExecuteSfas(const PlanContext& ctx,
   const size_t horizon = plan.pattern.size() + 8;
   struct WorkerState {
     EvalScratch scratch;
-    std::string blob;  ///< read buffer for the cacheless path
-    /// Pin on the candidate currently being evaluated (cached path).
-    /// Exactly one per worker: fetching the next candidate releases it.
+    /// Pin on the candidate currently being evaluated. Exactly one per
+    /// worker: fetching the next candidate releases it.
     cache::BufferCache::Handle pin;
+    BlobIoStats io;  ///< this worker's blob reads, summed after the fan-out
   };
   std::vector<WorkerState> workers(threads);
   std::vector<double> prob(cands.size(), 0.0);
   std::vector<char> was_pruned(cands.size(), 0);
   std::vector<uint64_t> steps_saved(cands.size(), 0);
   std::vector<char> visited(cands.size(), 0);
-  ctx.blobs->ResetStats();
   auto eval_one = [&](size_t worker, size_t v) -> Status {
     // Cancellation point: candidate visit. A worker that sees the cut (or
     // trips the budget under allow_partial) stops visiting new candidates;
@@ -919,11 +742,10 @@ Result<std::vector<Answer>> ExecuteSfas(const PlanContext& ctx,
     const size_t i = order[v];
     const SfaCandidate& cand = cands[i];
     WorkerState& ws = workers[worker];
-    // Fetch: through the shared buffer cache when the database has one
-    // (the worker pins the cached bytes for the duration of its DP — a
-    // hit skips the heap point get and the pread entirely), via the
-    // reusable per-worker buffer otherwise. Same bytes either way.
-    const std::string* blob = &ws.blob;
+    // Fetch: the worker pins the blob's bytes for the duration of its DP.
+    // With the shared buffer cache, a hit skips the heap point get and
+    // the pread entirely; without one, GetCached is a plain disk read.
+    const std::string* blob = nullptr;
     auto fetch_once = [&]() -> Status {
       if (ctx.delta.Contains(cand.doc)) {
         // Appended documents serve their serialized SFA straight from the
@@ -933,25 +755,20 @@ Result<std::vector<Answer>> ExecuteSfas(const PlanContext& ctx,
         blob = full ? &d.full_blob : &d.graph_blob;
         return Status::OK();
       }
-      if (ctx.cache != nullptr) {
-        STACCATO_ASSIGN_OR_RETURN(
-            ws.pin,
-            ctx.blobs->GetCached(
-                BlobCacheKey(full, cand.doc, ctx.blob_generation),
-                [&]() -> Result<BlobId> {
-                  if (cand.doc >= rids.size()) {
-                    return Status::NotFound("no such DataKey");
-                  }
-                  STACCATO_ASSIGN_OR_RETURN(Tuple t,
-                                            blob_table->Get(rids[cand.doc]));
-                  return t[1].AsBlobId();
-                }));
-        blob = &ws.pin.value();
-        return Status::OK();
-      }
-      if (cand.doc >= rids.size()) return Status::NotFound("no such DataKey");
-      STACCATO_ASSIGN_OR_RETURN(Tuple t, blob_table->Get(rids[cand.doc]));
-      STACCATO_RETURN_NOT_OK(ctx.blobs->GetInto(t[1].AsBlobId(), &ws.blob));
+      STACCATO_ASSIGN_OR_RETURN(
+          ws.pin,
+          ctx.blobs->GetCached(
+              BlobCacheKey(full, cand.doc, ctx.blob_generation),
+              [&]() -> Result<BlobId> {
+                if (cand.doc >= rids.size()) {
+                  return Status::NotFound("no such DataKey");
+                }
+                STACCATO_ASSIGN_OR_RETURN(Tuple t,
+                                          blob_table->Get(rids[cand.doc]));
+                return t[1].AsBlobId();
+              },
+              &ws.io));
+      blob = &ws.pin.value();
       return Status::OK();
     };
     // Transient blob/heap read failures retry with exponential backoff,
@@ -995,68 +812,35 @@ Result<std::vector<Answer>> ExecuteSfas(const PlanContext& ctx,
   };
   // Fetch and Eval stream per candidate inside eval_one, so they are one
   // timed stage (StageTimings::fetch_eval_s) — timing them separately
-  // would mean per-candidate clock reads.
+  // would mean per-candidate clock reads. One worker runs inline, in
+  // visit order.
   const uint64_t eval_start_ns = telemetry::MonotonicNanos();
-  if (threads <= 1) {
-    for (size_t v = 0; v < cands.size(); ++v) {
-      STACCATO_RETURN_NOT_OK(eval_one(0, v));
-    }
-  } else {
-    STACCATO_RETURN_NOT_OK(ParallelForWorker(
-        cands.size(), /*grain=*/1, eval_one, ParallelOptions{threads}));
-  }
-  const uint64_t eval_end_ns = telemetry::MonotonicNanos();
-  if (ctx.trace != nullptr) {
-    ctx.trace->AddSpan("Fetch+Eval", eval_start_ns, eval_end_ns,
-                       ctx.trace_parent);
-  }
+  STACCATO_RETURN_NOT_OK(ParallelForWorker(
+      cands.size(), /*grain=*/1, eval_one, ParallelOptions{threads}));
+  EndStage(ctx, "Fetch+Eval", eval_start_ns, &stats->stage.fetch_eval_s);
 
-  if (stats != nullptr) {
-    stats->stage.fetch_eval_s =
-        static_cast<double>(eval_end_ns - eval_start_ns) / 1e9;
-    BlobIoStats bio = ctx.blobs->io_stats();
-    stats->blob_bytes_read += bio.bytes_read;
-    stats->cache_hits += bio.cache_hits;
-    stats->cache_misses += bio.cache_misses;
-    if (ctx.cache != nullptr) {
-      stats->cache_bytes = ctx.cache->bytes_in_use();
-    }
-    stats->candidates = cands.size();
-    stats->index_postings = total_postings;
-    stats->selectivity = ctx.num_sfas == 0
-                             ? 0.0
-                             : static_cast<double>(cands.size()) /
-                                   static_cast<double>(ctx.num_sfas);
-    stats->threads_used = threads;
-    stats->fetch_threads = threads;  // streamed: fetch rides the eval workers
-    for (size_t i = 0; i < cands.size(); ++i) {
-      if (was_pruned[i]) {
-        ++stats->eval_pruned;
-        stats->eval_steps_saved += steps_saved[i];
-      }
-    }
-    if (ctx.control != nullptr) {
-      stats->degraded = ctx.control->cut();
-      stats->visited_candidates = static_cast<size_t>(
-          std::count(visited.begin(), visited.end(), 1));
-    }
+  for (const WorkerState& ws : workers) {
+    stats->blob_bytes_read += ws.io.bytes_read;
+    stats->cache_hits += ws.io.cache_hits;
+    stats->cache_misses += ws.io.cache_misses;
   }
-
-  const uint64_t topk_start_ns = telemetry::MonotonicNanos();
+  if (ctx.cache != nullptr) stats->cache_bytes = ctx.cache->bytes_in_use();
+  stats->candidates = cands.size();
+  stats->index_postings = total_postings;
+  stats->threads_used = threads;
+  if (ctx.control != nullptr) {
+    stats->visited_candidates = static_cast<size_t>(
+        std::count(visited.begin(), visited.end(), 1));
+  }
   std::vector<Answer> answers;
   for (size_t i = 0; i < cands.size(); ++i) {
+    if (was_pruned[i]) {
+      ++stats->eval_pruned;
+      stats->eval_steps_saved += steps_saved[i];
+    }
     if (prob[i] > 0.0) answers.push_back({cands[i].doc, prob[i]});
   }
-  std::vector<Answer> ranked = RankAnswers(std::move(answers), plan.num_ans);
-  const uint64_t topk_end_ns = telemetry::MonotonicNanos();
-  if (ctx.trace != nullptr) {
-    ctx.trace->AddSpan("TopK", topk_start_ns, topk_end_ns, ctx.trace_parent);
-  }
-  if (stats != nullptr) {
-    stats->stage.topk_s =
-        static_cast<double>(topk_end_ns - topk_start_ns) / 1e9;
-  }
-  return ranked;
+  return answers;
 }
 
 }  // namespace
@@ -1065,6 +849,8 @@ Result<std::vector<Answer>> ExecutePlan(const PlanContext& ctx,
                                         const PlanSpec& plan, const Dfa& dfa,
                                         QueryStats* stats, PlanCache* cache,
                                         TopKThreshold* shared_topk) {
+  QueryStats local_stats;
+  if (stats == nullptr) stats = &local_stats;
   InitQueryStats(stats, plan);
   const uint64_t plan_start_ns = telemetry::MonotonicNanos();
   // Cancellation point: query entry. An already-expired deadline fails (or
@@ -1075,7 +861,7 @@ Result<std::vector<Answer>> ExecutePlan(const PlanContext& ctx,
     bool cut_now = false;
     STACCATO_RETURN_NOT_OK(PollControl(ctx.control, &cut_now));
     if (cut_now) {
-      if (stats != nullptr) stats->degraded = true;
+      stats->degraded = true;
       return std::vector<Answer>{};
     }
   }
@@ -1085,27 +871,23 @@ Result<std::vector<Answer>> ExecutePlan(const PlanContext& ctx,
   STACCATO_ASSIGN_OR_RETURN(
       const std::vector<char>* allowed,
       EqualityBitmap(ctx, plan, stats, cache, &scratch));
-  const uint64_t filter_end_ns = telemetry::MonotonicNanos();
-  if (ctx.trace != nullptr && !plan.equalities.empty()) {
-    ctx.trace->AddSpan("Filter", filter_start_ns, filter_end_ns,
-                       ctx.trace_parent);
-  }
-  if (stats != nullptr) {
-    stats->stage.filter_s =
-        static_cast<double>(filter_end_ns - filter_start_ns) / 1e9;
-  }
-  Result<std::vector<Answer>> result =
-      Status::InvalidArgument("unknown eval strategy");
-  switch (plan.eval) {
-    case EvalStrategy::kStrings:
-      result = ExecuteStrings(ctx, plan, dfa, *allowed, stats);
-      break;
-    case EvalStrategy::kSfaDp:
-      result = ExecuteSfas(ctx, plan, dfa, *allowed, stats, cache, shared_topk);
-      break;
-  }
-  if (stats != nullptr) stats->stage.total_s = SecondsSince(plan_start_ns);
-  return result;
+  EndStage(ctx, plan.equalities.empty() ? nullptr : "Filter", filter_start_ns,
+           &stats->stage.filter_s);
+  STACCATO_ASSIGN_OR_RETURN(
+      std::vector<Answer> answers,
+      plan.eval == EvalStrategy::kStrings
+          ? ExecuteStrings(ctx, plan, dfa, *allowed, stats)
+          : ExecuteSfas(ctx, plan, dfa, *allowed, stats, cache, shared_topk));
+  stats->selectivity = ctx.num_sfas == 0
+                           ? 0.0
+                           : static_cast<double>(stats->candidates) /
+                                 static_cast<double>(ctx.num_sfas);
+  if (ctx.control != nullptr) stats->degraded = ctx.control->cut();
+  const uint64_t topk_start_ns = telemetry::MonotonicNanos();
+  std::vector<Answer> ranked = RankAnswers(std::move(answers), plan.num_ans);
+  EndStage(ctx, "TopK", topk_start_ns, &stats->stage.topk_s);
+  EndStage(ctx, nullptr, plan_start_ns, &stats->stage.total_s);
+  return ranked;
 }
 
 std::string ExplainPlan(const PlanSpec& plan) {
@@ -1136,10 +918,10 @@ std::string ExplainPlan(const PlanSpec& plan) {
 std::string ExplainPlan(const PlanSpec& plan, const QueryStats& stats) {
   std::string out = ExplainPlan(plan);
   out += StringPrintf(
-      "  Actual: candidates=%zu (est %zu), threads: fetch=%zu eval=%zu, "
+      "  Actual: candidates=%zu (est %zu), threads=%zu, "
       "cache: filter=%s candidates=%s\n",
-      stats.candidates, stats.est_candidates, stats.fetch_threads,
-      stats.threads_used, stats.filter_from_cache ? "hit" : "miss",
+      stats.candidates, stats.est_candidates, stats.threads_used,
+      stats.filter_from_cache ? "hit" : "miss",
       stats.candidates_from_cache ? "hit" : "miss");
   // Per-stage est-vs-actual: measured wall time per physical stage (the
   // executor's own clock, StageTimings) next to the planner's per-stage
@@ -1222,7 +1004,6 @@ void FoldShardStats(const std::vector<QueryStats>& per_shard,
     out->used_index |= ps.used_index;
     out->used_projection |= ps.used_projection;
     out->threads_used = std::max(out->threads_used, ps.threads_used);
-    out->fetch_threads = std::max(out->fetch_threads, ps.fetch_threads);
     out->est_candidates += ps.est_candidates;
     out->est_cost += ps.est_cost;
     out->filter_from_cache |= ps.filter_from_cache;

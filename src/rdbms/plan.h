@@ -96,20 +96,17 @@ struct QueryOptions {
   std::string pattern;     ///< the paper's pattern language ('%pat%' implied)
   size_t num_ans = 100;    ///< NumAns (Table 3)
   /// Index policy. The default lets the cost model decide; benches that
-  /// measure one fixed path pin it with kForce/kNever.
+  /// measure one fixed path pin it with kForce/kNever. The pattern-query
+  /// facades (StaccatoDb::Query, ShardedDb::Query) pin kAuto to kNever.
   IndexMode index_mode = IndexMode::kAuto;
-  /// Legacy flag: true forces the index path (same as kForce) when
-  /// `index_mode` is kAuto. The flag-driven StaccatoDb::Query facade also
-  /// maps false to kNever to keep its historical "index only if asked"
-  /// behavior.
-  bool use_index = false;
   bool use_projection = false;  ///< fetch only the projected SFA region
   /// Equality predicates over MasterData columns (`Year = 2010`); filters
   /// candidates before any SFA is fetched or evaluated.
   std::vector<EqualityPredicate> equalities;
-  /// Workers for the parallel Eval stage. 1 = serial; 0 = inherit the
+  /// Workers for the parallel SFA Eval stage. 1 = serial; 0 = inherit the
   /// session default (which itself defaults to serial for the legacy
-  /// StaccatoDb::Query path and hardware concurrency for Sessions).
+  /// StaccatoDb::Query path and hardware concurrency for Sessions). The
+  /// string approaches always run one serial kMAPData scan.
   size_t eval_threads = 0;
   /// Allow the Eval stage to abort a candidate's DP as soon as its exact
   /// probability upper bound falls below the running k-th best answer
@@ -156,6 +153,9 @@ struct ShardStats {
 /// \brief Execution statistics for the benches.
 struct QueryStats {
   double seconds = 0.0;
+  /// This query's own I/O, exact under concurrent queries: heap pages its
+  /// Filter and kMAPData scans visited, and physical blob bytes its Fetch
+  /// workers read from disk.
   uint64_t heap_pages_read = 0;
   uint64_t blob_bytes_read = 0;
   size_t candidates = 0;    ///< SFAs actually evaluated
@@ -164,7 +164,7 @@ struct QueryStats {
   // Chosen plan shape, so benches can report what actually executed.
   bool used_index = false;
   bool used_projection = false;
-  size_t threads_used = 1;    ///< workers in the Eval stage
+  size_t threads_used = 1;    ///< workers in the streamed Fetch+Eval stage
   std::string plan_summary;   ///< one-line operator pipeline
   // Planner estimate for the chosen path, so estimated vs. actual
   // candidates can be compared from one stats object.
@@ -174,15 +174,11 @@ struct QueryStats {
   // PreparedQuery's memoized state instead of being recomputed.
   bool filter_from_cache = false;      ///< equality bitmap reused
   bool candidates_from_cache = false;  ///< index CandidateSet reused
-  /// Workers in the Fetch stage. The SFA Eval path streams: each worker
-  /// fetches and evaluates one candidate at a time, so fetch and eval
-  /// share the same fan-out.
-  size_t fetch_threads = 1;
-  // Buffer-cache observability for the Fetch stage: blob reads served
-  // from the shared memory-budgeted cache vs from disk, and the cache's
-  // resident bytes when the run finished. Counters are shared across
-  // concurrent queries (same caveat as the I/O counters); all three stay
-  // zero when the database runs with caching disabled.
+  // Buffer-cache observability for the Fetch stage: this query's blob
+  // reads served from the shared memory-budgeted cache vs from disk
+  // (counted by the query's own Fetch workers, so exact under concurrent
+  // queries), and the cache's resident bytes when the run finished. All
+  // three stay zero when the database runs with caching disabled.
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t cache_bytes = 0;
@@ -454,7 +450,8 @@ class TopKThreshold {
 };
 
 /// Runs the plan's operator pipeline. Repeated calls with the same plan and
-/// DFA return identical answers regardless of `eval_threads`. `cache`, when
+/// DFA return identical answers regardless of `eval_threads`. `stats` may
+/// be null; the executor then fills a local one. `cache`, when
 /// non-null, memoizes the CandidateGen/Filter artifacts across calls: a
 /// warm call reuses the equality bitmap and the probed CandidateSet (and
 /// reports doing so in `stats`) as long as `ctx.load_generation` still

@@ -245,8 +245,7 @@ Result<std::vector<Answer>> PreparedQuery::ScatterGather(
                                      scatter_span.id());
     ctxs[s].trace_parent = shard_span.id();
     Result<std::vector<Answer>> r =
-        ExecutePlan(ctxs[s], plans_[s], dfa_,
-                    stats != nullptr ? &per_shard[s] : nullptr, &caches_[s],
+        ExecutePlan(ctxs[s], plans_[s], dfa_, &per_shard[s], &caches_[s],
                     forwarded);
     if (r.ok()) {
       shard_answers[s] = std::move(r).ValueUnsafe();

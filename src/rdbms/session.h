@@ -43,8 +43,8 @@
 // (QueryStats::shared_plan_hit, Session::shared_plan_hits). A
 // PreparedQuery is not synchronized: run concurrent Executes on separate
 // PreparedQuery objects. The legacy StaccatoDb::Query call is a thin
-// flag-driven wrapper over this engine (it pins index_mode from
-// use_index); StaccatoDb::QuerySql is cost-based like any SQL prepare.
+// wrapper over this engine that pins an IndexMode::kAuto query to kNever;
+// StaccatoDb::QuerySql is cost-based like any SQL prepare.
 // Both run prepare + execute in one shot, so they never hit the warm path.
 #pragma once
 

@@ -236,12 +236,12 @@ Status ShardedDb::BuildInvertedIndex(
 Result<std::vector<Answer>> ShardedDb::Query(Approach approach,
                                              const QueryOptions& q,
                                              QueryStats* stats) {
-  // Same legacy flag-driven semantics as StaccatoDb::Query: the facade
-  // measures the path it names. Per-shard eval stays serial — the
-  // scatter across shards is the parallelism this facade exercises.
+  // Same pinned semantics as StaccatoDb::Query: the facade measures the
+  // path it names (kAuto runs as kNever). Per-shard eval stays serial —
+  // the scatter across shards is the parallelism this facade exercises.
   QueryOptions pinned = q;
   if (pinned.index_mode == IndexMode::kAuto) {
-    pinned.index_mode = q.use_index ? IndexMode::kForce : IndexMode::kNever;
+    pinned.index_mode = IndexMode::kNever;
   }
   Session session(this, SessionOptions{/*eval_threads=*/1, q.num_ans});
   STACCATO_ASSIGN_OR_RETURN(PreparedQuery pq, session.Prepare(approach, pinned));
@@ -287,10 +287,8 @@ StorageReport ShardedDb::Storage() const {
   StorageReport out;
   for (const auto& shard : shards_) {
     StorageReport r = shard->Storage();
-    out.text_bytes += r.text_bytes;
     out.kmap_table_bytes += r.kmap_table_bytes;
-    out.fullsfa_blob_bytes += r.fullsfa_blob_bytes;
-    out.staccato_blob_bytes += r.staccato_blob_bytes;
+    out.blob_bytes += r.blob_bytes;
     out.staccato_table_bytes += r.staccato_table_bytes;
     out.index_entries += r.index_entries;
   }

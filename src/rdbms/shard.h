@@ -126,9 +126,9 @@ class ShardedDb {
   /// identically everywhere (a shard without postings probes to empty).
   Status BuildInvertedIndex(const std::vector<std::string>& dictionary_terms);
 
-  /// Scatter-gather query with the legacy flag-driven semantics of
-  /// StaccatoDb::Query (use_index pins the index mode; per-shard eval is
-  /// serial — the scatter across shards is the parallelism). Answers
+  /// Scatter-gather query with the pinned semantics of StaccatoDb::Query
+  /// (kAuto runs as kNever; per-shard eval is serial — the scatter across
+  /// shards is the parallelism). Answers
   /// carry global doc ids and are bit-identical to the 1-shard answer.
   Result<std::vector<Answer>> Query(Approach approach, const QueryOptions& q,
                                     QueryStats* stats = nullptr);

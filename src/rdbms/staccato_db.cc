@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <unordered_map>
@@ -168,15 +167,6 @@ Result<DbMeta> ReadMeta(const std::string& dir) {
   return meta;
 }
 
-/// STACCATO_DELTA_DOCS: checkpoint automatically once the delta holds this
-/// many documents. 0 (the default) leaves checkpointing fully explicit.
-size_t DeltaCheckpointDocsFromEnv() {
-  if (const char* env = std::getenv("STACCATO_DELTA_DOCS")) {
-    return static_cast<size_t>(std::strtoull(env, nullptr, 10));
-  }
-  return 0;
-}
-
 }  // namespace
 
 Result<std::unique_ptr<StaccatoDb>> StaccatoDb::Open(const std::string& dir,
@@ -213,7 +203,6 @@ Result<std::unique_ptr<StaccatoDb>> StaccatoDb::Open(const std::string& dir,
   // A fresh database owns the directory outright: drop any stale epoch
   // pointer and truncate the log a previous database may have left here.
   std::remove(MetaPath(dir).c_str());
-  db->delta_checkpoint_docs_ = DeltaCheckpointDocsFromEnv();
   util::MutexLock lock(&db->ingest_mu_);
   STACCATO_ASSIGN_OR_RETURN(
       db->wal_, WalWriter::Open(WalPath(dir), 0, WalSyncPolicyFromEnv()));
@@ -303,7 +292,6 @@ Result<std::unique_ptr<StaccatoDb>> StaccatoDb::OpenExisting(
     }));
   }
 
-  db->delta_checkpoint_docs_ = DeltaCheckpointDocsFromEnv();
   {
     util::MutexLock lock(&db->ingest_mu_);
     db->epoch_ = epoch;
@@ -447,9 +435,6 @@ Status StaccatoDb::Append(const DocumentInput& doc) {
   delta_.push_back(std::move(d));
   num_sfas_.fetch_add(1, std::memory_order_release);
   load_gen_.fetch_add(1, std::memory_order_acq_rel);
-  if (delta_checkpoint_docs_ > 0 && delta_.size() >= delta_checkpoint_docs_) {
-    return CheckpointLocked();
-  }
   return Status::OK();
 }
 
@@ -987,12 +972,12 @@ Result<std::vector<Answer>> StaccatoDb::Query(Approach approach,
                                               QueryStats* stats) {
   // The one-shot path stays serial unless the caller asks for workers, so
   // legacy timing comparisons (MAP filescan vs FullSFA) are undisturbed.
-  // It is also flag-driven rather than cost-based: benches built on this
-  // facade measure the path they name, so the use_index flag pins the
-  // candidate source instead of being a hint to the optimizer.
+  // It is also not cost-based: benches built on this facade measure the
+  // path they name, so kAuto pins the full scan and only an explicit
+  // IndexMode::kForce probes the index.
   QueryOptions pinned = q;
   if (pinned.index_mode == IndexMode::kAuto) {
-    pinned.index_mode = q.use_index ? IndexMode::kForce : IndexMode::kNever;
+    pinned.index_mode = IndexMode::kNever;
   }
   Session session(this, SessionOptions{/*eval_threads=*/1, q.num_ans});
   STACCATO_ASSIGN_OR_RETURN(PreparedQuery pq, session.Prepare(approach, pinned));
@@ -1029,11 +1014,9 @@ Result<std::set<DocId>> StaccatoDb::GroundTruthFor(const std::string& pattern) {
 StorageReport StaccatoDb::Storage() const {
   StorageReport r;
   r.kmap_table_bytes = kmap_->FileBytes();
+  r.blob_bytes = blobs_->FileBytes();
   r.staccato_table_bytes = staccato_->FileBytes();
   r.index_entries = index_ ? index_->size() : 0;
-  // Blob store holds both FullSFA and chunk graphs; report totals via the
-  // row counts (exact split is tracked at load time in the benches).
-  r.fullsfa_blob_bytes = blobs_->FileBytes();
   return r;
 }
 

@@ -68,10 +68,9 @@ struct DocumentInput {
 
 /// \brief Storage-size report (Table 2 / Figure 20).
 struct StorageReport {
-  uint64_t text_bytes = 0;       // k-MAP rank-0 text
   uint64_t kmap_table_bytes = 0;
-  uint64_t fullsfa_blob_bytes = 0;
-  uint64_t staccato_blob_bytes = 0;
+  /// The whole blob file: FullSFA and Staccato chunk-graph blobs together.
+  uint64_t blob_bytes = 0;
   uint64_t staccato_table_bytes = 0;
   uint64_t index_entries = 0;
 };
@@ -115,9 +114,8 @@ class StaccatoDb {
   /// materialized into the in-memory delta generation, so a crash after
   /// Append returns loses nothing. Derived representations reuse the
   /// LoadOptions of the last Load. Safe against concurrent query
-  /// execution. When STACCATO_DELTA_DOCS is set and the delta reaches
-  /// that many documents, an automatic Checkpoint runs inline (that path
-  /// is external-exclusive, like an explicit Checkpoint).
+  /// execution; folding the delta into the base is always an explicit
+  /// Checkpoint.
   Status Append(const DocumentInput& doc);
 
   /// Folds the delta generation into a fresh epoch of base files, commits
@@ -138,10 +136,10 @@ class StaccatoDb {
   Status BuildInvertedIndex(const std::vector<std::string>& dictionary_terms);
 
   /// Executes a probabilistic LIKE query under the chosen approach.
-  /// Thin wrapper over Session::Prepare + PreparedQuery::Execute that keeps
-  /// the legacy flag-driven semantics: when `q.index_mode` is kAuto, the
-  /// `use_index` flag pins it to kForce/kNever instead of letting the cost
-  /// model decide. Use a Session (rdbms/session.h) to get cost-based
+  /// Thin wrapper over Session::Prepare + PreparedQuery::Execute that pins
+  /// the candidate source instead of letting the cost model decide: a
+  /// `q.index_mode` of kAuto runs as kNever, so only kForce probes the
+  /// index. Use a Session (rdbms/session.h) to get cost-based
   /// planning and to amortize parsing, DFA compilation, planning, and the
   /// plan-level cache across repeated executions.
   Result<std::vector<Answer>> Query(Approach approach, const QueryOptions& q,
@@ -154,7 +152,7 @@ class StaccatoDb {
   /// and, like any SQL prepare, cost-based (IndexMode::kAuto): with an
   /// index built, the anchor is probed whenever the estimate says that is
   /// cheaper than scanning. Only the pattern-query `Query` facade pins the
-  /// source from its legacy use_index flag.
+  /// source.
   Result<std::vector<Answer>> QuerySql(Approach approach, const std::string& sql,
                                        QueryStats* stats = nullptr);
 
@@ -291,9 +289,6 @@ class StaccatoDb {
   LoadOptions load_opts_ GUARDED_BY(ingest_mu_);  ///< params appends reuse
   std::unique_ptr<WalWriter> wal_ GUARDED_BY(ingest_mu_);
   uint64_t epoch_ GUARDED_BY(ingest_mu_) = 0;  ///< committed base-file epoch
-  /// STACCATO_DELTA_DOCS: auto-checkpoint once the delta holds this many
-  /// documents (0 = never; explicit Checkpoint only). Read once at open.
-  size_t delta_checkpoint_docs_ = 0;
 };
 
 }  // namespace staccato::rdbms

@@ -345,24 +345,6 @@ TEST_F(IngestTest, TornWalTailRecoversCommittedPrefix) {
                IndexMode::kNever, 4, true, patterns_);
 }
 
-// STACCATO_DELTA_DOCS triggers an automatic checkpoint once the delta
-// reaches the threshold.
-TEST_F(IngestTest, AutoCheckpointEnvThreshold) {
-  setenv("STACCATO_DELTA_DOCS", "2", 1);
-  auto subject = OpenAt(eval::MakeScratchDir("ingest_autockpt"));
-  unsetenv("STACCATO_DELTA_DOCS");
-  ASSERT_TRUE(subject->Load(Prefix(full_, total_ - 3), SmallLoad()).ok());
-  ASSERT_TRUE(AppendRange(subject.get(), total_ - 3, total_ - 1).ok());
-  EXPECT_EQ(subject->Epoch(), 1u);
-  EXPECT_EQ(subject->DeltaDocs(), 0u);
-  ASSERT_TRUE(AppendRange(subject.get(), total_ - 1, total_).ok());
-  EXPECT_EQ(subject->DeltaDocs(), 1u);
-
-  auto oracle = Oracle(total_);
-  ExpectSameDb(oracle.get(), subject.get(), Approach::kStaccato,
-               IndexMode::kNever, 4, true, patterns_);
-}
-
 // The sync policy changes durability, never answers.
 TEST_F(IngestTest, SyncNeverPolicyAnswersIdentically) {
   setenv("STACCATO_WAL_SYNC", "never", 1);

@@ -103,7 +103,7 @@ TEST(IntegrationTest, IndexedQueryMatchesFilescan) {
   rdbms::QueryStats scan_stats, idx_stats;
   auto scan = (*wb)->db().Query(Approach::kStaccato, scan_q, &scan_stats);
   rdbms::QueryOptions idx_q = scan_q;
-  idx_q.use_index = true;
+  idx_q.index_mode = rdbms::IndexMode::kForce;
   auto idx = (*wb)->db().Query(Approach::kStaccato, idx_q, &idx_stats);
   ASSERT_TRUE(scan.ok() && idx.ok());
   EXPECT_LE(idx_stats.candidates, scan_stats.candidates);
@@ -125,7 +125,7 @@ TEST(IntegrationTest, StorageReportConsistent) {
   auto report = (*wb)->db().Storage();
   EXPECT_GT(report.kmap_table_bytes, 0u);
   EXPECT_GT(report.staccato_table_bytes, 0u);
-  EXPECT_GT(report.fullsfa_blob_bytes, 0u);
+  EXPECT_GT(report.blob_bytes, 0u);
 }
 
 TEST(IntegrationTest, BlobRoundTripPreservesSfas) {
@@ -220,7 +220,7 @@ TEST(IntegrationTest, ReopenedDatabaseAnswersIdentically) {
   ASSERT_EQ(after_full->size(), before_full->size());
   // The rebuilt inverted index must serve anchored queries identically.
   rdbms::QueryOptions iq = q;
-  iq.use_index = true;
+  iq.index_mode = rdbms::IndexMode::kForce;
   rdbms::QueryStats stats;
   auto indexed = (*reopened)->Query(rdbms::Approach::kStaccato, iq, &stats);
   ASSERT_TRUE(indexed.ok()) << indexed.status().ToString();

@@ -328,5 +328,90 @@ TEST(ParallelQueryStressTest, ConcurrentExecutesMatchSerialBaseline) {
   }
 }
 
+// Per-query I/O figures are counted by the query itself, so a query's
+// blob bytes and heap pages are exactly its serial run's while other
+// queries run against the same tables and blob store. Caching is off, so
+// every candidate blob really comes from disk.
+TEST(ParallelQueryStressTest, ConcurrentExecutesReportTheirOwnIo) {
+  WorkbenchSpec spec = StressSpec();
+  spec.cache = cache::CacheConfig{0, 0};
+  spec.build_index = false;  // the Staccato shape stays a full scan
+  auto wb = Workbench::Create(spec);
+  ASSERT_TRUE(wb.ok()) << wb.status().ToString();
+  Session session(&(*wb)->db(), SessionOptions{/*eval_threads=*/1});
+
+  struct Shape {
+    Approach approach;
+    std::string sql;
+  };
+  const std::vector<Shape> shapes = {
+      {Approach::kStaccato,
+       "SELECT DataKey FROM Docs WHERE DocData LIKE '%President%';"},
+      {Approach::kFullSfa,
+       "SELECT DataKey FROM Docs WHERE Year = 2011 AND "
+       "DocData LIKE '%Congress%';"},
+      {Approach::kKMap,
+       "SELECT DataKey FROM Docs WHERE Year = 2010 AND "
+       "DocData LIKE '%act%';"},
+  };
+  struct Io {
+    uint64_t blob_bytes = 0;
+    uint64_t heap_pages = 0;
+  };
+  // The serial reference: a warmed PreparedQuery's next Execute.
+  std::vector<Io> want;
+  for (const Shape& sh : shapes) {
+    auto pq = session.PrepareSql(sh.approach, sh.sql);
+    ASSERT_TRUE(pq.ok()) << pq.status().ToString();
+    ASSERT_TRUE(pq->Execute().ok());
+    QueryStats stats;
+    ASSERT_TRUE(pq->Execute(&stats).ok());
+    want.push_back({stats.blob_bytes_read, stats.heap_pages_read});
+  }
+  EXPECT_GT(want[0].blob_bytes, 0u);
+  EXPECT_GT(want[1].blob_bytes, 0u);
+  EXPECT_GT(want[2].heap_pages, 0u);
+
+  constexpr size_t kThreads = 8;
+  constexpr int kRepeats = 10;
+  std::vector<PreparedQuery> queries;
+  for (size_t t = 0; t < kThreads; ++t) {
+    const Shape& sh = shapes[t % shapes.size()];
+    auto pq = session.PrepareSql(sh.approach, sh.sql);
+    ASSERT_TRUE(pq.ok()) << pq.status().ToString();
+    queries.push_back(std::move(*pq));
+  }
+  std::vector<std::vector<Io>> got(kThreads);
+  std::vector<Status> errors(kThreads, Status::OK());
+  {
+    std::vector<std::thread> runners;
+    for (size_t t = 0; t < kThreads; ++t) {
+      runners.emplace_back([&, t] {
+        for (int r = 0; r < kRepeats; ++r) {
+          QueryStats stats;
+          auto ans = queries[t].Execute(&stats);
+          if (!ans.ok()) {
+            errors[t] = ans.status();
+            return;
+          }
+          got[t].push_back({stats.blob_bytes_read, stats.heap_pages_read});
+        }
+      });
+    }
+    for (auto& th : runners) th.join();
+  }
+  for (size_t t = 0; t < kThreads; ++t) {
+    ASSERT_TRUE(errors[t].ok()) << errors[t].ToString();
+    const Io& w = want[t % shapes.size()];
+    ASSERT_EQ(got[t].size(), static_cast<size_t>(kRepeats));
+    for (int r = 0; r < kRepeats; ++r) {
+      EXPECT_EQ(got[t][r].blob_bytes, w.blob_bytes)
+          << "thread " << t << " run " << r;
+      EXPECT_EQ(got[t][r].heap_pages, w.heap_pages)
+          << "thread " << t << " run " << r;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace staccato

@@ -200,9 +200,11 @@ TEST(BlobStoreTest, TracksBytesRead) {
   ASSERT_TRUE(store.ok());
   auto id = (*store)->Put(std::string(1000, 'a'));
   ASSERT_TRUE(id.ok());
-  (*store)->ResetStats();
-  ASSERT_TRUE((*store)->Get(*id).ok());
-  EXPECT_EQ((*store)->bytes_read(), 1000u + sizeof(uint64_t));
+  BlobIoStats tally;
+  ASSERT_TRUE((*store)->Get(*id, &tally).ok());
+  EXPECT_EQ(tally.bytes_read, 1000u + sizeof(uint64_t));
+  // The store's lifetime total is the sum of its calls' tallies.
+  EXPECT_EQ((*store)->io_stats().bytes_read, tally.bytes_read);
 }
 
 TEST(BlobStoreTest, GetAndGetIntoReportIdenticalIoStats) {
@@ -215,29 +217,35 @@ TEST(BlobStoreTest, GetAndGetIntoReportIdenticalIoStats) {
   ASSERT_TRUE(id.ok());
   const uint64_t expect_bytes = 500u + sizeof(uint64_t);
 
-  (*store)->ResetStats();
-  ASSERT_TRUE((*store)->Get(*id).ok());
-  BlobIoStats via_get = (*store)->io_stats();
+  BlobIoStats via_get;
+  ASSERT_TRUE((*store)->Get(*id, &via_get).ok());
   EXPECT_EQ(via_get.reads, 1u);
   EXPECT_EQ(via_get.bytes_read, expect_bytes);
 
-  (*store)->ResetStats();
+  BlobIoStats via_into;
   std::string buf;
-  ASSERT_TRUE((*store)->GetInto(*id, &buf).ok());
-  BlobIoStats via_into = (*store)->io_stats();
+  ASSERT_TRUE((*store)->GetInto(*id, &buf, &via_into).ok());
   EXPECT_EQ(via_into.reads, via_get.reads);
   EXPECT_EQ(via_into.bytes_read, via_get.bytes_read);
 
-  (*store)->ResetStats();
-  auto handle = (*store)->GetCached(*id, cache::CacheKey{1, 2, 3});
+  BlobIoStats via_cached;
+  auto handle = (*store)->GetCached(
+      cache::CacheKey{1, 2, 3}, [&]() -> Result<BlobId> { return *id; },
+      &via_cached);
   ASSERT_TRUE(handle.ok());
   EXPECT_EQ(handle->value(), buf);
-  BlobIoStats via_cached = (*store)->io_stats();
   EXPECT_EQ(via_cached.reads, via_get.reads);
   EXPECT_EQ(via_cached.bytes_read, via_get.bytes_read);
   // No cache attached: nothing to hit or miss.
   EXPECT_EQ(via_cached.cache_hits, 0u);
   EXPECT_EQ(via_cached.cache_misses, 0u);
+
+  // The store's lifetime totals are the sum of the three calls.
+  const BlobIoStats total = (*store)->io_stats();
+  EXPECT_EQ(total.reads, 3u);
+  EXPECT_EQ(total.bytes_read, 3 * expect_bytes);
+  EXPECT_EQ(total.cache_hits, 0u);
+  EXPECT_EQ(total.cache_misses, 0u);
 }
 
 TEST(BlobStoreTest, GetCachedServesFromBufferCache) {
@@ -248,31 +256,39 @@ TEST(BlobStoreTest, GetCachedServesFromBufferCache) {
   cache::BufferCache cache(1 << 20);
   (*store)->set_cache(&cache);
   const cache::CacheKey key{9, 1, 1};
+  auto resolve = [&]() -> Result<BlobId> { return id.ValueOrDie(); };
 
-  (*store)->ResetStats();
-  auto miss = (*store)->GetCached(id.ValueOrDie(), key);
+  BlobIoStats after_miss;
+  auto miss = (*store)->GetCached(key, resolve, &after_miss);
   ASSERT_TRUE(miss.ok());
   EXPECT_EQ(miss->value().size(), 300u);
-  BlobIoStats after_miss = (*store)->io_stats();
   EXPECT_EQ(after_miss.reads, 1u);
   EXPECT_EQ(after_miss.cache_misses, 1u);
   EXPECT_EQ(after_miss.bytes_read, 300u + sizeof(uint64_t));
 
-  auto hit = (*store)->GetCached(id.ValueOrDie(), key);
+  BlobIoStats hit_io;
+  auto hit = (*store)->GetCached(key, resolve, &hit_io);
   ASSERT_TRUE(hit.ok());
   EXPECT_EQ(hit->value(), miss->value());
+  EXPECT_EQ(hit_io.reads, 1u);
+  EXPECT_EQ(hit_io.cache_hits, 1u);
+  EXPECT_EQ(hit_io.cache_misses, 0u);
+  // The hit served no physical bytes.
+  EXPECT_EQ(hit_io.bytes_read, 0u);
+  // The store's lifetime totals are the sum of both calls.
   BlobIoStats after_hit = (*store)->io_stats();
   EXPECT_EQ(after_hit.reads, 2u);
   EXPECT_EQ(after_hit.cache_hits, 1u);
-  // The hit served no physical bytes.
+  EXPECT_EQ(after_hit.cache_misses, 1u);
   EXPECT_EQ(after_hit.bytes_read, after_miss.bytes_read);
 
   // A different version word misses: generation-bump invalidation.
-  (*store)->ResetStats();
-  auto bumped = (*store)->GetCached(id.ValueOrDie(),
-                                    cache::CacheKey{9, 1, 2});
+  BlobIoStats bumped_io;
+  auto bumped = (*store)->GetCached(cache::CacheKey{9, 1, 2}, resolve,
+                                    &bumped_io);
   ASSERT_TRUE(bumped.ok());
-  EXPECT_EQ((*store)->io_stats().cache_misses, 1u);
+  EXPECT_EQ(bumped_io.cache_misses, 1u);
+  EXPECT_EQ((*store)->io_stats().cache_misses, 2u);
 }
 
 TEST(HeapTableTest, SharedPageCacheServesEvictedPages) {
@@ -290,8 +306,9 @@ TEST(HeapTableTest, SharedPageCacheServesEvictedPages) {
   ASSERT_GT((*table)->NumPages(), 10u);
 
   // Pool evictions wrote every page through to the shared cache, so a
-  // full scan never needs disk — and still sees every tuple intact.
-  (*table)->ResetIoStats();
+  // full scan never needs disk — and still sees every tuple intact. Each
+  // scan's counts are the lifetime counters' growth across it.
+  const IoStats before_warm = (*table)->io_stats();
   int count = 0;
   ASSERT_TRUE((*table)
                   ->Scan([&](RecordId, const Tuple& t) {
@@ -302,13 +319,14 @@ TEST(HeapTableTest, SharedPageCacheServesEvictedPages) {
                   .ok());
   EXPECT_EQ(count, 200);
   IoStats warm = (*table)->io_stats();
-  EXPECT_EQ(warm.page_misses, 0u) << "shared cache should have served these";
-  EXPECT_EQ(warm.bytes_read, 0u);
-  EXPECT_GT(warm.cache_hits, 0u);
+  EXPECT_EQ(warm.page_misses - before_warm.page_misses, 0u)
+      << "shared cache should have served these";
+  EXPECT_EQ(warm.bytes_read - before_warm.bytes_read, 0u);
+  EXPECT_GT(warm.cache_hits - before_warm.cache_hits, 0u);
 
   // EvictAll must cool BOTH tiers: the same scan then reads from disk.
   ASSERT_TRUE((*table)->EvictAll().ok());
-  (*table)->ResetIoStats();
+  const IoStats before_cold = (*table)->io_stats();
   count = 0;
   ASSERT_TRUE((*table)
                   ->Scan([&](RecordId, const Tuple& t) {
@@ -319,8 +337,8 @@ TEST(HeapTableTest, SharedPageCacheServesEvictedPages) {
                   .ok());
   EXPECT_EQ(count, 200);
   IoStats cold = (*table)->io_stats();
-  EXPECT_GT(cold.page_misses, 0u);
-  EXPECT_EQ(cold.cache_hits, 0u);
+  EXPECT_GT(cold.page_misses - before_cold.page_misses, 0u);
+  EXPECT_EQ(cold.cache_hits - before_cold.cache_hits, 0u);
 }
 
 // Regression for a swallowed write-back error: EvictAll used to call

@@ -87,7 +87,7 @@ TEST(SessionTest, ExplainIsStableAndDescribesThePlan) {
 
   QueryOptions idx_q;
   idx_q.pattern = "President";
-  idx_q.use_index = true;
+  idx_q.index_mode = IndexMode::kForce;
   idx_q.use_projection = true;
   idx_q.eval_threads = 4;
   auto idx_pq = session.Prepare(Approach::kStaccato, idx_q);
