@@ -7,9 +7,9 @@
 //     per-candidate unit (Sfa::Deserialize + vector-of-vectors DP, with a
 //     fresh allocation profile per candidate) vs the flat-view kernel
 //     with a warm EvalScratch. Heap allocations are counted by a
-//     replacement operator new, so the zero-allocation claim — and the
-//     removal of the per-transition StepLabel allocation — is verified by
-//     the printed before/after counts, not asserted by eye.
+//     replacement operator new. The bench exits 1 unless both kernels
+//     produce the same checksum (bit-identical answers) and the warm view
+//     kernel performs no allocation at all.
 //
 //  2. End-to-end cold selective top-k (NumAns << candidates): pruning
 //     off vs on, 1 vs N threads, over common patterns whose high k-th
@@ -148,9 +148,15 @@ int main() {
          view.seconds / static_cast<double>(evals) * 1e6);
   const double kernel_speedup =
       view.seconds > 0 ? legacy.seconds / view.seconds : 0.0;
+  const bool checksums_equal = legacy.checksum == view.checksum;
   printf("checksums equal: %s; kernel speedup: %.2fx\n",
-         legacy.checksum == view.checksum ? "yes" : "NO (BUG)",
-         kernel_speedup);
+         checksums_equal ? "yes" : "NO (BUG)", kernel_speedup);
+  const bool kernel_ok = checksums_equal && view.allocs == 0;
+  if (!kernel_ok) {
+    fprintf(stderr, "FAIL: view kernel %s\n",
+            checksums_equal ? "allocated on a warm scratch"
+                            : "is not bit-identical to the legacy kernel");
+  }
 
   // ---- 2. End-to-end cold selective top-k ----------------------------------
   eval::PrintHeader(
@@ -234,5 +240,5 @@ int main() {
     fclose(json);
     printf("wrote BENCH_topk.json\n");
   }
-  return 0;
+  return kernel_ok ? 0 : 1;
 }

@@ -1,6 +1,8 @@
 #include "inference/query_eval.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <utility>
 
 namespace staccato {
 
@@ -44,12 +46,67 @@ void StepLabel(const Dfa& dfa, const std::string& label,
 constexpr double kBoundSlackRel = 1e-9;
 constexpr double kBoundSlackAbs = 1e-9;
 
+// ---- DFA-state support bitsets of the bounded kernel ----------------------
+// Bit s of a support vector is set once slot s of its mass vector has been
+// written; a clear bit stands for exactly +0.0, whatever the slot holds.
+
+constexpr size_t kSupportBits = 64;
+
+inline size_t LowestBit(uint64_t bits) {
+  return static_cast<size_t>(__builtin_ctzll(bits));
+}
+
+// Calls visit(s) for every set bit s, in ascending state order.
+template <typename Visit>
+inline void ForEachState(const uint64_t* sup, size_t words, Visit&& visit) {
+  for (size_t w = 0; w < words; ++w) {
+    for (uint64_t bits = sup[w]; bits != 0; bits &= bits - 1) {
+      visit(w * kSupportBits + LowestBit(bits));
+    }
+  }
+}
+
+// ForEachState that also clears each word as it reads it, leaving the
+// vector empty — ready to be the next step's target with no separate
+// per-character fill.
+template <typename Visit>
+inline void DrainSupport(uint64_t* sup, size_t words, Visit&& visit) {
+  for (size_t w = 0; w < words; ++w) {
+    uint64_t bits = sup[w];
+    sup[w] = 0;
+    for (; bits != 0; bits &= bits - 1) {
+      visit(w * kSupportBits + LowestBit(bits));
+    }
+  }
+}
+
+// mass[s] += v on a support-tracked vector. The first arrival stores v,
+// which is exactly the dense kernel's 0.0 + v for a non-negative v.
+inline void AddMass(double* mass, uint64_t* sup, size_t s, double v) {
+  uint64_t& word = sup[s / kSupportBits];
+  const uint64_t bit = uint64_t{1} << (s % kSupportBits);
+  if ((word & bit) != 0) {
+    mass[s] += v;
+  } else {
+    mass[s] = v;
+    word |= bit;
+  }
+}
+
 }  // namespace
 
 /// The early-terminating DFA×SFA dynamic program over the flat blob view.
 /// Bit-identical to EvalSfaQuery when it does not prune: same topological
 /// order, same edge/transition order, same arithmetic (the live-mass
 /// bookkeeping never touches the mass arrays).
+///
+/// Propagation is support-sparse: every node's mass vector and the two
+/// working vectors carry a bitset of the DFA states holding mass, and each
+/// step visits only those states, in ascending order. A state outside the
+/// support holds exactly +0.0 in the dense formulation, and adding +0.0 to
+/// a non-negative sum is exact, so skipping it changes no value; ascending
+/// order keeps the summation order wherever several states merge into one.
+/// `steps` still counts the nominal dense work (label chars × q).
 ///
 /// Invariant behind the bound: `live` = Σ mass pending at unprocessed
 /// non-final nodes + accepting mass already at the final node. Mass only
@@ -72,16 +129,28 @@ double EvalSfaViewBounded(const SfaView& view, const Dfa& dfa,
   }
   if (view.NumNodes() == 0) return 0.0;
 
-  std::vector<double>& mass = scratch->mass;
-  mass.assign(view.NumNodes() * q, 0.0);
-  std::vector<double>& cur = scratch->cur;
-  std::vector<double>& next = scratch->next;
-  cur.resize(q);
-  next.resize(q);
+  // A mass slot is read only after its support bit is set, so the mass
+  // arena only grows; the support words are what a new candidate clears.
+  const size_t words = (q + kSupportBits - 1) / kSupportBits;
+  if (scratch->mass.size() < view.NumNodes() * q) {
+    scratch->mass.resize(view.NumNodes() * q);
+  }
+  scratch->support.assign(view.NumNodes() * words, 0);
+  scratch->cur.resize(q);
+  scratch->next.resize(q);
+  scratch->cur_support.assign(words, 0);
+  scratch->next_support.assign(words, 0);
+  double* const mass = scratch->mass.data();
+  uint64_t* const support = scratch->support.data();
+  double* cur = scratch->cur.data();
+  double* next = scratch->next.data();
+  uint64_t* cur_sup = scratch->cur_support.data();
+  uint64_t* next_sup = scratch->next_support.data();
 
   const NodeId fin = view.final();
-  mass[static_cast<size_t>(view.start()) * q +
-       static_cast<size_t>(dfa.start())] = 1.0;
+  const size_t start = static_cast<size_t>(view.start());
+  AddMass(mass + start * q, support + start * words,
+          static_cast<size_t>(dfa.start()), 1.0);
   const bool can_prune = threshold > 0.0 && view.MassBoundSafe();
   const double cutoff = threshold * (1.0 - kBoundSlackRel) - kBoundSlackAbs;
   double live = 1.0;
@@ -90,46 +159,53 @@ double EvalSfaViewBounded(const SfaView& view, const Dfa& dfa,
 
   for (NodeId n : view.TopologicalOrder()) {
     if (n == fin) continue;  // no out-edges; its mass is scored at the end
-    const double* in = &mass[static_cast<size_t>(n) * q];
+    const double* in = mass + static_cast<size_t>(n) * q;
+    const uint64_t* in_sup = support + static_cast<size_t>(n) * words;
     double sum_in = 0.0;
-    for (size_t s = 0; s < q; ++s) sum_in += in[s];
+    ForEachState(in_sup, words, [&](size_t s) { sum_in += in[s]; });
     if (sum_in == 0.0) continue;  // masses are non-negative: all-zero node
     live -= sum_in;
     for (const EdgeId* it = view.out_begin(n); it != view.out_end(n); ++it) {
       const ViewEdge& e = view.edge(*it);
-      double* out = &mass[static_cast<size_t>(e.to) * q];
+      double* out = mass + static_cast<size_t>(e.to) * q;
+      uint64_t* out_sup = support + static_cast<size_t>(e.to) * words;
       for (uint32_t k = 0; k < e.num_transitions; ++k) {
         const ViewTransition& tr = view.transition(e.first_transition + k);
-        for (size_t s = 0; s < q; ++s) cur[s] = in[s] * tr.prob;
-        for (char c : tr.label) {
-          std::fill(next.begin(), next.end(), 0.0);
-          for (size_t s = 0; s < q; ++s) {
-            double m = cur[s];
-            if (m == 0.0) continue;
-            DfaState t = dfa.Next(static_cast<DfaState>(s), c);
-            if (t == kDfaDead) continue;  // rejected mass is dropped
-            next[static_cast<size_t>(t)] += m;
+        // cur = in × prob; the support is copied word by word in the same
+        // pass, which measured cheaper than a separate copy of the words.
+        for (size_t w = 0; w < words; ++w) {
+          uint64_t bits = in_sup[w];
+          cur_sup[w] = bits;
+          for (; bits != 0; bits &= bits - 1) {
+            const size_t s = w * kSupportBits + LowestBit(bits);
+            cur[s] = in[s] * tr.prob;
           }
-          cur.swap(next);
+        }
+        for (char c : tr.label) {
+          DrainSupport(cur_sup, words, [&](size_t s) {
+            DfaState t = dfa.Next(static_cast<DfaState>(s), c);
+            if (t == kDfaDead) return;  // rejected mass is dropped
+            AddMass(next, next_sup, static_cast<size_t>(t), cur[s]);
+          });
+          std::swap(cur, next);
+          std::swap(cur_sup, next_sup);
         }
         steps += static_cast<uint64_t>(tr.label.size()) * q;
+        double arrived = 0.0;
         if (e.to == fin) {
           // Only accepting arrivals stay alive: the final node has no
           // out-edges, so non-accepting mass here is already dead.
-          double accepted = 0.0;
-          for (size_t s = 0; s < q; ++s) {
-            out[s] += cur[s];
-            if (dfa.IsAccept(static_cast<DfaState>(s))) accepted += cur[s];
-          }
-          live += accepted;
+          DrainSupport(cur_sup, words, [&](size_t s) {
+            AddMass(out, out_sup, s, cur[s]);
+            if (dfa.IsAccept(static_cast<DfaState>(s))) arrived += cur[s];
+          });
         } else {
-          double survived = 0.0;
-          for (size_t s = 0; s < q; ++s) {
-            out[s] += cur[s];
-            survived += cur[s];
-          }
-          live += survived;
+          DrainSupport(cur_sup, words, [&](size_t s) {
+            AddMass(out, out_sup, s, cur[s]);
+            arrived += cur[s];
+          });
         }
+        live += arrived;
       }
     }
     // Check only at node boundaries: mid-node, the not-yet-propagated
@@ -146,10 +222,11 @@ double EvalSfaViewBounded(const SfaView& view, const Dfa& dfa,
   }
   if (pruned) return 0.0;
   double p = 0.0;
-  const double* fin_mass = &mass[static_cast<size_t>(fin) * q];
-  for (size_t s = 0; s < q; ++s) {
-    if (dfa.IsAccept(static_cast<DfaState>(s))) p += fin_mass[s];
-  }
+  const double* fin_mass = mass + static_cast<size_t>(fin) * q;
+  ForEachState(support + static_cast<size_t>(fin) * words, words,
+               [&](size_t s) {
+                 if (dfa.IsAccept(static_cast<DfaState>(s))) p += fin_mass[s];
+               });
   // Guard against accumulated floating point drift above 1.
   return p > 1.0 ? 1.0 : p;
 }

@@ -3,8 +3,10 @@
 //
 // The evaluator is the matrix-multiplication-style dynamic program of
 // Ré et al. [45] specialized to DAG SFAs: propagate, in topological order,
-// a per-node distribution over DFA states. Cost is linear in the SFA size
-// and (at worst) quadratic-to-cubic in DFA states, matching Table 1.
+// a per-node distribution over DFA states. The reference kernel does
+// (label chars × q) work for q DFA states; EvalSfaQueryMatrix, the literal
+// matrix form Table 1 prices, does q³ per node. The bounded kernel visits
+// only the DFA states that hold mass, which on OCR data is one or two of q.
 //
 // The same evaluator serves the FullSFA baseline and the Staccato chunked
 // representation, because a chunk graph is itself a generalized SFA.
@@ -60,10 +62,14 @@ Result<double> EvalSerializedSfa(const std::string& blob, const Dfa& dfa);
 /// \brief How one bounded evaluation ended, for the executor's pruning
 /// stats. `steps` counts (label-char × dfa-state) units, the same currency
 /// as CountEvalWork, so steps_total - steps is the work an abort skipped.
+/// The unit is nominal: the sparse kernel touches only the states holding
+/// mass, but a step is still priced at q per label char.
 struct EvalBound {
   bool pruned = false;        ///< aborted: upper bound fell below threshold
-  uint64_t steps = 0;         ///< DP steps actually executed
-  uint64_t steps_total = 0;   ///< steps a full evaluation would execute
+  /// Nominal dense work (label chars × q) of the transitions processed;
+  /// this is what ExecBudget::max_dp_steps caps.
+  uint64_t steps = 0;
+  uint64_t steps_total = 0;   ///< steps a full evaluation would count
 };
 
 /// \brief Reusable per-worker buffers for the bounded kernels: the SfaView
@@ -73,9 +79,13 @@ struct EvalBound {
 /// it is not synchronized.
 struct EvalScratch {
   SfaViewArena arena;
-  std::vector<double> mass;    ///< num_nodes × q, node-major
-  std::vector<double> cur;     ///< q — StepLabel working vector
-  std::vector<double> next;    ///< q — StepLabel swap partner
+  std::vector<double> mass;            ///< num_nodes × q, node-major
+  std::vector<uint64_t> support;       ///< num_nodes × ⌈q/64⌉: bit s of node
+                                       ///< n set once mass[n*q+s] is written
+  std::vector<double> cur;             ///< q — one transition's working vector
+  std::vector<double> next;            ///< q — its swap partner
+  std::vector<uint64_t> cur_support;   ///< ⌈q/64⌉ — support of `cur`
+  std::vector<uint64_t> next_support;  ///< ⌈q/64⌉ — support of `next`
 };
 
 /// The bounded kernel over an already-decoded view: EvalSfaQuery with early

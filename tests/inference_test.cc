@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <string_view>
 
 #include "inference/kbest.h"
 #include "inference/query_eval.h"
+#include "ocr/generator.h"
 #include "sfa/sfa.h"
 #include "util/random.h"
 
@@ -234,11 +236,12 @@ TEST(QueryEvalTest, ChainSfaExactProbability) {
 // Bounded (early-terminating) kernel and the SfaView flat decoder.
 // ---------------------------------------------------------------------------
 
-TEST(BoundedEvalTest, ZeroThresholdBitIdenticalToReference) {
+// The small-DFA cases (q <= 7): Figure 1 and a chain SFA under short
+// patterns, evaluated at threshold 0 through `scratch`.
+void ExpectSmallDfasBitIdentical(EvalScratch* scratch) {
   Sfa sfa = Figure1Sfa();
   auto chain = MakeChainSfa(6, 4);
   ASSERT_TRUE(chain.ok());
-  EvalScratch scratch;
   for (const Sfa* s : {&sfa, &*chain}) {
     const std::string blob = s->Serialize();
     for (const char* pat : {"F", "rd", "aa", "(F|T)", "\\d", "zzz"}) {
@@ -247,7 +250,7 @@ TEST(BoundedEvalTest, ZeroThresholdBitIdenticalToReference) {
       EvalBound bound;
       // Bit-identical, not just close: the bounded kernel runs the same
       // arithmetic in the same order.
-      auto p = EvalSerializedSfaBounded(blob, *dfa, 0.0, &scratch, &bound);
+      auto p = EvalSerializedSfaBounded(blob, *dfa, 0.0, scratch, &bound);
       ASSERT_TRUE(p.ok()) << p.status().ToString();
       EXPECT_EQ(*p, EvalSfaQuery(*s, *dfa)) << pat;
       EXPECT_FALSE(bound.pruned);
@@ -255,6 +258,65 @@ TEST(BoundedEvalTest, ZeroThresholdBitIdenticalToReference) {
       EXPECT_EQ(bound.steps_total, CountEvalWork(*s, *dfa)) << pat;
     }
   }
+}
+
+TEST(BoundedEvalTest, ZeroThresholdBitIdenticalToReference) {
+  EvalScratch scratch;
+  ExpectSmallDfasBitIdentical(&scratch);
+}
+
+TEST(BoundedEvalTest, MultiWordSupportAndScratchReuse) {
+  // A 37-char literal compiles to a 75-state kContains DFA, so every
+  // support bitset spans two 64-bit words.
+  const std::string lit = "Attorney General of the United States";
+  auto dfa = Dfa::Compile(lit, MatchMode::kContains);
+  ASSERT_TRUE(dfa.ok());
+  ASSERT_EQ(dfa->NumStates(), 75);
+  // The line holds the pattern and then a 30-char prefix of it. After the
+  // match the (unminimized) accepting states still track the prefix, which
+  // walks the truth past state 63.
+  const std::string line = "Sec " + lit + " and " + lit.substr(0, 30) + " end";
+  DfaState state = dfa->start();
+  DfaState highest = state;
+  for (char c : line) {
+    state = dfa->Next(state, c);
+    highest = std::max(highest, state);
+  }
+  ASSERT_GE(highest, 64);
+
+  // With no transcription errors the truth is the likeliest reading at
+  // every position, so mass follows it into the second support word.
+  OcrNoiseModel model;
+  model.p_error = 0.0;
+  model.alternatives = 4;
+  model.confidence_mean = 0.95;
+  model.confidence_stddev = 0.02;
+  Rng rng(7);
+  auto sfa = OcrLineToSfa(line, model, &rng);
+  ASSERT_TRUE(sfa.ok());
+  const std::string blob = sfa->Serialize();
+  const double reference = EvalSfaQuery(*sfa, *dfa);
+  ASSERT_GT(reference, 0.0);
+
+  EvalScratch scratch;  // the large case runs first, then the small ones
+  EvalBound bound;
+  auto p = EvalSerializedSfaBounded(blob, *dfa, 0.0, &scratch, &bound);
+  ASSERT_TRUE(p.ok()) << p.status().ToString();
+  EXPECT_EQ(*p, reference);
+  EXPECT_FALSE(bound.pruned);
+  EXPECT_EQ(bound.steps, CountEvalWork(*sfa, *dfa));
+  for (double threshold : {0.01, 0.2, 0.6}) {
+    p = EvalSerializedSfaBounded(blob, *dfa, threshold, &scratch, &bound);
+    ASSERT_TRUE(p.ok());
+    if (bound.pruned) {
+      EXPECT_LT(reference, threshold) << "thr=" << threshold;
+    } else {
+      EXPECT_EQ(*p, reference) << "thr=" << threshold;
+    }
+  }
+  // The arena still holds the 75-state run's mass; a kernel that read a
+  // slot before setting its support bit would pick it up here.
+  ExpectSmallDfasBitIdentical(&scratch);
 }
 
 TEST(BoundedEvalTest, ViewKernelBitIdenticalToDeserializedEval) {

@@ -4,10 +4,13 @@
 
 #include <cmath>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "automata/dfa.h"
 #include "inference/kbest.h"
 #include "inference/query_eval.h"
+#include "ocr/corpus.h"
 #include "ocr/generator.h"
 #include "staccato/analysis.h"
 #include "staccato/chunking.h"
@@ -182,6 +185,57 @@ TEST_P(EvaluatorAgreement, BoundedKernelsBitIdenticalAndPruneSoundly) {
           EXPECT_LE(bound.steps, bound.steps_total);
         } else {
           EXPECT_EQ(*p, reference) << pat << " thr=" << threshold;
+        }
+      }
+    }
+  }
+}
+
+TEST_P(EvaluatorAgreement, TableSixQueriesBitIdenticalOnOcrCorpora) {
+  // The benchmark's query shapes: every Table 6 pattern (q = 13-29 DFA
+  // states, where support-sparse and dense propagation differ most)
+  // against every FullSFA and Staccato blob of small CA and LT corpora.
+  EvalScratch scratch;  // one worker's scratch across every blob and DFA
+  for (DatasetKind kind :
+       {DatasetKind::kCongressActs, DatasetKind::kLiterature}) {
+    CorpusSpec spec;
+    spec.kind = kind;
+    spec.num_pages = 2;
+    spec.seed = GetParam() + 1;
+    auto data = GenerateOcrDataset(spec, OcrNoiseModel());
+    ASSERT_TRUE(data.ok());
+    std::vector<Sfa> sfas;
+    for (const Sfa& sfa : data->sfas) {
+      auto approx = ApproximateSfa(sfa, StaccatoParams());
+      ASSERT_TRUE(approx.ok());
+      sfas.push_back(sfa);
+      sfas.push_back(std::move(*approx));
+    }
+    std::vector<std::string> blobs;
+    for (const Sfa& sfa : sfas) blobs.push_back(sfa.Serialize());
+    for (const std::string& pat : DatasetQueries(kind)) {
+      auto dfa = Dfa::Compile(pat, MatchMode::kContains);
+      ASSERT_TRUE(dfa.ok()) << pat;
+      for (size_t i = 0; i < sfas.size(); ++i) {
+        const double reference = EvalSfaQuery(sfas[i], *dfa);
+        EvalBound bound;
+        auto p = EvalSerializedSfaBounded(blobs[i], *dfa, 0.0, &scratch,
+                                          &bound);
+        ASSERT_TRUE(p.ok());
+        EXPECT_EQ(*p, reference) << pat << " blob " << i;
+        EXPECT_FALSE(bound.pruned);
+        // Steps stay priced at the dense unit, label chars × q.
+        EXPECT_EQ(bound.steps, bound.steps_total) << pat << " blob " << i;
+        EXPECT_EQ(bound.steps_total, CountEvalWork(sfas[i], *dfa));
+        for (double threshold : {0.01, 0.2, 0.6}) {
+          p = EvalSerializedSfaBounded(blobs[i], *dfa, threshold, &scratch,
+                                       &bound);
+          ASSERT_TRUE(p.ok());
+          if (bound.pruned) {
+            EXPECT_LT(reference, threshold) << pat << " thr=" << threshold;
+          } else {
+            EXPECT_EQ(*p, reference) << pat << " thr=" << threshold;
+          }
         }
       }
     }
