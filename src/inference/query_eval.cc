@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string_view>
 #include <utility>
 
 namespace staccato {
@@ -169,8 +170,10 @@ double EvalSfaViewBounded(const SfaView& view, const Dfa& dfa,
       const ViewEdge& e = view.edge(*it);
       double* out = mass + static_cast<size_t>(e.to) * q;
       uint64_t* out_sup = support + static_cast<size_t>(e.to) * words;
-      for (uint32_t k = 0; k < e.num_transitions; ++k) {
-        const ViewTransition& tr = view.transition(e.first_transition + k);
+      const uint32_t tr_end = e.first_transition + e.num_transitions;
+      for (uint32_t tr = e.first_transition; tr < tr_end; ++tr) {
+        const double prob = view.prob(tr);
+        const std::string_view label = view.label(tr);
         // cur = in × prob; the support is copied word by word in the same
         // pass, which measured cheaper than a separate copy of the words.
         for (size_t w = 0; w < words; ++w) {
@@ -178,10 +181,10 @@ double EvalSfaViewBounded(const SfaView& view, const Dfa& dfa,
           cur_sup[w] = bits;
           for (; bits != 0; bits &= bits - 1) {
             const size_t s = w * kSupportBits + LowestBit(bits);
-            cur[s] = in[s] * tr.prob;
+            cur[s] = in[s] * prob;
           }
         }
-        for (char c : tr.label) {
+        for (char c : label) {
           DrainSupport(cur_sup, words, [&](size_t s) {
             DfaState t = dfa.Next(static_cast<DfaState>(s), c);
             if (t == kDfaDead) return;  // rejected mass is dropped
@@ -190,7 +193,7 @@ double EvalSfaViewBounded(const SfaView& view, const Dfa& dfa,
           std::swap(cur, next);
           std::swap(cur_sup, next_sup);
         }
-        steps += static_cast<uint64_t>(tr.label.size()) * q;
+        steps += static_cast<uint64_t>(label.size()) * q;
         double arrived = 0.0;
         if (e.to == fin) {
           // Only accepting arrivals stay alive: the final node has no

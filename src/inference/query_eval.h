@@ -92,12 +92,14 @@ struct EvalScratch {
 /// termination. Aborts — returning 0 and setting `bound->pruned` — as soon
 /// as the exact upper bound accepted + live_mass drops below `threshold`.
 /// threshold <= 0 never prunes, and the result is then bit-identical to
-/// EvalSfaQuery on the blob's deserialized Sfa (the bound bookkeeping never
-/// touches the mass arithmetic). Pruning engages only when the SFA is
-/// mass-bound safe (no node's outgoing probabilities sum above 1 — true of
-/// every engine-built SFA), because the bound is only an upper bound under
-/// that invariant; otherwise the call silently degrades to a full
-/// evaluation.
+/// EvalSfaQuery on the blob's deserialized Sfa, which is the Sfa the blob
+/// was serialized from: the view visits nodes in the stored
+/// TopologicalOrder() and edges and transitions in stored order, and the
+/// bound bookkeeping never touches the mass arithmetic. Pruning engages
+/// only when the SFA is mass-bound safe (no node's outgoing probabilities
+/// sum above 1 — true of every engine-built SFA), because the bound is
+/// only an upper bound under that invariant; otherwise the call silently
+/// degrades to a full evaluation.
 double EvalSfaViewBounded(const SfaView& view, const Dfa& dfa,
                           double threshold, EvalScratch* scratch,
                           EvalBound* bound = nullptr);

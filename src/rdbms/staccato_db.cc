@@ -89,8 +89,13 @@ std::string MetaPath(const std::string& dir) { return dir + "/staccato.meta"; }
 // + crc32[u32]. The load parameters ride along so a reopened database
 // appends with the same derivation knobs the original Load used — a
 // mismatch would make appended documents diverge from bulk-loaded ones.
+//
+// The magic's last byte versions the directory's SFA blobs: STACMET2
+// directories hold SFA2 blobs (docs/ARCHITECTURE.md, "SFA blob format"),
+// and a STACMET1 directory was written with the retired SFA1 format.
 
-constexpr char kMetaMagic[8] = {'S', 'T', 'A', 'C', 'M', 'E', 'T', '1'};
+constexpr char kMetaMagic[8] = {'S', 'T', 'A', 'C', 'M', 'E', 'T', '2'};
+constexpr char kRetiredMetaMagic[8] = {'S', 'T', 'A', 'C', 'M', 'E', 'T', '1'};
 constexpr size_t kMetaPayload = sizeof(kMetaMagic) + 4 * sizeof(uint64_t);
 constexpr size_t kMetaSize = kMetaPayload + sizeof(uint32_t);
 
@@ -149,6 +154,12 @@ Result<DbMeta> ReadMeta(const std::string& dir) {
   const bool read_err = ferror(f) != 0;
   fclose(f);
   if (read_err) return Status::IOError("cannot read " + MetaPath(dir));
+  if (data.compare(0, sizeof(kRetiredMetaMagic), kRetiredMetaMagic,
+                   sizeof(kRetiredMetaMagic)) == 0) {
+    return Status::Corruption(
+        dir + " holds SFA blobs in the retired SFA1 format; reload the "
+        "database from its source documents");
+  }
   if (data.size() != kMetaSize ||
       std::memcmp(data.data(), kMetaMagic, sizeof(kMetaMagic)) != 0) {
     return Status::Corruption("bad meta file " + MetaPath(dir));

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <deque>
+#include <limits>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -12,11 +14,15 @@ namespace staccato {
 
 namespace {
 
+// The canonical transition order of an edge: descending probability, ties
+// by label.
+bool TransitionBefore(const Transition& a, const Transition& b) {
+  if (a.prob != b.prob) return a.prob > b.prob;
+  return a.label < b.label;
+}
+
 void SortTransitions(std::vector<Transition>* ts) {
-  std::sort(ts->begin(), ts->end(), [](const Transition& a, const Transition& b) {
-    if (a.prob != b.prob) return a.prob > b.prob;
-    return a.label < b.label;
-  });
+  std::sort(ts->begin(), ts->end(), TransitionBefore);
 }
 
 }  // namespace
@@ -63,9 +69,22 @@ Status Sfa::ComputeTopologicalOrder() {
   if (topo_.size() != num_nodes_) {
     return Status::InvalidArgument("SFA graph contains a cycle");
   }
+  IndexTopologicalOrder();
+  return Status::OK();
+}
+
+void Sfa::IndexEdges() {
+  out_.assign(num_nodes_, {});
+  in_.assign(num_nodes_, {});
+  for (EdgeId i = 0; i < edges_.size(); ++i) {
+    out_[edges_[i].from].push_back(i);
+    in_[edges_[i].to].push_back(i);
+  }
+}
+
+void Sfa::IndexTopologicalOrder() {
   topo_index_.assign(num_nodes_, 0);
   for (uint32_t i = 0; i < topo_.size(); ++i) topo_index_[topo_[i]] = i;
-  return Status::OK();
 }
 
 Status Sfa::Validate(bool require_stochastic) const {
@@ -189,8 +208,22 @@ size_t Sfa::SizeBytes() const {
 }
 
 namespace {
-constexpr uint32_t kSfaMagic = 0x53464131;  // "SFA1"
-}
+
+// The blob format; docs/ARCHITECTURE.md ("SFA blob format") lays it out.
+constexpr uint32_t kSfaMagic = 0x53464132;         // "SFA2"
+constexpr uint32_t kRetiredSfaMagic = 0x53464131;  // "SFA1"
+
+// Fewest bytes one transition occupies: an f64 probability, a one-byte
+// label length and one label byte.
+constexpr size_t kMinTransitionBytes = sizeof(double) + 2;
+// Fewest bytes one edge occupies: three one-byte varints and a transition.
+constexpr size_t kMinEdgeBytes = 3 + kMinTransitionBytes;
+
+constexpr uint32_t kUnranked = std::numeric_limits<uint32_t>::max();
+
+Status Truncated() { return Status::Corruption("truncated SFA blob"); }
+
+}  // namespace
 
 std::string Sfa::Serialize() const {
   BinaryWriter w;
@@ -199,109 +232,174 @@ std::string Sfa::Serialize() const {
   w.PutVarint(start_);
   w.PutVarint(final_);
   w.PutVarint(edges_.size());
+  // The visit order, left out when it is the identity.
+  bool identity = true;
+  for (size_t i = 0; i < topo_.size() && identity; ++i) {
+    identity = topo_[i] == i;
+  }
+  w.PutVarint(identity ? 0 : topo_.size());
+  if (!identity) {
+    for (NodeId n : topo_) w.PutVarint(n);
+  }
   for (const Edge& e : edges_) {
     w.PutVarint(e.from);
     w.PutVarint(e.to);
     w.PutVarint(e.transitions.size());
+  }
+  // The transitions, in edge-id order, as three flat arrays.
+  for (const Edge& e : edges_) {
+    for (const Transition& t : e.transitions) w.PutDouble(t.prob);
+  }
+  for (const Edge& e : edges_) {
+    for (const Transition& t : e.transitions) w.PutVarint(t.label.size());
+  }
+  for (const Edge& e : edges_) {
     for (const Transition& t : e.transitions) {
-      w.PutString(t.label);
-      w.PutDouble(t.prob);
+      w.PutRaw(t.label.data(), t.label.size());
     }
   }
   return w.Release();
 }
 
 Result<Sfa> Sfa::Deserialize(const std::string& blob) {
-  BinaryReader r(blob);
-  STACCATO_ASSIGN_OR_RETURN(uint32_t magic, r.GetU32());
-  if (magic != kSfaMagic) return Status::Corruption("bad SFA magic");
-  SfaBuilder b;
-  STACCATO_ASSIGN_OR_RETURN(uint64_t num_nodes, r.GetVarint());
-  // Every node except the start must have at least one incident edge (each
-  // at least a few bytes), so a node count far beyond the blob size is
-  // corruption — reject before allocating.
-  if (num_nodes > blob.size() + 2) {
-    return Status::Corruption("node count exceeds plausible blob capacity");
-  }
-  b.AddNodes(num_nodes);
-  STACCATO_ASSIGN_OR_RETURN(uint64_t start, r.GetVarint());
-  STACCATO_ASSIGN_OR_RETURN(uint64_t final, r.GetVarint());
-  b.SetStart(static_cast<NodeId>(start));
-  b.SetFinal(static_cast<NodeId>(final));
-  STACCATO_ASSIGN_OR_RETURN(uint64_t num_edges, r.GetVarint());
-  for (uint64_t i = 0; i < num_edges; ++i) {
-    STACCATO_ASSIGN_OR_RETURN(uint64_t from, r.GetVarint());
-    STACCATO_ASSIGN_OR_RETURN(uint64_t to, r.GetVarint());
-    STACCATO_ASSIGN_OR_RETURN(uint64_t nt, r.GetVarint());
-    for (uint64_t j = 0; j < nt; ++j) {
-      STACCATO_ASSIGN_OR_RETURN(std::string label, r.GetString());
-      STACCATO_ASSIGN_OR_RETURN(double prob, r.GetDouble());
-      STACCATO_RETURN_NOT_OK(b.AddTransition(static_cast<NodeId>(from),
-                                             static_cast<NodeId>(to),
-                                             std::move(label), prob));
+  SfaViewArena arena;
+  SfaView view;
+  STACCATO_RETURN_NOT_OK(view.Decode(blob, &arena));
+  Sfa sfa;
+  sfa.num_nodes_ = view.NumNodes();
+  sfa.start_ = view.start();
+  sfa.final_ = view.final();
+  sfa.edges_.resize(view.NumEdges());
+  for (EdgeId id = 0; id < view.NumEdges(); ++id) {
+    const ViewEdge& ve = view.edge(id);
+    Edge& e = sfa.edges_[id];
+    e.from = ve.from;
+    e.to = ve.to;
+    e.transitions.reserve(ve.num_transitions);
+    for (uint32_t k = 0; k < ve.num_transitions; ++k) {
+      const ViewTransition t = view.transition(ve.first_transition + k);
+      e.transitions.push_back({std::string(t.label), t.prob});
+    }
+    if (!std::is_sorted(e.transitions.begin(), e.transitions.end(),
+                        TransitionBefore)) {
+      return Status::Corruption("SFA blob: transitions out of order");
     }
   }
-  if (!r.AtEnd()) return Status::Corruption("trailing bytes after SFA blob");
-  return b.Build();
+  sfa.IndexEdges();
+  // SfaBuilder bundles all transitions between one node pair on one edge.
+  std::vector<NodeId> seen_from(sfa.num_nodes_, kInvalidNode);
+  for (NodeId n = 0; n < sfa.num_nodes_; ++n) {
+    for (EdgeId id : sfa.out_[n]) {
+      NodeId& from = seen_from[sfa.edges_[id].to];
+      if (from == n) {
+        return Status::Corruption("SFA blob: two edges between one node pair");
+      }
+      from = n;
+    }
+  }
+  sfa.topo_ = view.TopologicalOrder();
+  sfa.IndexTopologicalOrder();
+  Status valid = sfa.Validate();
+  if (!valid.ok()) return Status::Corruption("SFA blob: " + valid.message());
+  return sfa;
 }
 
 Status SfaView::Decode(std::string_view blob, SfaViewArena* arena) {
+  // The view holds node ids, transition indices and label offsets in 32
+  // bits; every count below is bounded by the blob size.
+  if (blob.size() > std::numeric_limits<uint32_t>::max()) {
+    return Status::Corruption("SFA blob larger than 4 GiB");
+  }
   BinaryReader r(blob.data(), blob.size());
   STACCATO_ASSIGN_OR_RETURN(uint32_t magic, r.GetU32());
+  if (magic == kRetiredSfaMagic) {
+    return Status::Corruption(
+        "SFA blob in the retired SFA1 format; reload the database from its "
+        "source documents");
+  }
   if (magic != kSfaMagic) return Status::Corruption("bad SFA magic");
-  STACCATO_ASSIGN_OR_RETURN(uint64_t num_nodes, r.GetVarint());
-  // Same plausibility guard as Sfa::Deserialize: reject before allocating.
-  if (num_nodes > blob.size() + 2) {
+
+  uint64_t num_nodes = 0, start = 0, final = 0, num_edges = 0, order_size = 0;
+  if (!r.ReadVarint(&num_nodes)) return Truncated();
+  // Every node except the start must have at least one incident edge (each
+  // at least a few bytes), so a node count far beyond the blob size is
+  // corruption — reject before allocating.
+  if (num_nodes > blob.size() + 2 || num_nodes > kInvalidNode) {
     return Status::Corruption("node count exceeds plausible blob capacity");
   }
   if (num_nodes == 0) return Status::Corruption("SFA has no nodes");
-  STACCATO_ASSIGN_OR_RETURN(uint64_t start, r.GetVarint());
-  STACCATO_ASSIGN_OR_RETURN(uint64_t final, r.GetVarint());
+  if (!r.ReadVarint(&start) || !r.ReadVarint(&final)) return Truncated();
   if (start >= num_nodes || final >= num_nodes) {
     return Status::Corruption("start/final node out of range");
   }
-  STACCATO_ASSIGN_OR_RETURN(uint64_t num_edges, r.GetVarint());
-  if (num_edges > blob.size()) {
+  if (!r.ReadVarint(&num_edges)) return Truncated();
+  if (num_edges > r.remaining() / kMinEdgeBytes) {
     return Status::Corruption("edge count exceeds plausible blob capacity");
   }
 
-  arena->edges.clear();
-  arena->transitions.clear();
-  arena->indegree.assign(num_nodes, 0);
-  // out_offsets doubles as the out-degree histogram during the first pass.
+  // The visit order: omitted (size 0) when it is the identity.
+  if (!r.ReadVarint(&order_size)) return Truncated();
+  arena->topo.resize(num_nodes);
+  arena->rank.resize(num_nodes);
+  if (order_size == 0) {
+    for (NodeId n = 0; n < num_nodes; ++n) arena->topo[n] = arena->rank[n] = n;
+  } else if (order_size == num_nodes) {
+    std::fill(arena->rank.begin(), arena->rank.end(), kUnranked);
+    for (uint32_t i = 0; i < num_nodes; ++i) {
+      uint64_t n = 0;
+      if (!r.ReadVarint(&n)) return Truncated();
+      if (n >= num_nodes) {
+        return Status::Corruption("visit order names a node out of range");
+      }
+      if (arena->rank[n] != kUnranked) {
+        return Status::Corruption("visit order repeats a node");
+      }
+      arena->rank[n] = i;
+      arena->topo[i] = static_cast<NodeId>(n);
+    }
+  } else {
+    return Status::Corruption("visit order size is neither 0 nor node count");
+  }
+
+  // The edge skeleton, in edge-id order. An edge that points forward in a
+  // permutation of the nodes cannot close a cycle, so this pass is also the
+  // acyclicity check. out_offsets[n + 1] counts n's out-edges.
+  arena->edges.resize(num_edges);
   arena->out_offsets.assign(num_nodes + 1, 0);
-  total_label_chars_ = 0;
-  for (uint64_t i = 0; i < num_edges; ++i) {
-    STACCATO_ASSIGN_OR_RETURN(uint64_t from, r.GetVarint());
-    STACCATO_ASSIGN_OR_RETURN(uint64_t to, r.GetVarint());
+  uint64_t num_transitions = 0;
+  for (ViewEdge& e : arena->edges) {
+    uint64_t from = 0, to = 0, nt = 0;
+    if (!r.ReadVarint(&from) || !r.ReadVarint(&to) || !r.ReadVarint(&nt)) {
+      return Truncated();
+    }
     if (from >= num_nodes || to >= num_nodes) {
       return Status::Corruption("edge endpoint out of range");
     }
-    STACCATO_ASSIGN_OR_RETURN(uint64_t nt, r.GetVarint());
+    if (arena->rank[from] >= arena->rank[to]) {
+      return Status::Corruption(
+          "edge does not point forward in the visit order (cycle or bad "
+          "order)");
+    }
     if (nt == 0) return Status::Corruption("edge with no transitions");
     if (nt > r.remaining()) {
       return Status::Corruption("transition count exceeds blob capacity");
     }
-    ViewEdge e;
     e.from = static_cast<NodeId>(from);
     e.to = static_cast<NodeId>(to);
-    e.first_transition = static_cast<uint32_t>(arena->transitions.size());
+    e.first_transition = static_cast<uint32_t>(num_transitions);
     e.num_transitions = static_cast<uint32_t>(nt);
-    for (uint64_t j = 0; j < nt; ++j) {
-      STACCATO_ASSIGN_OR_RETURN(std::string_view label, r.GetStringView());
-      STACCATO_ASSIGN_OR_RETURN(double prob, r.GetDouble());
-      if (label.empty()) return Status::Corruption("empty transition label");
-      if (!(prob > 0.0) || prob > 1.0 + 1e-9) {
-        return Status::Corruption("transition probability out of (0,1]");
-      }
-      arena->transitions.push_back({label, prob});
-      total_label_chars_ += label.size();
+    num_transitions += nt;
+    if (num_transitions > r.remaining() / kMinTransitionBytes) {
+      return Status::Corruption("transition count exceeds blob capacity");
     }
-    arena->edges.push_back(e);
     ++arena->out_offsets[from + 1];
-    ++arena->indegree[to];
   }
-  if (!r.AtEnd()) return Status::Corruption("trailing bytes after SFA blob");
+  // The evaluator skips the final node outright (it scores its mass at the
+  // end), which is only sound if the final node has no out-edges — the
+  // same invariant Sfa::Validate enforces on the deserialization path.
+  if (arena->out_offsets[final + 1] != 0) {
+    return Status::Corruption("final node has outgoing edges");
+  }
 
   // CSR adjacency: prefix-sum the histogram, then fill slots in edge-id
   // order so each node's out-list ascends by edge id (matching Sfa::Build).
@@ -310,55 +408,69 @@ Status SfaView::Decode(std::string_view blob, SfaViewArena* arena) {
   }
   arena->out_cursor.assign(arena->out_offsets.begin(),
                            arena->out_offsets.end() - 1);
-  arena->out_edges.resize(arena->edges.size());
-  for (EdgeId e = 0; e < arena->edges.size(); ++e) {
+  arena->out_edges.resize(num_edges);
+  for (EdgeId e = 0; e < num_edges; ++e) {
     arena->out_edges[arena->out_cursor[arena->edges[e].from]++] = e;
   }
-  // The evaluator skips the final node outright (it scores its mass at the
-  // end), which is only sound if the final node has no out-edges — the
-  // same invariant Sfa::Validate enforces on the deserialization path.
-  if (arena->out_offsets[final + 1] != arena->out_offsets[final]) {
-    return Status::Corruption("final node has outgoing edges");
-  }
 
-  // Mass-bound safety: no node's outgoing probabilities may sum above 1.
-  // CSR is ready, so walk nodes and sum their out-transitions directly.
+  // The transitions: one pass walks the f64 probabilities and reads the
+  // label lengths beside them, prefix-summing the lengths into offsets.
+  //
+  // Each node's outgoing sum adds its out-edges in ascending id and each
+  // edge's transitions in order — the order Sfa::OutEdges presents them —
+  // for the mass-bound check: no node's outgoing probabilities may sum
+  // above 1.
+  const char* probs = r.ReadBytes(num_transitions * sizeof(double));
+  if (probs == nullptr) return Truncated();
+  arena->out_mass.assign(num_nodes, 0.0);
+  arena->label_offsets.resize(num_transitions + 1);
+  uint32_t* offsets = arena->label_offsets.data();
+  offsets[0] = 0;
+  uint64_t chars = 0;
+  bool in_range = true;
+  size_t t = 0;
+  for (const ViewEdge& e : arena->edges) {
+    double sum = arena->out_mass[e.from];
+    for (const size_t end = t + e.num_transitions; t < end; ++t) {
+      double prob = 0.0;
+      std::memcpy(&prob, probs + t * sizeof(double), sizeof(prob));
+      in_range &= prob > 0.0 && prob <= 1.0 + 1e-9;  // false for NaN
+      sum += prob;
+      uint64_t len = 0;
+      if (!r.ReadVarint(&len)) return Truncated();
+      if (len == 0) return Status::Corruption("empty transition label");
+      // Each length is at most the bytes left, so `chars` cannot overflow
+      // before ReadBytes checks the sum.
+      if (len > r.remaining()) return Truncated();
+      chars += len;
+      offsets[t + 1] = static_cast<uint32_t>(chars);
+    }
+    arena->out_mass[e.from] = sum;
+  }
+  if (!in_range) {
+    return Status::Corruption("transition probability out of (0,1]");
+  }
   mass_bound_safe_ = true;
-  for (size_t n = 0; n < num_nodes && mass_bound_safe_; ++n) {
-    double sum = 0.0;
-    for (uint32_t k = arena->out_offsets[n]; k < arena->out_offsets[n + 1];
-         ++k) {
-      const ViewEdge& e = arena->edges[arena->out_edges[k]];
-      for (uint32_t t = 0; t < e.num_transitions; ++t) {
-        sum += arena->transitions[e.first_transition + t].prob;
-      }
-    }
-    if (sum > 1.0 + 1e-6) mass_bound_safe_ = false;
-  }
-
-  // Topological order by the exact Kahn FIFO Sfa uses: seed with zero
-  // indegree nodes in ascending id, pop from the front, append new zeros.
-  // `topo` is both the queue and the result; `head` is the queue front.
-  arena->topo.clear();
-  for (NodeId n = 0; n < num_nodes; ++n) {
-    if (arena->indegree[n] == 0) arena->topo.push_back(n);
-  }
-  for (size_t head = 0; head < arena->topo.size(); ++head) {
-    NodeId n = arena->topo[head];
-    for (const EdgeId* e = arena->out_edges.data() + arena->out_offsets[n];
-         e != arena->out_edges.data() + arena->out_offsets[n + 1]; ++e) {
-      if (--arena->indegree[arena->edges[*e].to] == 0) {
-        arena->topo.push_back(arena->edges[*e].to);
-      }
+  for (double sum : arena->out_mass) {
+    if (sum > 1.0 + 1e-6) {
+      mass_bound_safe_ = false;
+      break;
     }
   }
-  if (arena->topo.size() != num_nodes) {
-    return Status::Corruption("SFA graph contains a cycle");
+  // The label bytes end the blob exactly.
+  const char* labels = r.ReadBytes(chars);
+  if (labels == nullptr) return Truncated();
+  if (!r.AtEnd()) {
+    return Status::Corruption("trailing bytes after SFA blob");
   }
 
   num_nodes_ = num_nodes;
+  num_transitions_ = num_transitions;
   start_ = static_cast<NodeId>(start);
   final_ = static_cast<NodeId>(final);
+  total_label_chars_ = chars;
+  probs_ = probs;
+  labels_ = labels;
   arena_ = arena;
   return Status::OK();
 }
@@ -403,12 +515,7 @@ Result<Sfa> SfaBuilder::Build(bool require_stochastic) {
     SortTransitions(&pe.transitions);
     sfa.edges_.push_back(Edge{pe.from, pe.to, std::move(pe.transitions)});
   }
-  sfa.out_.assign(num_nodes_, {});
-  sfa.in_.assign(num_nodes_, {});
-  for (EdgeId i = 0; i < sfa.edges_.size(); ++i) {
-    sfa.out_[sfa.edges_[i].from].push_back(i);
-    sfa.in_[sfa.edges_[i].to].push_back(i);
-  }
+  sfa.IndexEdges();
   STACCATO_RETURN_NOT_OK(sfa.ComputeTopologicalOrder());
   STACCATO_RETURN_NOT_OK(sfa.Validate(require_stochastic));
   return sfa;

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <string_view>
@@ -69,7 +70,9 @@ class Sfa {
   /// Total number of labeled transitions across all edges.
   size_t NumTransitions() const;
 
-  /// Nodes in a topological order (start first, final last).
+  /// Nodes in a topological order (start first, final last): the Kahn
+  /// FIFO order for a built Sfa, the stored order for a deserialized one
+  /// (the same order, since Serialize stores it).
   const std::vector<NodeId>& TopologicalOrder() const { return topo_; }
 
   /// Position of each node in TopologicalOrder(); usable as a partial order.
@@ -102,14 +105,23 @@ class Sfa {
   /// metadata), mirroring the accounting of Table 1 in the paper.
   size_t SizeBytes() const;
 
-  /// Binary blob encoding (the FullSFA BLOB stored in the RDBMS).
+  /// Binary blob encoding (the FullSFA and Staccato BLOBs stored in the
+  /// RDBMS, and the WAL's full_sfa). Node ids, edge ids, transition order
+  /// and TopologicalOrder() round-trip exactly through Deserialize.
   std::string Serialize() const;
+  /// Decodes `blob` through SfaView and converts the view, so the format
+  /// has one parser. Returns Corruption on anything SfaView::Decode
+  /// rejects, on a blob no Sfa serializes to (two edges between one node
+  /// pair, transitions out of descending-probability order) and on a
+  /// graph that fails Validate().
   static Result<Sfa> Deserialize(const std::string& blob);
 
  private:
   friend class SfaBuilder;
 
+  void IndexEdges();  ///< fills out_ and in_ from edges_, ids ascending
   Status ComputeTopologicalOrder();
+  void IndexTopologicalOrder();
 
   size_t num_nodes_ = 0;
   NodeId start_ = kInvalidNode;
@@ -173,8 +185,9 @@ struct ViewTransition {
   double prob = 0.0;
 };
 
-/// \brief One edge as seen by SfaView: a [first, first+count) range into
-/// the arena's flat transition array.
+/// \brief One edge as seen by SfaView: a [first, first+count) range of
+/// transition indices. Transitions are numbered in edge-id order, so edge
+/// e's range starts where edge e-1's ends.
 struct ViewEdge {
   NodeId from = kInvalidNode;
   NodeId to = kInvalidNode;
@@ -188,50 +201,64 @@ struct ViewEdge {
 /// is warm — the point of the view path. One arena serves one worker; it is
 /// not synchronized.
 struct SfaViewArena {
-  std::vector<ViewEdge> edges;
-  std::vector<ViewTransition> transitions;
-  std::vector<uint32_t> out_offsets;  ///< CSR offsets, num_nodes + 1 entries
-  std::vector<EdgeId> out_edges;      ///< CSR payload, edge ids ascending
-  std::vector<NodeId> topo;           ///< Kahn order (also the work queue)
-  std::vector<uint32_t> indegree;     ///< decode scratch
-  std::vector<uint32_t> out_cursor;   ///< decode scratch
+  std::vector<ViewEdge> edges;          ///< edge-id order, as stored
+  std::vector<uint32_t> label_offsets;  ///< T + 1 prefix sums of label lengths
+  std::vector<uint32_t> out_offsets;    ///< CSR offsets, num_nodes + 1 entries
+  std::vector<EdgeId> out_edges;        ///< CSR payload, edge ids ascending
+  std::vector<NodeId> topo;             ///< the stored visit order
+  std::vector<uint32_t> rank;           ///< decode scratch: position in topo
+  std::vector<uint32_t> out_cursor;     ///< decode scratch: CSR fill cursor
+  std::vector<double> out_mass;         ///< decode scratch: Σ out-probs
 };
 
-/// \brief Flat, allocation-free decoding of a serialized SFA blob.
+/// \brief Flat, allocation-free view of a serialized SFA blob.
 ///
-/// Where Sfa::Deserialize rebuilds the full object graph (SfaBuilder,
-/// per-edge transition vectors, owned label strings, hash-map edge
-/// dedup), SfaView decodes the same wire format into flat arrays borrowed
-/// from a caller-owned SfaViewArena: labels stay string_views into the
-/// blob, edges and transitions are index ranges, and adjacency is CSR.
-/// The view borrows both the blob and the arena; both must outlive it.
+/// The blob format (docs/ARCHITECTURE.md, "SFA blob format") is laid out so
+/// the stored bytes are nearly the view: the visit order (omitted when it
+/// is the identity), the edge skeleton in edge-id order, then the
+/// transitions as three flat arrays — f64 probabilities, varint label
+/// lengths, label bytes. Decode reads O(nodes + edges) varints and makes
+/// one pass over the probabilities and label lengths; probabilities are
+/// read in place and labels stay slices of the blob. The view borrows both
+/// the blob and the arena; both must outlive it.
 ///
-/// Structural guarantees match what the DFA×SFA dynamic program needs and
-/// what Sfa::Deserialize produces for engine-written blobs: edge order is
-/// wire order, per-node out-edges ascend by edge id, transitions keep wire
-/// order (the engine serializes them already sorted), and the topological
-/// order is computed by the identical Kahn FIFO — so evaluating through a
-/// view is bit-identical to evaluating the deserialized Sfa. Validation is
-/// the subset that protects the evaluator (ids in range, non-empty labels,
-/// probabilities in (0,1], acyclicity); full path-reachability checking
-/// remains Sfa::Validate's job.
+/// The view presents the Sfa it was serialized from: the same node and
+/// edge ids, per-node out-edges ascending by edge id, transitions in
+/// stored order, and TopologicalOrder() equal to the Sfa's. So
+/// evaluating through a view is bit-identical to evaluating that Sfa, and
+/// Sfa::Deserialize is a conversion from this view. Decode validates what
+/// the evaluator relies on, on every call: ids in range, non-empty labels,
+/// probabilities in (0,1], a final node without out-edges, and acyclicity
+/// (the stored order is a permutation and every edge points forward in
+/// it). Path reachability remains Sfa::Validate's job.
 class SfaView {
  public:
   /// Decodes `blob` into `arena`'s buffers and points this view at them.
-  /// Returns Corruption on malformed input; the arena contents are
-  /// unspecified after a failure (the next Decode resets them).
+  /// Returns Corruption on malformed input, and on a blob of the retired
+  /// SFA1 format; the arena contents are unspecified after a failure (the
+  /// next Decode resets them).
   Status Decode(std::string_view blob, SfaViewArena* arena);
 
   size_t NumNodes() const { return num_nodes_; }
   size_t NumEdges() const { return arena_->edges.size(); }
-  size_t NumTransitions() const { return arena_->transitions.size(); }
+  size_t NumTransitions() const { return num_transitions_; }
   NodeId start() const { return start_; }
   NodeId final() const { return final_; }
 
   const ViewEdge& edge(EdgeId e) const { return arena_->edges[e]; }
-  const ViewTransition& transition(uint32_t t) const {
-    return arena_->transitions[t];
+  /// Probability of transition `t`, read in place from the blob.
+  double prob(uint32_t t) const {
+    double p = 0.0;
+    std::memcpy(&p, probs_ + static_cast<size_t>(t) * sizeof(double),
+                sizeof(double));
+    return p;
   }
+  /// Label of transition `t`, a slice of the blob.
+  std::string_view label(uint32_t t) const {
+    const uint32_t* off = arena_->label_offsets.data();
+    return std::string_view(labels_ + off[t], off[t + 1] - off[t]);
+  }
+  ViewTransition transition(uint32_t t) const { return {label(t), prob(t)}; }
   /// Out-edge ids of `n`, ascending — same order as Sfa::OutEdges.
   const EdgeId* out_begin(NodeId n) const {
     return arena_->out_edges.data() + arena_->out_offsets[n];
@@ -255,10 +282,13 @@ class SfaView {
 
  private:
   size_t num_nodes_ = 0;
+  size_t num_transitions_ = 0;
   NodeId start_ = kInvalidNode;
   NodeId final_ = kInvalidNode;
   uint64_t total_label_chars_ = 0;
   bool mass_bound_safe_ = false;
+  const char* probs_ = nullptr;   ///< T little-endian f64s, unaligned
+  const char* labels_ = nullptr;  ///< concatenated label bytes
   const SfaViewArena* arena_ = nullptr;
 };
 

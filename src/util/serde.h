@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "util/result.h"
@@ -85,14 +84,10 @@ class BinaryReader {
 
   Result<uint64_t> GetVarint() {
     uint64_t v = 0;
-    int shift = 0;
-    while (true) {
-      STACCATO_ASSIGN_OR_RETURN(uint8_t byte, GetU8());
-      v |= static_cast<uint64_t>(byte & 0x7F) << shift;
-      if ((byte & 0x80) == 0) return v;
-      shift += 7;
-      if (shift >= 64) return Status::Corruption("varint too long");
+    if (!ReadVarint(&v)) {
+      return Status::Corruption("truncated or overlong varint");
     }
+    return v;
   }
 
   Result<std::string> GetString() {
@@ -103,22 +98,36 @@ class BinaryReader {
     return s;
   }
 
-  /// Zero-copy flavour of GetString: the view borrows the underlying
-  /// buffer, which must outlive it (SfaView decoding relies on this to
-  /// keep labels as slices of the stored blob).
-  Result<std::string_view> GetStringView() {
-    STACCATO_ASSIGN_OR_RETURN(uint64_t n, GetVarint());
-    if (n > remaining()) return Status::Corruption("string length out of bounds");
-    std::string_view s(data_ + pos_, n);
-    pos_ += n;
-    return s;
-  }
-
   Status GetRaw(void* out, size_t n) {
     if (n > remaining()) return Status::Corruption("read past end of buffer");
     std::memcpy(out, data_ + pos_, n);
     pos_ += n;
     return Status::OK();
+  }
+
+  // Status-free reads for decoders whose per-element loops are hot
+  // (SfaView::Decode): a failure is `false` or nullptr, and the caller
+  // reports it.
+
+  /// Reads a varint; false if the buffer ends first or it exceeds ten bytes.
+  bool ReadVarint(uint64_t* v) {
+    uint64_t r = 0;
+    for (int shift = 0; shift < 64 && pos_ < size_; shift += 7) {
+      const uint8_t byte = static_cast<uint8_t>(data_[pos_++]);
+      r |= static_cast<uint64_t>(byte & 0x7F) << shift;
+      if ((byte & 0x80) == 0) {
+        *v = r;
+        return true;
+      }
+    }
+    return false;
+  }
+  /// Consumes `n` bytes and returns their start; nullptr if fewer remain.
+  const char* ReadBytes(size_t n) {
+    if (n > remaining()) return nullptr;
+    const char* p = data_ + pos_;
+    pos_ += n;
+    return p;
   }
 
   size_t remaining() const { return size_ - pos_; }

@@ -28,7 +28,9 @@
 #include "rdbms/session.h"
 #include "rdbms/staccato_db.h"
 #include "rdbms/wal.h"
+#include "util/crc32.h"
 #include "util/fault_fs.h"
+#include "util/serde.h"
 #include "util/strings.h"
 
 namespace staccato {
@@ -343,6 +345,87 @@ TEST_F(IngestTest, TornWalTailRecoversCommittedPrefix) {
   auto oracle = Oracle(recovered);
   ExpectSameDb(oracle.get(), reopened->get(), Approach::kStaccato,
                IndexMode::kNever, 4, true, patterns_);
+}
+
+// A log written before the SFA blob format changed cannot be replayed:
+// reopening fails with a Corruption that names the retired format and
+// says to reload, rather than serving a document it cannot read.
+TEST_F(IngestTest, RetiredSfaFormatInWalFailsOpen) {
+  const size_t base = total_ - 1;
+  // Loads `base` documents, then commits the last one by hand with
+  // `full_sfa` as its serialized SFA, and reopens.
+  auto reopen_with = [&](const std::string& full_sfa)
+      -> Result<std::unique_ptr<StaccatoDb>> {
+    const std::string dir = eval::MakeScratchDir("ingest_sfa_format");
+    STACCATO_RETURN_NOT_OK(OpenAt(dir)->Load(Prefix(full_, base), SmallLoad()));
+    const DocumentInput in = InputFor(full_, base);
+    WalDocRecord rec;
+    rec.seq = base;
+    rec.doc_name = in.doc_name;
+    rec.year = in.year;
+    rec.truth = in.truth;
+    rec.kmap_k = SmallLoad().kmap_k;
+    rec.staccato_m = SmallLoad().staccato.m;
+    rec.staccato_k = SmallLoad().staccato.k;
+    rec.full_sfa = full_sfa;
+    const std::string payload = EncodeWalDoc(rec);
+    WalCommitRecord commit;
+    commit.seq = base;
+    commit.payload_crc = util::Crc32(payload);
+    {
+      STACCATO_ASSIGN_OR_RETURN(
+          std::unique_ptr<WalWriter> wal,
+          WalWriter::Open(WalPath(dir), 0, WalSyncPolicy::kNever));
+      STACCATO_RETURN_NOT_OK(wal->AddRecord(payload));
+      STACCATO_RETURN_NOT_OK(wal->AddRecord(EncodeWalCommit(commit)));
+      STACCATO_RETURN_NOT_OK(wal->Commit());
+    }
+    return StaccatoDb::OpenExisting(dir);
+  };
+
+  // Control: the hand-written record replays in the current format.
+  auto current = reopen_with(full_.sfas[base].Serialize());
+  ASSERT_TRUE(current.ok()) << current.status().ToString();
+  EXPECT_EQ((*current)->NumSfas(), total_);
+
+  // The same record with its SFA in the SFA1 layout.
+  BinaryWriter sfa1;
+  sfa1.PutU32(0x53464131);  // "SFA1"
+  for (uint64_t v : {2, 0, 1, 1, 0, 1, 1}) sfa1.PutVarint(v);
+  sfa1.PutString("a");
+  sfa1.PutDouble(1.0);
+  auto retired = reopen_with(sfa1.Release());
+  ASSERT_FALSE(retired.ok());
+  EXPECT_TRUE(retired.status().IsCorruption()) << retired.status().ToString();
+  EXPECT_NE(retired.status().message().find("SFA1"), std::string::npos)
+      << retired.status().ToString();
+  EXPECT_NE(retired.status().message().find("reload"), std::string::npos)
+      << retired.status().ToString();
+}
+
+// A directory written before the SFA blob format changed carries the
+// retired STACMET1 meta magic. OpenExisting refuses it up front, naming
+// the format and saying to reload, so no query, index build or
+// Checkpoint ever meets an SFA1 blob.
+TEST_F(IngestTest, RetiredMetaFormatFailsOpen) {
+  const std::string dir = eval::MakeScratchDir("ingest_meta_format");
+  ASSERT_TRUE(OpenAt(dir)->Load(Prefix(full_, 2), SmallLoad()).ok());
+  auto current = StaccatoDb::OpenExisting(dir);
+  ASSERT_TRUE(current.ok()) << current.status().ToString();
+  current->reset();
+
+  // The older build wrote the same meta layout under the old magic.
+  FILE* f = fopen((dir + "/staccato.meta").c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(fwrite("STACMET1", 1, 8, f), 8u);
+  ASSERT_EQ(fclose(f), 0);
+  auto retired = StaccatoDb::OpenExisting(dir);
+  ASSERT_FALSE(retired.ok());
+  EXPECT_TRUE(retired.status().IsCorruption()) << retired.status().ToString();
+  EXPECT_NE(retired.status().message().find("SFA1"), std::string::npos)
+      << retired.status().ToString();
+  EXPECT_NE(retired.status().message().find("reload"), std::string::npos)
+      << retired.status().ToString();
 }
 
 // The sync policy changes durability, never answers.

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <thread>
@@ -239,6 +240,26 @@ TEST_F(ShardTest, AppendCheckpointInterleavingsMatchBulkLoad) {
   ASSERT_TRUE(truth_want.ok());
   ASSERT_TRUE(truth_got.ok());
   EXPECT_EQ(*truth_want, *truth_got);
+}
+
+// One shard written in the retired SFA1 blob format fails the whole
+// reopen with that shard's Corruption.
+TEST_F(ShardTest, ReopenRejectsRetiredSfaFormatShard) {
+  const std::string dir = eval::MakeScratchDir("shard_meta_format");
+  {
+    auto db = ShardedDb::Open(dir, ShardConfig{2, cache::CacheConfig()});
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    ASSERT_TRUE((*db)->Load(*dataset_, SmallLoad()).ok());
+  }
+  FILE* f = fopen((ShardDirName(dir, 1) + "/staccato.meta").c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(fwrite("STACMET1", 1, 8, f), 8u);  // the retired meta magic
+  ASSERT_EQ(fclose(f), 0);
+  auto db = ShardedDb::OpenExisting(dir);
+  ASSERT_FALSE(db.ok());
+  EXPECT_TRUE(db.status().IsCorruption()) << db.status().ToString();
+  EXPECT_NE(db.status().message().find("SFA1"), std::string::npos)
+      << db.status().ToString();
 }
 
 TEST_F(ShardTest, ReopenReplaysEveryShardWal) {
