@@ -1,91 +1,80 @@
 #include "automata/dfa.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <array>
+#include <unordered_set>
+
+#include "automata/nfa.h"
+#include "util/strings.h"
 
 namespace staccato {
 
 namespace {
 
-// Thompson-style NFA with CharSet-labeled and epsilon transitions.
-struct Nfa {
-  struct Trans {
-    CharSet on;
-    int to;
-  };
-  std::vector<std::vector<Trans>> trans;
-  std::vector<std::vector<int>> eps;
-  int start = 0;
-  int accept = 0;
+/// Sets of NFA states as fixed-width bitsets, `words` uint64 words each,
+/// stored back to back in one vector.
+struct BitRows {
+  size_t words = 0;
+  std::vector<uint64_t> bits;
 
-  int AddState() {
-    trans.emplace_back();
-    eps.emplace_back();
-    return static_cast<int>(trans.size()) - 1;
-  }
-  void AddEps(int from, int to) { eps[from].push_back(to); }
-  void AddTrans(int from, const CharSet& on, int to) {
-    trans[from].push_back({on, to});
-  }
+  uint64_t* row(size_t i) { return bits.data() + i * words; }
+  const uint64_t* row(size_t i) const { return bits.data() + i * words; }
 };
 
-struct Fragment {
-  int in;
-  int out;
-};
-
-Fragment BuildFragment(Nfa* nfa, const PatternNode& node) {
-  switch (node.kind) {
-    case PatternNode::Kind::kChar: {
-      int a = nfa->AddState();
-      int b = nfa->AddState();
-      nfa->AddTrans(a, node.chars, b);
-      return {a, b};
-    }
-    case PatternNode::Kind::kSeq: {
-      int a = nfa->AddState();
-      int cur = a;
-      for (const auto& child : node.children) {
-        Fragment f = BuildFragment(nfa, *child);
-        nfa->AddEps(cur, f.in);
-        cur = f.out;
-      }
-      return {a, cur};
-    }
-    case PatternNode::Kind::kAlt: {
-      int a = nfa->AddState();
-      int b = nfa->AddState();
-      for (const auto& child : node.children) {
-        Fragment f = BuildFragment(nfa, *child);
-        nfa->AddEps(a, f.in);
-        nfa->AddEps(f.out, b);
-      }
-      return {a, b};
-    }
-    case PatternNode::Kind::kStar: {
-      int a = nfa->AddState();
-      int b = nfa->AddState();
-      Fragment f = BuildFragment(nfa, *node.children[0]);
-      nfa->AddEps(a, f.in);
-      nfa->AddEps(f.out, b);
-      nfa->AddEps(a, b);       // zero repetitions
-      nfa->AddEps(f.out, f.in);  // loop
-      return {a, b};
-    }
-  }
-  return {0, 0};
+inline bool TestBit(const uint64_t* row, int s) {
+  return (row[s >> 6] >> (s & 63)) & 1;
+}
+inline void SetBit(uint64_t* row, int s) {
+  row[s >> 6] |= uint64_t{1} << (s & 63);
 }
 
-void EpsClosure(const Nfa& nfa, std::set<int>* states) {
-  std::vector<int> stack(states->begin(), states->end());
-  while (!stack.empty()) {
-    int s = stack.back();
-    stack.pop_back();
-    for (int t : nfa.eps[s]) {
-      if (states->insert(t).second) stack.push_back(t);
+/// Row i is the ε-closure of NFA state i.
+BitRows EpsClosures(const Nfa& nfa, size_t words) {
+  const int n = nfa.NumStates();
+  BitRows closure{words, std::vector<uint64_t>(static_cast<size_t>(n) * words)};
+  std::vector<int> stack;
+  for (int s = 0; s < n; ++s) {
+    uint64_t* row = closure.row(static_cast<size_t>(s));
+    SetBit(row, s);
+    stack.assign(1, s);
+    while (!stack.empty()) {
+      const int u = stack.back();
+      stack.pop_back();
+      for (int v : nfa.eps[u]) {
+        if (!TestBit(row, v)) {
+          SetBit(row, v);
+          stack.push_back(v);
+        }
+      }
     }
   }
+  return closure;
+}
+
+/// Partitions the alphabet into classes of characters that every NFA
+/// transition treats alike: `class_of[ci]` is character ci's class, and
+/// classes are numbered in order of their smallest character. Returns the
+/// class count.
+int CharClasses(const Nfa& nfa, std::array<int, kAlphabetSize>* class_of) {
+  class_of->fill(0);
+  int num_classes = 1;
+  std::array<int, 2 * kAlphabetSize> split{};
+  for (const auto& out : nfa.trans) {
+    for (const Nfa::Trans& t : out) {
+      if (t.on.Count() == static_cast<size_t>(kAlphabetSize)) continue;
+      // Refine every class by membership in t.on, renumbering in order of
+      // first appearance so the numbering stays by smallest character.
+      split.fill(-1);
+      int next = 0;
+      for (int ci = 0; ci < kAlphabetSize; ++ci) {
+        int& id = split[2 * (*class_of)[ci] + (t.on.TestIndex(ci) ? 1 : 0)];
+        if (id < 0) id = next++;
+        (*class_of)[ci] = id;
+      }
+      num_classes = next;
+    }
+  }
+  return num_classes;
 }
 
 }  // namespace
@@ -97,71 +86,128 @@ Result<Dfa> Dfa::Compile(const std::string& pattern_text, MatchMode mode) {
 }
 
 Result<Dfa> Dfa::Compile(const Pattern& pattern, MatchMode mode) {
-  Nfa nfa;
-  Fragment body = BuildFragment(&nfa, pattern.root());
-  nfa.start = nfa.AddState();
-  nfa.accept = nfa.AddState();
-  nfa.AddEps(nfa.start, body.in);
-  nfa.AddEps(body.out, nfa.accept);
-  if (mode == MatchMode::kContains) {
-    // Σ* on both sides; the accept state is absorbing.
-    nfa.AddTrans(nfa.start, CharSet::Any(), nfa.start);
-    nfa.AddTrans(nfa.accept, CharSet::Any(), nfa.accept);
+  const Nfa nfa = BuildNfa(pattern, mode);
+  const int n = nfa.NumStates();
+  if (n > kMaxNfaStates) {
+    return Status::InvalidArgument(StringPrintf(
+        "pattern too large: its NFA has %d states (limit %d)", n,
+        kMaxNfaStates));
   }
+  const size_t words = (static_cast<size_t>(n) + 63) / 64;
+  const BitRows closure = EpsClosures(nfa, words);
 
-  // Subset construction.
-  Dfa dfa;
-  dfa.mode_ = mode;
-  std::map<std::set<int>, DfaState> ids;
-  std::vector<std::set<int>> subsets;
-
-  std::set<int> start_set{nfa.start};
-  EpsClosure(nfa, &start_set);
-  ids[start_set] = 0;
-  subsets.push_back(start_set);
-  dfa.start_ = 0;
-
-  for (size_t cur = 0; cur < subsets.size(); ++cur) {
-    // Snapshot: subsets may reallocate as we append.
-    std::set<int> state_set = subsets[cur];
-    bool accept = state_set.count(nfa.accept) > 0;
-    if (dfa.accept_.size() <= cur) dfa.accept_.resize(cur + 1, 0);
-    dfa.accept_[cur] = accept ? 1 : 0;
-    dfa.table_.resize(subsets.size() * kAlphabetSize, kDfaDead);
-
-    for (int ci = 0; ci < kAlphabetSize; ++ci) {
-      char c = IndexChar(ci);
-      std::set<int> next;
-      for (int s : state_set) {
-        for (const auto& t : nfa.trans[s]) {
-          if (t.on.Test(c)) next.insert(t.to);
-        }
-      }
-      if (next.empty()) continue;
-      EpsClosure(nfa, &next);
-      auto [it, inserted] = ids.emplace(std::move(next), static_cast<DfaState>(subsets.size()));
-      if (inserted) {
-        subsets.push_back(it->first);
-        dfa.table_.resize(subsets.size() * kAlphabetSize, kDfaDead);
-        dfa.accept_.resize(subsets.size(), 0);
-      }
-      dfa.table_[cur * kAlphabetSize + ci] = it->second;
+  std::array<int, kAlphabetSize> class_of{};
+  const int num_classes = CharClasses(nfa, &class_of);
+  // Per class: its smallest character (which stands for the whole class)
+  // and the NFA states with a transition on it.
+  std::vector<int> rep(static_cast<size_t>(num_classes), -1);
+  for (int ci = 0; ci < kAlphabetSize; ++ci) {
+    if (rep[static_cast<size_t>(class_of[ci])] < 0) {
+      rep[static_cast<size_t>(class_of[ci])] = ci;
     }
   }
-  dfa.accept_.resize(subsets.size(), 0);
-  for (size_t i = 0; i < subsets.size(); ++i) {
-    dfa.accept_[i] = subsets[i].count(nfa.accept) ? 1 : 0;
+  BitRows moves{words, std::vector<uint64_t>(
+                           static_cast<size_t>(num_classes) * words)};
+  for (int s = 0; s < n; ++s) {
+    for (const Nfa::Trans& t : nfa.trans[s]) {
+      for (int k = 0; k < num_classes; ++k) {
+        if (t.on.TestIndex(rep[static_cast<size_t>(k)])) {
+          SetBit(moves.row(static_cast<size_t>(k)), s);
+        }
+      }
+    }
   }
-  dfa.table_.resize(subsets.size() * kAlphabetSize, kDfaDead);
+
+  // Subset construction. State i's subset is row i of `subsets`; the hash
+  // set maps a subset to its id by hashing and comparing rows. A candidate
+  // successor is appended as the next row and dropped again if it already
+  // exists.
+  BitRows subsets{words, {}};
+  auto row_hash = [&subsets](DfaState id) {
+    const uint64_t* r = subsets.row(static_cast<size_t>(id));
+    uint64_t h = 0x9e3779b97f4a7c15ull;
+    for (size_t w = 0; w < subsets.words; ++w) {
+      h = (h ^ r[w]) * 0xff51afd7ed558ccdull;
+      h ^= h >> 32;
+    }
+    return static_cast<size_t>(h);
+  };
+  auto row_eq = [&subsets](DfaState a, DfaState b) {
+    return std::equal(subsets.row(static_cast<size_t>(a)),
+                      subsets.row(static_cast<size_t>(a)) + subsets.words,
+                      subsets.row(static_cast<size_t>(b)));
+  };
+  std::unordered_set<DfaState, decltype(row_hash), decltype(row_eq)> ids(
+      64, row_hash, row_eq);
+
+  subsets.bits.assign(closure.row(static_cast<size_t>(nfa.start)),
+                      closure.row(static_cast<size_t>(nfa.start)) + words);
+  ids.insert(0);
+  DfaState num_states = 1;
+
+  Dfa dfa;
+  dfa.mode_ = mode;
+  dfa.start_ = 0;
+  std::vector<DfaState> succ(static_cast<size_t>(num_classes));
+  for (DfaState cur = 0; cur < num_states; ++cur) {
+    // Classes in order of their smallest character: the per-character
+    // construction meets each new subset first at that character, so new
+    // states get the same ids.
+    for (int k = 0; k < num_classes; ++k) {
+      subsets.bits.resize(subsets.bits.size() + words, 0);
+      uint64_t* next = subsets.row(static_cast<size_t>(num_states));
+      const uint64_t* from = subsets.row(static_cast<size_t>(cur));
+      const uint64_t* on = moves.row(static_cast<size_t>(k));
+      const char c = IndexChar(rep[static_cast<size_t>(k)]);
+      bool empty = true;
+      for (size_t w = 0; w < words; ++w) {
+        for (uint64_t m = from[w] & on[w]; m != 0; m &= m - 1) {
+          const int s = static_cast<int>(w * 64) + __builtin_ctzll(m);
+          for (const Nfa::Trans& t : nfa.trans[s]) {
+            // A target already in `next` brought its closure along.
+            if (!t.on.Test(c) || TestBit(next, t.to)) continue;
+            const uint64_t* cl = closure.row(static_cast<size_t>(t.to));
+            for (size_t x = 0; x < words; ++x) next[x] |= cl[x];
+            empty = false;
+          }
+        }
+      }
+      if (empty) {
+        subsets.bits.resize(subsets.bits.size() - words);
+        succ[static_cast<size_t>(k)] = kDfaDead;
+        continue;
+      }
+      auto [it, inserted] = ids.insert(num_states);
+      if (inserted) {
+        if (num_states == kMaxDfaStates) {
+          return Status::InvalidArgument(StringPrintf(
+              "pattern too complex: its DFA exceeds %d states",
+              kMaxDfaStates));
+        }
+        ++num_states;
+      } else {
+        subsets.bits.resize(subsets.bits.size() - words);
+      }
+      succ[static_cast<size_t>(k)] = *it;
+    }
+    for (int ci = 0; ci < kAlphabetSize; ++ci) {
+      dfa.table_.push_back(succ[static_cast<size_t>(class_of[ci])]);
+    }
+  }
+  dfa.accept_.resize(static_cast<size_t>(num_states));
+  for (DfaState i = 0; i < num_states; ++i) {
+    dfa.accept_[static_cast<size_t>(i)] =
+        TestBit(subsets.row(static_cast<size_t>(i)), nfa.accept) ? 1 : 0;
+  }
   return dfa;
 }
 
-bool Dfa::Matches(const std::string& s) const {
+bool Dfa::Matches(std::string_view s) const {
   DfaState st = Step(start_, s);
   return IsAccept(st);
 }
 
-DfaState Dfa::Step(DfaState from, const std::string& s) const {
+DfaState Dfa::Step(DfaState from, std::string_view s) const {
   DfaState st = from;
   for (char c : s) {
     if (st == kDfaDead) return kDfaDead;

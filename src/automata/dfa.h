@@ -7,10 +7,17 @@
 //               pattern match; this implements `LIKE '%pat%'`. Accepting
 //               states are absorbing, which is what makes the probabilistic
 //               DP over SFAs compute Pr[q] correctly.
+//
+// Compile runs the subset construction over character classes (the
+// characters every NFA transition treats alike) with bitset subsets, and
+// discovers states in the same order as the textbook per-character
+// construction, so the numbering and the transition table equal that
+// construction's (tests/dfa_oracle_test.cc keeps it as the reference).
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "automata/pattern.h"
@@ -25,6 +32,16 @@ enum class MatchMode {
   kExact,
   kContains,
 };
+
+/// Compile rejects (InvalidArgument) a pattern whose Thompson NFA exceeds
+/// kMaxNfaStates — the per-state ε-closure bitsets take O(states²/64)
+/// words — or whose DFA would exceed kMaxDfaStates; the subset
+/// construction is exponential in the worst case (`a\x^n` in contains
+/// mode needs 3·2^n states). A literal of n characters needs 2n+3 NFA
+/// states and at most about 2n DFA states, so literals up to 2,046
+/// characters compile.
+inline constexpr int kMaxNfaStates = 4096;
+inline constexpr int kMaxDfaStates = 16384;
 
 /// \brief Table-driven DFA over the printable-ASCII alphabet.
 class Dfa {
@@ -44,11 +61,11 @@ class Dfa {
   }
 
   /// Runs the DFA over a whole string from the start state.
-  bool Matches(const std::string& s) const;
+  bool Matches(std::string_view s) const;
 
   /// Steps through each character of `s` from state `from`; returns the
   /// resulting state (possibly kDfaDead).
-  DfaState Step(DfaState from, const std::string& s) const;
+  DfaState Step(DfaState from, std::string_view s) const;
 
   MatchMode mode() const { return mode_; }
 

@@ -52,7 +52,12 @@ class Parser {
     if (AtEnd()) return Status::InvalidArgument("pattern ends unexpectedly");
     char c = Peek();
     if (c == '(') {
+      if (depth_ == kMaxGroupDepth) {
+        return Status::InvalidArgument(StringPrintf(
+            "groups nest deeper than %d at offset %zu", kMaxGroupDepth, pos_));
+      }
       ++pos_;
+      ++depth_;
       auto alt = std::make_unique<PatternNode>();
       alt->kind = PatternNode::Kind::kAlt;
       while (true) {
@@ -66,6 +71,7 @@ class Parser {
         }
         if (Peek() == ')') {
           ++pos_;
+          --depth_;
           break;
         }
         return Status::InvalidArgument("malformed group");
@@ -111,6 +117,7 @@ class Parser {
 
   const std::string& text_;
   size_t pos_ = 0;
+  int depth_ = 0;  ///< groups open at pos_
 };
 
 // A node is literal if it is a kSeq of single-character kChar nodes.

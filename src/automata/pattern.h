@@ -62,6 +62,11 @@ struct PatternNode {
   std::vector<std::unique_ptr<PatternNode>> children; // kSeq / kAlt / kStar(1)
 };
 
+/// Parse rejects (InvalidArgument) groups nested deeper than this: the
+/// parser, the NFA builder and the AST's destructor all recurse once per
+/// level. Every query the paper uses nests at most one group deep.
+inline constexpr int kMaxGroupDepth = 64;
+
 /// \brief A parsed query pattern.
 ///
 /// Grammar (whitespace significant):
@@ -69,7 +74,8 @@ struct PatternNode {
 ///   seq     := item*
 ///   item    := atom '*'?
 ///   atom    := literal | '\d' | '\x' | '\\' | '(' seq ('|' seq)* ')'
-/// Literals are any printable character except `( ) | * \`.
+/// Literals are any printable character except `( ) | * \`. Groups nest
+/// at most kMaxGroupDepth deep.
 class Pattern {
  public:
   static Result<Pattern> Parse(const std::string& text);

@@ -102,9 +102,9 @@ Result<HeapTable::Frame*> HeapTable::FetchPage(uint32_t page_no) {
   ++io_.page_reads;
   auto it = pool_.find(page_no);
   if (it != pool_.end()) {
-    lru_.erase(it->second.lru_it);
-    lru_.push_front(page_no);
-    it->second.lru_it = lru_.begin();
+    // Relink the frame's LRU node at the front: a pool hit allocates
+    // nothing, so a warm scan's allocations do not grow with its pages.
+    lru_.splice(lru_.begin(), lru_, it->second.lru_it);
     return &it->second;
   }
   while (pool_.size() >= pool_cap_) {
@@ -182,19 +182,32 @@ Result<Tuple> HeapTable::Get(RecordId rid) {
   return schema_.DecodeTuple(&r);
 }
 
-Status HeapTable::Scan(const std::function<bool(RecordId, const Tuple&)>& fn) {
+Status HeapTable::ScanRecords(
+    const std::function<bool(RecordId, std::string_view)>& fn) {
   util::MutexLock lock(&latch_);
   for (uint32_t p = 0; p < num_pages_; ++p) {
     STACCATO_ASSIGN_OR_RETURN(Frame * frame, FetchPage(p));
     uint16_t slots = frame->page.NumSlots();
     for (uint16_t s = 0; s < slots; ++s) {
       STACCATO_ASSIGN_OR_RETURN(std::string_view rec, frame->page.Get(s));
-      BinaryReader r(rec.data(), rec.size());
-      STACCATO_ASSIGN_OR_RETURN(Tuple t, schema_.DecodeTuple(&r));
-      if (!fn(RecordId{p, s}, t)) return Status::OK();
+      if (!fn(RecordId{p, s}, rec)) return Status::OK();
     }
   }
   return Status::OK();
+}
+
+Status HeapTable::Scan(const std::function<bool(RecordId, const Tuple&)>& fn) {
+  Status decode_status;
+  STACCATO_RETURN_NOT_OK(ScanRecords([&](RecordId rid, std::string_view rec) {
+    BinaryReader r(rec.data(), rec.size());
+    Result<Tuple> t = schema_.DecodeTuple(&r);
+    if (!t.ok()) {
+      decode_status = t.status();
+      return false;
+    }
+    return fn(rid, *t);
+  }));
+  return decode_status;
 }
 
 Status HeapTable::Flush() {

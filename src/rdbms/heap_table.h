@@ -7,10 +7,11 @@
 // shared thread pool. Reads serialize briefly on the latch (even Get
 // mutates the buffer pool's LRU state, so a shared lock cannot cover it);
 // the expensive parts of a parallel fetch — blob I/O and deserialization —
-// happen outside any table. Scan holds the latch for its whole pass, so
-// the callback must not re-enter the same table. Compound operations that
-// replace table handles wholesale (StaccatoDb::Load / BuildInvertedIndex)
-// require external exclusion: no concurrent queries while they run.
+// happen outside any table. A scan (ScanRecords, or Scan over it) holds
+// the latch for its whole pass, so the callback must not re-enter the
+// same table. Compound operations that replace table handles wholesale
+// (StaccatoDb::Load / BuildInvertedIndex) require external exclusion: no
+// concurrent queries while they run.
 // io_stats() snapshots the table's lifetime counters under the latch; the
 // executor counts a query's own page reads from the pages its scans visit.
 #pragma once
@@ -20,6 +21,7 @@
 #include <list>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "cache/buffer_cache.h"
@@ -63,7 +65,16 @@ class HeapTable {
 
   Result<Tuple> Get(RecordId rid);
 
-  /// Full filescan in storage order. The callback returns false to stop.
+  /// Full filescan in storage order over the stored record bytes, which
+  /// the callback may read only while it runs. The callback returns false
+  /// to stop. Readers that know a table's row layout (kmap_row.h) decode
+  /// rows in place instead of building Tuples.
+  Status ScanRecords(
+      const std::function<bool(RecordId, std::string_view)>& fn);
+
+  /// Full filescan in storage order, decoding each record into a Tuple; a
+  /// record that does not decode fails the scan. The callback returns
+  /// false to stop.
   Status Scan(const std::function<bool(RecordId, const Tuple&)>& fn);
 
   /// Flushes dirty pages to disk.

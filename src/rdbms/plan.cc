@@ -10,6 +10,7 @@
 #include "automata/pattern.h"
 #include "indexing/projection.h"
 #include "inference/query_eval.h"
+#include "rdbms/kmap_row.h"
 #include "rdbms/service.h"
 #include "telemetry/clock.h"
 #include "util/parallel.h"
@@ -452,18 +453,20 @@ Result<const std::vector<char>*> EqualityBitmap(const PlanContext& ctx,
 
 /// One kMAPData row applied to its doc's match mass: a row the filter
 /// drops, a non-rank-0 row under MAP, or a non-matching string adds
-/// nothing. The single scoring rule shared by the kMAPData scan and the
-/// delta documents. The caller guarantees `key < prob->size()`.
+/// nothing, and the first two never touch the string. The single scoring
+/// rule shared by the kMAPData scan and the delta documents. The caller
+/// guarantees `row.key` indexes `prob`.
 void AccumulateKMapRow(const PlanSpec& plan, const Dfa& dfa,
-                       const std::vector<char>& allowed, const Tuple& t,
-                       size_t key, std::vector<double>* prob) {
+                       const std::vector<char>& allowed, const KMapRow& row,
+                       std::vector<double>* prob) {
+  const size_t key = static_cast<size_t>(row.key);
   if (!plan.equalities.empty() &&
       (key >= allowed.size() || !allowed[key])) {
     return;
   }
-  if (plan.map_only && t[1].AsInt() != 0) return;
-  if (!dfa.Matches(t[2].AsString())) return;
-  (*prob)[key] += std::exp(t[3].AsDouble());
+  if (plan.map_only && row.rank != 0) return;
+  if (!dfa.Matches(row.data)) return;
+  (*prob)[key] += std::exp(row.log_prob);
 }
 
 /// Delta documents' k-map rows, applied after the kMAPData scan through
@@ -478,11 +481,11 @@ void AccumulateDeltaKMap(const PlanContext& ctx, const PlanSpec& plan,
     const size_t key = ctx.delta.base_docs + i;
     if (key >= prob->size()) continue;
     for (size_t r = 0; r < d.kmap.size(); ++r) {
-      const Tuple row{Value::Int(static_cast<int64_t>(key)),
-                      Value::Int(static_cast<int64_t>(r)),
-                      Value::String(d.kmap[r].str),
-                      Value::Double(d.kmap[r].log_prob)};
-      AccumulateKMapRow(plan, dfa, allowed, row, key, prob);
+      AccumulateKMapRow(plan, dfa, allowed,
+                        KMapRow{static_cast<int64_t>(key),
+                                static_cast<int64_t>(r), d.kmap[r].str,
+                                d.kmap[r].log_prob},
+                        prob);
     }
   }
 }
@@ -515,10 +518,12 @@ void ResetStaleCache(PlanCache* cache, const PlanContext& ctx) {
   }
 }
 
-/// Strings Eval: one serial pass over kMAPData accumulating per-doc match
-/// mass, then the delta documents; returns the unranked answers. kMAPData
-/// stores keys in ascending order, so a budget cut mid-scan degrades to a
-/// clean doc prefix.
+/// Strings Eval: one serial pass over kMAPData's record bytes accumulating
+/// per-doc match mass, then the delta documents; returns the unranked
+/// answers. Every row's framing is checked (a corrupt row fails the query
+/// even if the filter drops its document), but no row is copied: the DFA
+/// runs over the string in the page. kMAPData stores keys in ascending
+/// order, so a budget cut mid-scan degrades to a clean doc prefix.
 Result<std::vector<Answer>> ExecuteStrings(const PlanContext& ctx,
                                            const PlanSpec& plan,
                                            const Dfa& dfa,
@@ -530,25 +535,32 @@ Result<std::vector<Answer>> ExecuteStrings(const PlanContext& ctx,
   const uint64_t scan_start_ns = telemetry::MonotonicNanos();
   uint64_t pages = ctx.kmap->NumPages();  // a full pass visits every page
   size_t cut_key = SIZE_MAX;  // first doc key NOT fully folded before a cut
-  Status ctl_status = Status::OK();
+  // Why the scan stopped early: a corrupt row or a failed control poll.
+  Status scan_status = Status::OK();
   size_t rows_seen = 0;
-  STACCATO_RETURN_NOT_OK(ctx.kmap->Scan([&](RecordId rid, const Tuple& t) {
-    size_t key = static_cast<size_t>(t[0].AsInt());
-    if (ctx.control != nullptr && (rows_seen++ & 255) == 0) {
-      bool cut_now = false;
-      ctl_status = PollControl(ctx.control, &cut_now);
-      if (!ctl_status.ok() || cut_now) {
-        cut_key = key;
-        pages = rid.page + 1;
-        return false;  // stop the scan at this row
-      }
-    }
-    if (key < prob.size()) {  // skip rows beyond the loaded cardinality
-      AccumulateKMapRow(plan, dfa, allowed, t, key, &prob);
-    }
-    return true;
-  }));
-  STACCATO_RETURN_NOT_OK(ctl_status);
+  STACCATO_RETURN_NOT_OK(
+      ctx.kmap->ScanRecords([&](RecordId rid, std::string_view rec) {
+        Result<KMapRow> row = DecodeKMapRow(rec);
+        if (!row.ok()) {
+          scan_status = row.status();
+          return false;
+        }
+        const size_t key = static_cast<size_t>(row->key);
+        if (ctx.control != nullptr && (rows_seen++ & 255) == 0) {
+          bool cut_now = false;
+          scan_status = PollControl(ctx.control, &cut_now);
+          if (!scan_status.ok() || cut_now) {
+            cut_key = key;
+            pages = rid.page + 1;
+            return false;  // stop the scan at this row
+          }
+        }
+        if (key < prob.size()) {  // skip rows beyond the loaded cardinality
+          AccumulateKMapRow(plan, dfa, allowed, *row, &prob);
+        }
+        return true;
+      }));
+  STACCATO_RETURN_NOT_OK(scan_status);
   if (cut_key != SIZE_MAX) {
     // Degraded: keep the fully folded doc prefix [0, cut_key). The doc the
     // cut interrupted has only a lower bound of its mass, so it leaves the

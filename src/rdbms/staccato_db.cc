@@ -10,6 +10,7 @@
 #include "automata/dfa.h"
 #include "indexing/index_builder.h"
 #include "inference/kbest.h"
+#include "rdbms/kmap_row.h"
 #include "rdbms/session.h"
 #include "telemetry/clock.h"
 #include "telemetry/metrics_registry.h"
@@ -36,12 +37,6 @@ Schema MasterSchema() {
 }
 Schema TruthSchema() {
   return Schema({{"DataKey", ValueType::kInt}, {"Data", ValueType::kString}});
-}
-Schema KMapSchema() {
-  return Schema({{"DataKey", ValueType::kInt},
-                 {"LineNum", ValueType::kInt},  // rank of the path
-                 {"Data", ValueType::kString},
-                 {"LogProb", ValueType::kDouble}});
 }
 Schema FullSfaSchema() {
   return Schema({{"DataKey", ValueType::kInt}, {"SFABlob", ValueType::kBlobId}});
@@ -535,9 +530,8 @@ Status StaccatoDb::CheckpointLocked() {
     for (size_t r = 0; r < d.kmap.size(); ++r) {
       STACCATO_RETURN_NOT_OK(
           nkmap
-              ->Insert({Value::Int(key), Value::Int(static_cast<int64_t>(r)),
-                        Value::String(d.kmap[r].str),
-                        Value::Double(d.kmap[r].log_prob)})
+              ->Insert(KMapTuple(key, static_cast<int64_t>(r), d.kmap[r].str,
+                                 d.kmap[r].log_prob))
               .status());
     }
     STACCATO_ASSIGN_OR_RETURN(BlobId fid, nblobs->Put(d.full_blob));
@@ -754,12 +748,11 @@ Status StaccatoDb::Load(const OcrDataset& dataset, const LoadOptions& opts) {
     // k-MAP rows (rank 0 is the MAP transcription).
     std::vector<ScoredString> top = KBestStrings(dataset.sfas[i], opts.kmap_k);
     for (size_t r = 0; r < top.size(); ++r) {
-      STACCATO_RETURN_NOT_OK(kmap_
-                                 ->Insert({Value::Int(key),
-                                           Value::Int(static_cast<int64_t>(r)),
-                                           Value::String(top[r].str),
-                                           Value::Double(std::log(top[r].prob))})
-                                 .status());
+      STACCATO_RETURN_NOT_OK(
+          kmap_
+              ->Insert(KMapTuple(key, static_cast<int64_t>(r), top[r].str,
+                                 std::log(top[r].prob)))
+              .status());
     }
 
     // FullSFA blob.

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <chrono>
 #include <map>
 #include <string>
 #include <vector>
@@ -159,6 +160,56 @@ TEST(SessionTest, EqualityPredicateFiltersCandidates) {
                               "D LIKE '%x%'")
                   .status()
                   .IsInvalidArgument());
+}
+
+// PrepareSql runs before admission control, so one LIKE pattern must not
+// be able to crash the process or compile for seconds: deep group nesting
+// and exponential DFAs fail fast with InvalidArgument (dfa_oracle_test
+// pins each limit exactly).
+TEST(SessionTest, PrepareSqlRejectsPatternsPastTheLimits) {
+  auto wb = Workbench::Create(SmallSpec());
+  ASSERT_TRUE(wb.ok()) << wb.status().ToString();
+  Session session(&(*wb)->db());
+  auto nested = [](size_t depth) {
+    return std::string(depth, '(') + "a" + std::string(depth, ')');
+  };
+  auto a_then_any = [](size_t n) {
+    std::string p = "a";
+    for (size_t i = 0; i < n; ++i) p += "\\x";
+    return p;
+  };
+  struct Case {
+    std::string name;
+    std::string pattern;
+    bool ok;
+  };
+  const std::vector<Case> cases = {
+      {"64 nested groups", nested(64), true},
+      {"65 nested groups", nested(65), false},
+      {"100,000 nested groups", nested(100000), false},
+      {"1,000,000 nested groups", nested(1000000), false},
+      {"a\\x^12 (12,288 states)", a_then_any(12), true},
+      {"a\\x^13 (24,576 states)", a_then_any(13), false},
+      {"a\\x^20 (3.1 million states)", a_then_any(20), false},
+  };
+  for (const Case& c : cases) {
+    for (Approach a : {Approach::kMap, Approach::kStaccato}) {
+      const auto start = std::chrono::steady_clock::now();
+      auto pq = session.PrepareSql(
+          a, "SELECT * FROM Docs WHERE DocData LIKE '%" + c.pattern + "%'");
+      const double ms = std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+      if (c.ok) {
+        EXPECT_TRUE(pq.ok()) << c.name << ": " << pq.status().ToString();
+        continue;
+      }
+      ASSERT_FALSE(pq.ok()) << c.name;
+      EXPECT_TRUE(pq.status().IsInvalidArgument())
+          << c.name << ": " << pq.status().ToString();
+      EXPECT_LT(ms, 1000.0) << c.name;
+    }
+  }
 }
 
 TEST(SessionTest, PaperExampleSqlExecutesEndToEnd) {
