@@ -148,6 +148,13 @@ Result<Dfa> Dfa::Compile(const Pattern& pattern, MatchMode mode) {
   Dfa dfa;
   dfa.mode_ = mode;
   dfa.start_ = 0;
+  // The alphabet's classes, then the dead class every other byte maps to.
+  dfa.num_classes_ = static_cast<uint32_t>(num_classes) + 1;
+  dfa.class_of_.fill(static_cast<uint8_t>(num_classes));
+  for (int ci = 0; ci < kAlphabetSize; ++ci) {
+    dfa.class_of_[static_cast<uint8_t>(IndexChar(ci))] =
+        static_cast<uint8_t>(class_of[ci]);
+  }
   std::vector<DfaState> succ(static_cast<size_t>(num_classes));
   for (DfaState cur = 0; cur < num_states; ++cur) {
     // Classes in order of their smallest character: the per-character
@@ -190,9 +197,8 @@ Result<Dfa> Dfa::Compile(const Pattern& pattern, MatchMode mode) {
       }
       succ[static_cast<size_t>(k)] = *it;
     }
-    for (int ci = 0; ci < kAlphabetSize; ++ci) {
-      dfa.table_.push_back(succ[static_cast<size_t>(class_of[ci])]);
-    }
+    dfa.table_.insert(dfa.table_.end(), succ.begin(), succ.end());
+    dfa.table_.push_back(kDfaDead);
   }
   dfa.accept_.resize(static_cast<size_t>(num_states));
   for (DfaState i = 0; i < num_states; ++i) {

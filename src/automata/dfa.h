@@ -13,8 +13,11 @@
 // discovers states in the same order as the textbook per-character
 // construction, so the numbering and the transition table equal that
 // construction's (tests/dfa_oracle_test.cc keeps it as the reference).
+// The Dfa keeps those classes: a byte-to-class map over all 256 byte
+// values and one successor row per state with a column per class.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -44,6 +47,12 @@ inline constexpr int kMaxNfaStates = 4096;
 inline constexpr int kMaxDfaStates = 16384;
 
 /// \brief Table-driven DFA over the printable-ASCII alphabet.
+///
+/// A step is two loads: the byte's character class, then the successor
+/// table entry for (state, class). Classes are numbered in order of their
+/// smallest character; one extra class, numbered last, holds every byte
+/// outside the alphabet and leads from every state to kDfaDead. So the
+/// table has at most kAlphabetSize + 1 columns.
 class Dfa {
  public:
   /// Compiles a pattern under the given match semantics.
@@ -54,10 +63,12 @@ class Dfa {
   DfaState start() const { return start_; }
   bool IsAccept(DfaState s) const { return s >= 0 && accept_[s]; }
 
-  /// One transition step; kDfaDead is absorbing.
+  /// One transition step; kDfaDead is absorbing, and so is every byte
+  /// outside the alphabet.
   DfaState Next(DfaState s, char c) const {
-    if (s < 0 || !IsAlphabetChar(c)) return kDfaDead;
-    return table_[static_cast<size_t>(s) * kAlphabetSize + CharIndex(c)];
+    if (s == kDfaDead) return kDfaDead;
+    return table_[static_cast<size_t>(s) * num_classes_ +
+                  class_of_[static_cast<uint8_t>(c)]];
   }
 
   /// Runs the DFA over a whole string from the start state.
@@ -73,7 +84,9 @@ class Dfa {
   MatchMode mode_ = MatchMode::kExact;
   DfaState start_ = 0;
   std::vector<uint8_t> accept_;
-  std::vector<DfaState> table_;  // NumStates x kAlphabetSize
+  std::array<uint8_t, 256> class_of_{};  // byte -> character class
+  uint32_t num_classes_ = 0;             // columns of table_
+  std::vector<DfaState> table_;          // NumStates x num_classes_
 };
 
 }  // namespace staccato

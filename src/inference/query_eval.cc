@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <string_view>
 #include <utility>
 
@@ -48,14 +49,45 @@ constexpr double kBoundSlackRel = 1e-9;
 constexpr double kBoundSlackAbs = 1e-9;
 
 // ---- DFA-state support bitsets of the bounded kernel ----------------------
-// Bit s of a support vector is set once slot s of its mass vector has been
+// Bit s of a support is set once slot s of its mass vector has been
 // written; a clear bit stands for exactly +0.0, whatever the slot holds.
+//
+// The kernel is instantiated per support width: kWords = 1 for DFAs of at
+// most 64 states (every Table 6 query), where a support is one word, and
+// kWords = 0 for ⌈q/64⌉ words chosen at run time.
 
 constexpr size_t kSupportBits = 64;
+
+// The word of a support holding state s. At one word the index is the
+// constant 0, which lets a support held by value stay in a register.
+template <size_t kWords>
+inline size_t WordOf(size_t s) {
+  return kWords == 1 ? 0 : s / kSupportBits;
+}
 
 inline size_t LowestBit(uint64_t bits) {
   return static_cast<size_t>(__builtin_ctzll(bits));
 }
+
+/// A support being written: kWords words held by value, which the one-word
+/// instantiation keeps in a register, and copied from and back to a row of
+/// EvalScratch::support around the writes.
+template <size_t kWords>
+struct Support {
+  uint64_t bits[kWords] = {};
+  uint64_t* words() { return bits; }
+  void Load(const uint64_t* row) { std::copy(row, row + kWords, bits); }
+  void Store(uint64_t* row) const { std::copy(bits, bits + kWords, row); }
+};
+
+/// The run-time width writes the row in place.
+template <>
+struct Support<0> {
+  uint64_t* bits = nullptr;
+  uint64_t* words() { return bits; }
+  void Load(uint64_t* row) { bits = row; }
+  void Store(uint64_t*) const {}
+};
 
 // Calls visit(s) for every set bit s, in ascending state order.
 template <typename Visit>
@@ -68,7 +100,7 @@ inline void ForEachState(const uint64_t* sup, size_t words, Visit&& visit) {
 }
 
 // ForEachState that also clears each word as it reads it, leaving the
-// vector empty — ready to be the next step's target with no separate
+// support empty — ready to be the next step's target with no separate
 // per-character fill.
 template <typename Visit>
 inline void DrainSupport(uint64_t* sup, size_t words, Visit&& visit) {
@@ -81,17 +113,231 @@ inline void DrainSupport(uint64_t* sup, size_t words, Visit&& visit) {
   }
 }
 
-// mass[s] += v on a support-tracked vector. The first arrival stores v,
-// which is exactly the dense kernel's 0.0 + v for a non-negative v.
-inline void AddMass(double* mass, uint64_t* sup, size_t s, double v) {
-  uint64_t& word = sup[s / kSupportBits];
-  const uint64_t bit = uint64_t{1} << (s % kSupportBits);
-  if ((word & bit) != 0) {
-    mass[s] += v;
-  } else {
-    mass[s] = v;
-    word |= bit;
+// The one state of a support holding exactly one, or -1.
+inline int64_t LoneState(const uint64_t* sup, size_t words) {
+  int64_t lone = -1;
+  for (size_t w = 0; w < words; ++w) {
+    const uint64_t bits = sup[w];
+    if (bits == 0) continue;
+    if (lone >= 0 || (bits & (bits - 1)) != 0) return -1;
+    lone = static_cast<int64_t>(w * kSupportBits + LowestBit(bits));
   }
+  return lone;
+}
+
+// mass[s] += v on a support-tracked vector, branch-free: a first arrival
+// adds v to +0.0 instead of to whatever the slot holds — the slot's bits
+// are masked with the support bit. That stores exactly v, the dense
+// kernel's 0.0 + v, because v is a product of non-negative masses and
+// probabilities and so never -0.0.
+template <size_t kWords>
+inline void AddMass(double* mass, uint64_t* sup, size_t s, double v) {
+  uint64_t& word = sup[WordOf<kWords>(s)];
+  const size_t b = s % kSupportBits;
+  uint64_t slot;
+  std::memcpy(&slot, &mass[s], sizeof slot);
+  slot &= uint64_t{0} - ((word >> b) & 1);  // +0.0 unless the bit is set
+  double held;
+  std::memcpy(&held, &slot, sizeof held);
+  mass[s] = held + v;
+  word |= uint64_t{1} << b;
+}
+
+/// The DP arrays of one evaluation: node n's mass over the q DFA states
+/// and its support.
+struct DpRows {
+  double* mass;
+  uint64_t* support;
+  size_t q;
+  size_t words;
+
+  double* MassRow(NodeId n) const {
+    return mass + static_cast<size_t>(n) * q;
+  }
+  uint64_t* SupportRow(NodeId n) const {
+    return support + static_cast<size_t>(n) * words;
+  }
+};
+
+/// One transition's two working vectors and their supports; they trade
+/// places after every character.
+template <size_t kWords>
+struct WorkVectors {
+  double* cur;
+  double* next;
+  Support<kWords> cur_sup;
+  Support<kWords> next_sup;
+};
+
+// Calls visit(e, tr, out, out_sup) for every transition out of node n:
+// edges ascending by id, each edge's transitions in stored order. `out`
+// is the target's mass row and `out_sup` its support, which the one-word
+// width keeps in a register while the edge's transitions run.
+template <size_t kWords, typename Visit>
+inline void ForEachOutTransition(const SfaView& view, const DpRows& rows,
+                                 NodeId n, Visit&& visit) {
+  for (const EdgeId* it = view.out_begin(n); it != view.out_end(n); ++it) {
+    const ViewEdge& e = view.edge(*it);
+    double* out = rows.MassRow(e.to);
+    Support<kWords> out_sup;
+    out_sup.Load(rows.SupportRow(e.to));
+    const uint32_t tr_end = e.first_transition + e.num_transitions;
+    for (uint32_t tr = e.first_transition; tr < tr_end; ++tr) {
+      visit(e, tr, out, out_sup.words());
+    }
+    out_sup.Store(rows.SupportRow(e.to));
+  }
+}
+
+// The two ways a node propagates. Each adds the label characters it
+// steps to *chars and returns `live` plus the mass that stays alive: only
+// accepting arrivals at the final node stay alive, since it has no
+// out-edges and non-accepting mass there is already dead.
+
+// Node n's mass m sits in the one DFA state s: each transition is a
+// straight line, one table step per character and one multiply-add.
+template <size_t kWords>
+double StraightLineNode(const SfaView& view, const Dfa& dfa,
+                        const DpRows& rows, NodeId n, DfaState s, double m,
+                        double live, uint64_t* chars) {
+  const NodeId fin = view.final();
+  uint64_t stepped = 0;
+  ForEachOutTransition<kWords>(
+      view, rows, n,
+      [&](const ViewEdge& e, uint32_t tr, double* out, uint64_t* out_sup) {
+        const std::string_view label = view.label(tr);
+        stepped += label.size();
+        DfaState t = s;
+        for (char c : label) {
+          t = dfa.Next(t, c);
+          if (t == kDfaDead) return;  // rejected mass is dropped
+        }
+        const double v = m * view.prob(tr);
+        AddMass<kWords>(out, out_sup, static_cast<size_t>(t), v);
+        if (e.to != fin || dfa.IsAccept(t)) live += v;
+      });
+  *chars += stepped;
+  return live;
+}
+
+// Node n's mass sits in two or more DFA states: each transition steps a
+// working vector character by character, merging states that meet in
+// ascending state order, and then adds it into the target.
+template <size_t kWords>
+double MergeNode(const SfaView& view, const Dfa& dfa, const DpRows& rows,
+                 NodeId n, WorkVectors<kWords> work, double live,
+                 uint64_t* chars) {
+  const NodeId fin = view.final();
+  const size_t words = kWords != 0 ? kWords : rows.words;
+  const double* in = rows.MassRow(n);
+  const uint64_t* in_sup = rows.SupportRow(n);
+  uint64_t stepped = 0;
+  ForEachOutTransition<kWords>(
+      view, rows, n,
+      [&](const ViewEdge& e, uint32_t tr, double* out, uint64_t* out_sup) {
+        const std::string_view label = view.label(tr);
+        stepped += label.size();
+        // The first character steps the node's own slots scaled by the
+        // transition's probability; later ones step the working vector,
+        // scaled by 1.0, which is exact.
+        const double* src = in;
+        double scale = view.prob(tr);
+        std::copy(in_sup, in_sup + words, work.cur_sup.words());
+        for (char c : label) {
+          DrainSupport(work.cur_sup.words(), words, [&](size_t s) {
+            const DfaState t = dfa.Next(static_cast<DfaState>(s), c);
+            if (t == kDfaDead) return;  // rejected mass is dropped
+            AddMass<kWords>(work.next, work.next_sup.words(),
+                            static_cast<size_t>(t), src[s] * scale);
+          });
+          src = work.next;
+          scale = 1.0;
+          std::swap(work.cur, work.next);
+          std::swap(work.cur_sup, work.next_sup);
+        }
+        double arrived = 0.0;
+        DrainSupport(work.cur_sup.words(), words, [&](size_t s) {
+          AddMass<kWords>(out, out_sup, s, work.cur[s]);
+          if (e.to != fin || dfa.IsAccept(static_cast<DfaState>(s))) {
+            arrived += work.cur[s];
+          }
+        });
+        live += arrived;
+      });
+  *chars += stepped;
+  return live;
+}
+
+/// The body of EvalSfaViewBounded for one support width (see there).
+template <size_t kWords>
+double PropagateBounded(const SfaView& view, const Dfa& dfa,
+                        double threshold, EvalScratch* scratch,
+                        EvalBound* bound) {
+  const size_t q = static_cast<size_t>(dfa.NumStates());
+  const size_t words =
+      kWords != 0 ? kWords : (q + kSupportBits - 1) / kSupportBits;
+  const size_t nodes = view.NumNodes();
+  // Row n of each array is node n's; the two mass rows after the last node
+  // are one transition's working vectors, and so are the two support rows
+  // after it at the run-time width. A mass slot is read only after its
+  // support bit is set, so the mass arena only grows; the support words
+  // are what a new candidate clears.
+  if (scratch->mass.size() < (nodes + 2) * q) {
+    scratch->mass.resize((nodes + 2) * q);
+  }
+  scratch->support.assign((nodes + (kWords == 0 ? 2 : 0)) * words, 0);
+  const DpRows rows{scratch->mass.data(), scratch->support.data(), q, words};
+  WorkVectors<kWords> work{rows.mass + nodes * q, rows.mass + (nodes + 1) * q,
+                           {}, {}};
+  if constexpr (kWords == 0) {
+    work.cur_sup.Load(rows.support + nodes * words);
+    work.next_sup.Load(rows.support + (nodes + 1) * words);
+  }
+
+  const NodeId fin = view.final();
+  AddMass<kWords>(rows.MassRow(view.start()),
+                  rows.SupportRow(view.start()),
+                  static_cast<size_t>(dfa.start()), 1.0);
+  const bool can_prune = threshold > 0.0 && view.MassBoundSafe();
+  const double cutoff = threshold * (1.0 - kBoundSlackRel) - kBoundSlackAbs;
+  double live = 1.0;
+  uint64_t chars = 0;  // label characters of the transitions processed
+  bool pruned = false;
+
+  for (NodeId n : view.TopologicalOrder()) {
+    if (n == fin) continue;  // no out-edges; its mass is scored at the end
+    const double* in = rows.MassRow(n);
+    const uint64_t* in_sup = rows.SupportRow(n);
+    double sum_in = 0.0;
+    ForEachState(in_sup, words, [&](size_t s) { sum_in += in[s]; });
+    if (sum_in == 0.0) continue;  // masses are non-negative: all-zero node
+    live -= sum_in;
+    const int64_t lone = LoneState(in_sup, words);
+    live = lone >= 0 ? StraightLineNode<kWords>(view, dfa, rows, n,
+                                                static_cast<DfaState>(lone),
+                                                in[lone], live, &chars)
+                     : MergeNode<kWords>(view, dfa, rows, n, work, live,
+                                         &chars);
+    // Check only at node boundaries: mid-node, the not-yet-propagated
+    // share of sum_in is missing from `live`, which would over-prune.
+    if (can_prune && live < cutoff) {
+      pruned = true;
+      break;
+    }
+  }
+
+  if (bound != nullptr) {
+    bound->steps = chars * q;
+    bound->pruned = pruned;
+  }
+  if (pruned) return 0.0;
+  double p = 0.0;
+  const double* fin_mass = rows.MassRow(fin);
+  ForEachState(rows.SupportRow(fin), words, [&](size_t s) {
+    if (dfa.IsAccept(static_cast<DfaState>(s))) p += fin_mass[s];
+  });
+  // Guard against accumulated floating point drift above 1.
+  return p > 1.0 ? 1.0 : p;
 }
 
 }  // namespace
@@ -101,13 +347,15 @@ inline void AddMass(double* mass, uint64_t* sup, size_t s, double v) {
 /// order, same edge/transition order, same arithmetic (the live-mass
 /// bookkeeping never touches the mass arrays).
 ///
-/// Propagation is support-sparse: every node's mass vector and the two
-/// working vectors carry a bitset of the DFA states holding mass, and each
-/// step visits only those states, in ascending order. A state outside the
-/// support holds exactly +0.0 in the dense formulation, and adding +0.0 to
-/// a non-negative sum is exact, so skipping it changes no value; ascending
-/// order keeps the summation order wherever several states merge into one.
-/// `steps` still counts the nominal dense work (label chars × q).
+/// Propagation is support-sparse: every node's mass vector carries a
+/// bitset of the DFA states holding mass, and each step visits only those
+/// states. A state outside the support holds exactly +0.0 in the dense
+/// formulation, and adding +0.0 to a non-negative sum is exact, so
+/// skipping it changes no value. A node whose mass sits in one state runs
+/// each transition as a straight line from that state; a node with more
+/// steps a working vector and merges states that meet in ascending order,
+/// the dense kernel's summation order. `steps` still counts the nominal
+/// dense work (label chars × q).
 ///
 /// Invariant behind the bound: `live` = Σ mass pending at unprocessed
 /// non-final nodes + accepting mass already at the final node. Mass only
@@ -122,116 +370,16 @@ inline void AddMass(double* mass, uint64_t* sup, size_t s, double v) {
 double EvalSfaViewBounded(const SfaView& view, const Dfa& dfa,
                           double threshold, EvalScratch* scratch,
                           EvalBound* bound) {
-  const size_t q = static_cast<size_t>(dfa.NumStates());
   if (bound != nullptr) {
     bound->pruned = false;
     bound->steps = 0;
-    bound->steps_total = view.TotalLabelChars() * q;
+    bound->steps_total =
+        view.TotalLabelChars() * static_cast<uint64_t>(dfa.NumStates());
   }
   if (view.NumNodes() == 0) return 0.0;
-
-  // A mass slot is read only after its support bit is set, so the mass
-  // arena only grows; the support words are what a new candidate clears.
-  const size_t words = (q + kSupportBits - 1) / kSupportBits;
-  if (scratch->mass.size() < view.NumNodes() * q) {
-    scratch->mass.resize(view.NumNodes() * q);
-  }
-  scratch->support.assign(view.NumNodes() * words, 0);
-  scratch->cur.resize(q);
-  scratch->next.resize(q);
-  scratch->cur_support.assign(words, 0);
-  scratch->next_support.assign(words, 0);
-  double* const mass = scratch->mass.data();
-  uint64_t* const support = scratch->support.data();
-  double* cur = scratch->cur.data();
-  double* next = scratch->next.data();
-  uint64_t* cur_sup = scratch->cur_support.data();
-  uint64_t* next_sup = scratch->next_support.data();
-
-  const NodeId fin = view.final();
-  const size_t start = static_cast<size_t>(view.start());
-  AddMass(mass + start * q, support + start * words,
-          static_cast<size_t>(dfa.start()), 1.0);
-  const bool can_prune = threshold > 0.0 && view.MassBoundSafe();
-  const double cutoff = threshold * (1.0 - kBoundSlackRel) - kBoundSlackAbs;
-  double live = 1.0;
-  uint64_t steps = 0;
-  bool pruned = false;
-
-  for (NodeId n : view.TopologicalOrder()) {
-    if (n == fin) continue;  // no out-edges; its mass is scored at the end
-    const double* in = mass + static_cast<size_t>(n) * q;
-    const uint64_t* in_sup = support + static_cast<size_t>(n) * words;
-    double sum_in = 0.0;
-    ForEachState(in_sup, words, [&](size_t s) { sum_in += in[s]; });
-    if (sum_in == 0.0) continue;  // masses are non-negative: all-zero node
-    live -= sum_in;
-    for (const EdgeId* it = view.out_begin(n); it != view.out_end(n); ++it) {
-      const ViewEdge& e = view.edge(*it);
-      double* out = mass + static_cast<size_t>(e.to) * q;
-      uint64_t* out_sup = support + static_cast<size_t>(e.to) * words;
-      const uint32_t tr_end = e.first_transition + e.num_transitions;
-      for (uint32_t tr = e.first_transition; tr < tr_end; ++tr) {
-        const double prob = view.prob(tr);
-        const std::string_view label = view.label(tr);
-        // cur = in × prob; the support is copied word by word in the same
-        // pass, which measured cheaper than a separate copy of the words.
-        for (size_t w = 0; w < words; ++w) {
-          uint64_t bits = in_sup[w];
-          cur_sup[w] = bits;
-          for (; bits != 0; bits &= bits - 1) {
-            const size_t s = w * kSupportBits + LowestBit(bits);
-            cur[s] = in[s] * prob;
-          }
-        }
-        for (char c : label) {
-          DrainSupport(cur_sup, words, [&](size_t s) {
-            DfaState t = dfa.Next(static_cast<DfaState>(s), c);
-            if (t == kDfaDead) return;  // rejected mass is dropped
-            AddMass(next, next_sup, static_cast<size_t>(t), cur[s]);
-          });
-          std::swap(cur, next);
-          std::swap(cur_sup, next_sup);
-        }
-        steps += static_cast<uint64_t>(label.size()) * q;
-        double arrived = 0.0;
-        if (e.to == fin) {
-          // Only accepting arrivals stay alive: the final node has no
-          // out-edges, so non-accepting mass here is already dead.
-          DrainSupport(cur_sup, words, [&](size_t s) {
-            AddMass(out, out_sup, s, cur[s]);
-            if (dfa.IsAccept(static_cast<DfaState>(s))) arrived += cur[s];
-          });
-        } else {
-          DrainSupport(cur_sup, words, [&](size_t s) {
-            AddMass(out, out_sup, s, cur[s]);
-            arrived += cur[s];
-          });
-        }
-        live += arrived;
-      }
-    }
-    // Check only at node boundaries: mid-node, the not-yet-propagated
-    // share of sum_in is missing from `live`, which would over-prune.
-    if (can_prune && live < cutoff) {
-      pruned = true;
-      break;
-    }
-  }
-
-  if (bound != nullptr) {
-    bound->steps = steps;
-    bound->pruned = pruned;
-  }
-  if (pruned) return 0.0;
-  double p = 0.0;
-  const double* fin_mass = mass + static_cast<size_t>(fin) * q;
-  ForEachState(support + static_cast<size_t>(fin) * words, words,
-               [&](size_t s) {
-                 if (dfa.IsAccept(static_cast<DfaState>(s))) p += fin_mass[s];
-               });
-  // Guard against accumulated floating point drift above 1.
-  return p > 1.0 ? 1.0 : p;
+  return dfa.NumStates() <= static_cast<int>(kSupportBits)
+             ? PropagateBounded<1>(view, dfa, threshold, scratch, bound)
+             : PropagateBounded<0>(view, dfa, threshold, scratch, bound);
 }
 
 double EvalSfaQuery(const Sfa& sfa, const Dfa& dfa) {

@@ -79,13 +79,13 @@ struct EvalBound {
 /// it is not synchronized.
 struct EvalScratch {
   SfaViewArena arena;
-  std::vector<double> mass;            ///< num_nodes × q, node-major
-  std::vector<uint64_t> support;       ///< num_nodes × ⌈q/64⌉: bit s of node
-                                       ///< n set once mass[n*q+s] is written
-  std::vector<double> cur;             ///< q — one transition's working vector
-  std::vector<double> next;            ///< q — its swap partner
-  std::vector<uint64_t> cur_support;   ///< ⌈q/64⌉ — support of `cur`
-  std::vector<uint64_t> next_support;  ///< ⌈q/64⌉ — support of `next`
+  /// (num_nodes + 2) × q, node-major: row n is node n's mass over the DFA
+  /// states, and the last two rows are one transition's working vectors.
+  std::vector<double> mass;
+  /// num_nodes × ⌈q/64⌉: bit s of row n is set once mass[n*q+s] is
+  /// written. For q > 64 two more rows follow, the working vectors'
+  /// supports; for q <= 64 those are locals of the kernel.
+  std::vector<uint64_t> support;
 };
 
 /// The bounded kernel over an already-decoded view: EvalSfaQuery with early

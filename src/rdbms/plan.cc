@@ -101,11 +101,18 @@ size_t ResolveThreads(size_t requested, size_t default_threads) {
 //   * The DFA×SFA DP costs ~4.8 ns per (label-char × dfa-state) step, and
 //     stored chunk blobs carry ~0.7 steps per serialized byte per DFA
 //     state — with the short contains-DFAs of the workload, ~4.9 ns of
-//     eval per blob byte through the view kernel (warm scratch).
+//     eval per blob byte. bench_table1_costmodel times that step with the
+//     dense reference kernel, EvalSfaQuery, not the executor's
+//     EvalSfaViewBounded, which visits only the DFA states holding mass:
+//     e2ebench's traced inference.ns_per_dp_step reads 0.43–0.57 ns per
+//     nominal step for it (scan_topk and lookup_sql, 4-vCPU VM).
 //
 // eval_cost_per_byte = 4.9 ns / 0.33 µs ≈ 1/67, rounded to 1/64. The
 // pre-calibration guess of 1/256 undercharged Eval ~4× against the I/O
-// terms and made the planner too scan-happy on large blobs.
+// terms and made the planner too scan-happy on large blobs. The constant
+// still prices the reference kernel, about 10× the executor's step;
+// re-deriving it from the benchmark's per-layer figures is open work,
+// and until then every plan choice stays as it was.
 // string_match_cost_per_tuple stays 1/64: one DFA pass over a ~100-char
 // stored transcription ≈ 0.3–0.5 µs ≈ one eval unit.
 

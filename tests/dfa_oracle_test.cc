@@ -4,7 +4,7 @@
 //  * the textbook subset construction (std::set subsets keyed in a
 //    std::map, one character at a time), which Compile must reproduce
 //    table for table: same start, state count, accept flags and every
-//    Next(s, c).
+//    Next(s, c) — and kDfaDead for every byte outside the alphabet.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -112,6 +112,15 @@ int ExpectSameTables(const std::string& text, MatchMode mode) {
       if (got != want && mismatches++ < 5) {
         ADD_FAILURE() << what << ": Next(" << s << ", '" << IndexChar(ci)
                       << "') = " << got << ", reference " << want;
+      }
+    }
+    // The 161 bytes outside the alphabet all lead to the dead state.
+    for (int b = 0; b < 256; ++b) {
+      if (b >= kAlphabetMin && b <= kAlphabetMax) continue;
+      const DfaState got = dfa->Next(s, static_cast<char>(b));
+      if (got != kDfaDead && mismatches++ < 5) {
+        ADD_FAILURE() << what << ": Next(" << s << ", byte " << b
+                      << ") = " << got << ", want kDfaDead";
       }
     }
   }

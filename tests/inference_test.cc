@@ -4,6 +4,8 @@
 #include <cmath>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "inference/kbest.h"
 #include "inference/query_eval.h"
@@ -369,6 +371,156 @@ TEST(BoundedEvalTest, PrunesWhenLiveMassFallsBelowThreshold) {
   ASSERT_TRUE(full.ok());
   EXPECT_EQ(*full, EvalSfaQuery(*sfa, *dfa));
   EXPECT_FALSE(bound.pruned);
+}
+
+// ---- Kernel paths: straight lines, merges and the two support widths ------
+
+// 37 characters, 75 DFA states in contains mode: past the 64 states of a
+// one-word support, so the kernel runs at its run-time width.
+constexpr char kWideLiteral[] = "Attorney General of the United States";
+
+// The bounded kernel must return EvalSfaQuery's bits at every threshold
+// (each below the answer, so nothing prunes) and price the whole SFA.
+void ExpectBoundedEqualsReference(const Sfa& sfa, const Dfa& dfa,
+                                  std::initializer_list<double> thresholds,
+                                  EvalScratch* scratch,
+                                  const std::string& what) {
+  const std::string blob = sfa.Serialize();
+  const double reference = EvalSfaQuery(sfa, dfa);
+  for (double threshold : thresholds) {
+    EvalBound bound;
+    auto p = EvalSerializedSfaBounded(blob, dfa, threshold, scratch, &bound);
+    ASSERT_TRUE(p.ok()) << what << ": " << p.status().ToString();
+    EXPECT_EQ(*p, reference) << what << " thr=" << threshold;
+    EXPECT_FALSE(bound.pruned) << what << " thr=" << threshold;
+    EXPECT_EQ(bound.steps, CountEvalWork(sfa, dfa)) << what;
+  }
+}
+
+// SfaBuilder and SfaView::Decode accept any non-empty label bytes. Every
+// byte outside the printable alphabet is in the DFA's dead class, so a
+// label holding one drops its mass: on its own, before the pattern, and
+// after a pattern character alike.
+TEST(BoundedEvalTest, LabelBytesOutsideTheAlphabetDropTheirMass) {
+  for (const std::string& pattern :
+       {std::string("abc"), std::string(kWideLiteral)}) {
+    auto dfa = Dfa::Compile(pattern, MatchMode::kContains);
+    ASSERT_TRUE(dfa.ok());
+    ASSERT_EQ(dfa->NumStates() > 64, pattern == kWideLiteral);
+    const std::string head = pattern.substr(0, 2);
+    const std::string tail = pattern.substr(2);
+    EvalScratch scratch;
+    for (char byte : {'\x00', '\x1f', '\x7f', '\x80', '\xff'}) {
+      const std::string b(1, byte);
+      SfaBuilder sb;
+      NodeId n0 = sb.AddNode(), n1 = sb.AddNode(), n2 = sb.AddNode();
+      ASSERT_TRUE(sb.AddTransition(n0, n1, head, 0.4).ok());
+      ASSERT_TRUE(sb.AddTransition(n0, n1, b, 0.1).ok());
+      ASSERT_TRUE(sb.AddTransition(n0, n1, b + head, 0.2).ok());
+      ASSERT_TRUE(sb.AddTransition(n0, n1, head.substr(0, 1) + b, 0.1).ok());
+      ASSERT_TRUE(sb.AddTransition(n0, n1, "z", 0.2).ok());
+      ASSERT_TRUE(sb.AddTransition(n1, n2, tail, 0.7).ok());
+      ASSERT_TRUE(sb.AddTransition(n1, n2, b + tail, 0.2).ok());
+      ASSERT_TRUE(sb.AddTransition(n1, n2, tail + b, 0.1).ok());
+      sb.SetStart(n0);
+      sb.SetFinal(n2);
+      auto sfa = sb.Build(/*require_stochastic=*/true);
+      ASSERT_TRUE(sfa.ok()) << sfa.status().ToString();
+      const std::string what = "pattern '" + pattern + "' byte " +
+                               std::to_string(static_cast<uint8_t>(byte));
+      // Only head·tail, free of the byte, contains the pattern.
+      EXPECT_EQ(EvalSfaQuery(*sfa, *dfa), 0.4 * 0.7) << what;
+      ExpectBoundedEqualsReference(*sfa, *dfa, {0.0, 0.1}, &scratch, what);
+    }
+  }
+}
+
+// At n1 DFA states 0, 1 and 2 hold 0.5, 2^-54 and 2^-54, and `z` steps all
+// three to state 0. Summed in ascending state order, as the dense kernel
+// sums them, each 2^-54 is half an ulp of 0.5 and rounds away: 0.5.
+// Descending order would give 2^-53 + 0.5. A second SFA merges two states
+// whose sum is exact, so a node holding two states must propagate both.
+TEST(BoundedEvalTest, MergesAtOneCharacterInAscendingStateOrder) {
+  const double tiny = std::ldexp(1.0, -54);
+  ASSERT_EQ((0.5 + tiny) + tiny, 0.5);
+  ASSERT_EQ((tiny + tiny) + 0.5, 0.5 + std::ldexp(1.0, -53));
+  EvalScratch scratch;  // shared by both widths
+  // "abc" has 7 states; with 30 more distinct characters (none of them
+  // `x` or `z`) the pattern has 67.
+  const std::string wide = "abcDEFGHIJKLMNOPQRSTUVW0123456789";
+  for (const std::string& pattern : {std::string("abc"), wide}) {
+    auto dfa = Dfa::Compile(pattern, MatchMode::kContains);
+    ASSERT_TRUE(dfa.ok());
+    ASSERT_EQ(dfa->NumStates(), pattern.size() == 3 ? 7 : 67);
+    ASSERT_EQ(dfa->Step(dfa->start(), "a"), 1);
+    ASSERT_EQ(dfa->Step(dfa->start(), "ab"), 2);
+    struct Case {
+      std::vector<std::pair<std::string, double>> first;
+      double want;
+    };
+    for (const Case& c : {Case{{{"x", 0.5}, {"a", tiny}, {"ab", tiny}}, 0.5},
+                          Case{{{"x", 0.5}, {"a", 0.25}}, 0.75}}) {
+      SfaBuilder sb;
+      NodeId n0 = sb.AddNode(), n1 = sb.AddNode(), n2 = sb.AddNode(),
+             n3 = sb.AddNode();
+      for (const auto& [label, prob] : c.first) {
+        ASSERT_TRUE(sb.AddTransition(n0, n1, label, prob).ok());
+      }
+      ASSERT_TRUE(sb.AddTransition(n1, n2, "z", 1.0).ok());
+      ASSERT_TRUE(sb.AddTransition(n2, n3, pattern, 1.0).ok());
+      sb.SetStart(n0);
+      sb.SetFinal(n3);
+      auto sfa = sb.Build(/*require_stochastic=*/false);
+      ASSERT_TRUE(sfa.ok()) << sfa.status().ToString();
+      const std::string what = "pattern '" + pattern + "' states " +
+                               std::to_string(c.first.size());
+      EXPECT_EQ(EvalSfaQuery(*sfa, *dfa), c.want) << what;
+      ExpectBoundedEqualsReference(*sfa, *dfa, {0.0, 1e-3}, &scratch, what);
+    }
+  }
+}
+
+// `(\x)*` and then n distinct characters compiles in exact mode to n + 2
+// states: the start, then one state per number k = 0..n of the literal's
+// leading characters that end the input read so far, numbered in order of
+// k. So 62 and 63 characters give DFAs of 64 and 65 states whose highest
+// state accepts, and an SFA ending in the literal carries mass into it:
+// bit 63 of a one-word support, and the second word of the run-time width.
+TEST(BoundedEvalTest, SupportWidthBoundary) {
+  const std::string chars =
+      "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789!#";
+  EvalScratch scratch;  // the 65-state run reuses the 64-state arena
+  for (size_t n : {size_t{62}, size_t{63}}) {
+    const std::string lit = chars.substr(0, n);
+    ASSERT_EQ(lit.size(), n);
+    auto dfa = Dfa::Compile("(\\x)*" + lit, MatchMode::kExact);
+    ASSERT_TRUE(dfa.ok()) << dfa.status().ToString();
+    ASSERT_EQ(static_cast<size_t>(dfa->NumStates()), n + 2);
+    const std::string text = "xy" + lit;
+    ASSERT_EQ(dfa->Step(dfa->start(), text), dfa->NumStates() - 1);
+    ASSERT_TRUE(dfa->IsAccept(dfa->NumStates() - 1));
+    // A chain over `text`: the true character, the literal's first
+    // character (so a second state holds mass) and a space, which the
+    // literal does not contain.
+    SfaBuilder sb;
+    NodeId prev = sb.AddNode();
+    sb.SetStart(prev);
+    for (char c : text) {
+      const NodeId node = sb.AddNode();
+      const char restart = c == lit[0] ? lit[1] : lit[0];
+      ASSERT_TRUE(sb.AddTransition(prev, node, std::string(1, c), 0.7).ok());
+      ASSERT_TRUE(
+          sb.AddTransition(prev, node, std::string(1, restart), 0.2).ok());
+      ASSERT_TRUE(sb.AddTransition(prev, node, " ", 0.1).ok());
+      prev = node;
+    }
+    sb.SetFinal(prev);
+    auto sfa = sb.Build(/*require_stochastic=*/true);
+    ASSERT_TRUE(sfa.ok()) << sfa.status().ToString();
+    ASSERT_GT(EvalSfaQuery(*sfa, *dfa), 0.0);
+    ExpectBoundedEqualsReference(*sfa, *dfa, {0.0}, &scratch,
+                                 std::to_string(n + 2) + " states");
+  }
 }
 
 TEST(SfaViewTest, DecodeMatchesDeserializeStructurally) {
