@@ -138,6 +138,21 @@ if [ -n "$hits" ]; then
 fi
 
 # ---------------------------------------------------------------------------
+# 10. A database epoch's file layout is private to src/rdbms/base_epoch.*:
+# every other engine component reaches the relations and the blob store
+# through a BaseEpoch, so the relation set, their schemas and their file
+# names are defined once. In src/, the relation and blob file-name
+# literals and the HeapTable/BlobStore Create/Open calls must not leak
+# (their own definitions in heap_table.* and blob_store.* are exempt).
+# Tests stay free to name files.
+hits=$(grep -rnE '\.tbl"|"/?blobs\.|(HeapTable|BlobStore)::(Create|Open)\(' \
+  src/ --include="*.h" --include="*.cc" \
+  | grep -vE "^src/rdbms/(base_epoch|heap_table|blob_store)\.(h|cc):" || true)
+if [ -n "$hits" ]; then
+  fail "epoch file layout outside src/rdbms/base_epoch.* (use BaseEpoch)" "$hits"
+fi
+
+# ---------------------------------------------------------------------------
 if [ "$failures" -ne 0 ]; then
   echo "" >&2
   echo "lint: $failures rule(s) failed" >&2

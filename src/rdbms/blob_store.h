@@ -6,17 +6,18 @@
 // number of threads at once — reads use positioned I/O (pread) on the
 // underlying descriptor, so they share no file-position state and proceed
 // fully in parallel. This is the storage half of the executor's parallel
-// Fetch stage. Put and Flush (and the load-time truncate/reopen in
-// StaccatoDb::Load) require external exclusion: no concurrent Gets while
-// the store is being written.
+// Fetch stage. Put and Flush (and the truncate/reopen of a BaseEpoch
+// that StaccatoDb::Load performs) require external exclusion: no
+// concurrent Gets while the store is being written.
 //
 // Cache-aware reads: attach a shared BufferCache with set_cache and read
-// through GetCached, keyed on (representation, doc, load_generation) via
+// through GetCached, keyed on (representation, doc, blob_generation) via
 // BlobCacheKey. A hit pins the cached bytes (no heap-table access, no
 // pread); a miss reads from disk and installs the blob under the key.
-// Because the key carries the database's load generation, Load /
-// BuildInvertedIndex invalidation falls out of the existing generation
-// bump — stale entries are simply never matched again.
+// The executor passes PlanContext::blob_generation, which only Load bumps
+// (Append, Checkpoint and BuildInvertedIndex leave every document's blob
+// bytes as they were), so Load's invalidation falls out of that bump:
+// stale entries are simply never matched again.
 #pragma once
 
 #include <atomic>
@@ -52,12 +53,12 @@ struct BlobIoStats {
 inline constexpr uint64_t kCacheSpaceFullSfaBlob = ~uint64_t{0} - 1;
 inline constexpr uint64_t kCacheSpaceStaccatoBlob = ~uint64_t{0} - 2;
 
-/// The executor's blob-cache key: (representation, doc, load generation).
+/// The executor's blob-cache key: (representation, doc, blob generation).
 inline cache::CacheKey BlobCacheKey(bool full_sfa, uint64_t doc,
-                                    uint64_t load_generation) {
+                                    uint64_t blob_generation) {
   return cache::CacheKey{
       full_sfa ? kCacheSpaceFullSfaBlob : kCacheSpaceStaccatoBlob, doc,
-      load_generation};
+      blob_generation};
 }
 
 /// \brief File-backed append-only blob store.

@@ -13,6 +13,10 @@
 namespace staccato {
 namespace rdbms {
 
+/// Term string -> packed postings (PackPosting) of one document, sorted
+/// ascending per term exactly as BuildInvertedIndex stores them.
+using PackedPostings = std::map<std::string, std::vector<uint64_t>>;
+
 /// \brief One k-map row of a delta document: a candidate string and its
 /// log probability, rank order matching KBestStrings.
 struct DeltaKMapRow {
@@ -29,9 +33,7 @@ struct DeltaDoc {
   std::vector<DeltaKMapRow> kmap;  ///< rank-ascending, like the kmap table
   std::string full_blob;           ///< serialized full SFA (fullsfa blob)
   std::string graph_blob;          ///< serialized chunked SFA (graph blob)
-  /// term string -> packed postings (PackPosting), sorted ascending per
-  /// term exactly as BuildInvertedIndex stores them.
-  std::map<std::string, std::vector<uint64_t>> postings;
+  PackedPostings postings;
 };
 
 /// \brief Immutable snapshot of the delta taken when a plan context is

@@ -183,12 +183,13 @@ Result<Tuple> HeapTable::Get(RecordId rid) {
 }
 
 Status HeapTable::ScanRecords(
-    const std::function<bool(RecordId, std::string_view)>& fn) {
+    const std::function<bool(RecordId, std::string_view)>& fn,
+    RecordId from) {
   util::MutexLock lock(&latch_);
-  for (uint32_t p = 0; p < num_pages_; ++p) {
+  for (uint32_t p = from.page; p < num_pages_; ++p) {
     STACCATO_ASSIGN_OR_RETURN(Frame * frame, FetchPage(p));
     uint16_t slots = frame->page.NumSlots();
-    for (uint16_t s = 0; s < slots; ++s) {
+    for (uint16_t s = p == from.page ? from.slot : 0; s < slots; ++s) {
       STACCATO_ASSIGN_OR_RETURN(std::string_view rec, frame->page.Get(s));
       if (!fn(RecordId{p, s}, rec)) return Status::OK();
     }
@@ -196,7 +197,8 @@ Status HeapTable::ScanRecords(
   return Status::OK();
 }
 
-Status HeapTable::Scan(const std::function<bool(RecordId, const Tuple&)>& fn) {
+Status HeapTable::Scan(const std::function<bool(RecordId, const Tuple&)>& fn,
+                       RecordId from) {
   Status decode_status;
   STACCATO_RETURN_NOT_OK(ScanRecords([&](RecordId rid, std::string_view rec) {
     BinaryReader r(rec.data(), rec.size());
@@ -206,7 +208,7 @@ Status HeapTable::Scan(const std::function<bool(RecordId, const Tuple&)>& fn) {
       return false;
     }
     return fn(rid, *t);
-  }));
+  }, from));
   return decode_status;
 }
 

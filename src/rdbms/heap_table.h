@@ -67,15 +67,18 @@ class HeapTable {
 
   /// Full filescan in storage order over the stored record bytes, which
   /// the callback may read only while it runs. The callback returns false
-  /// to stop. Readers that know a table's row layout (kmap_row.h) decode
-  /// rows in place instead of building Tuples.
+  /// to stop; a later scan from the refused record's id resumes there.
+  /// Readers that know a table's row layout (kmap_row.h) decode rows in
+  /// place instead of building Tuples.
   Status ScanRecords(
-      const std::function<bool(RecordId, std::string_view)>& fn);
+      const std::function<bool(RecordId, std::string_view)>& fn,
+      RecordId from = {});
 
   /// Full filescan in storage order, decoding each record into a Tuple; a
   /// record that does not decode fails the scan. The callback returns
-  /// false to stop.
-  Status Scan(const std::function<bool(RecordId, const Tuple&)>& fn);
+  /// false to stop; `from` resumes as for ScanRecords.
+  Status Scan(const std::function<bool(RecordId, const Tuple&)>& fn,
+              RecordId from = {});
 
   /// Flushes dirty pages to disk.
   Status Flush();

@@ -139,8 +139,8 @@ CostEstimate EstimateCost(const PlanContext& ctx, Approach approach,
   // the formulas below degrade to the pure disk model. The estimate is a
   // snapshot frozen into the plan — it does not chase the cache while the
   // plan executes.
-  if (ctx.cache != nullptr && ctx.blobs != nullptr) {
-    const BlobIoStats io = ctx.blobs->io_stats();
+  if (ctx.cache != nullptr) {
+    const BlobIoStats io = ctx.base->blobs()->io_stats();
     if (io.cache_hits + io.cache_misses > 0) {
       est.cache_hit_rate = static_cast<double>(io.cache_hits) /
                            static_cast<double>(io.cache_hits + io.cache_misses);
@@ -149,9 +149,8 @@ CostEstimate EstimateCost(const PlanContext& ctx, Approach approach,
   const double miss_rate = 1.0 - est.cache_hit_rate;
   // Filtering costs one MasterData filescan to build the bitmap.
   const double filter_io =
-      num_equalities > 0 && ctx.master != nullptr
-          ? static_cast<double>(ctx.master->NumPages())
-          : 0.0;
+      num_equalities > 0 ? static_cast<double>(ctx.base->master()->NumPages())
+                         : 0.0;
 
   // Average serialized-SFA size, from blob-store totals. The store holds
   // one full and one chunked transducer per document; the mixed average is
@@ -159,10 +158,9 @@ CostEstimate EstimateCost(const PlanContext& ctx, Approach approach,
   // the same representation either way.
   const size_t num_blobs = 2 * ctx.num_sfas;
   const double avg_blob_bytes =
-      ctx.blobs == nullptr || num_blobs == 0
-          ? 0.0
-          : static_cast<double>(ctx.blobs->FileBytes()) /
-                static_cast<double>(num_blobs);
+      num_blobs == 0 ? 0.0
+                     : static_cast<double>(ctx.base->blobs()->FileBytes()) /
+                           static_cast<double>(num_blobs);
 
   // Full-scan path.
   est.scan.feasible = true;
@@ -171,12 +169,9 @@ CostEstimate EstimateCost(const PlanContext& ctx, Approach approach,
   if (approach == Approach::kMap || approach == Approach::kKMap) {
     // One pass over kMAPData; no blob fetches.
     est.scan.io_cost =
-        filter_io +
-        (ctx.kmap != nullptr ? static_cast<double>(ctx.kmap->NumPages()) : 0.0);
-    est.scan.eval_cost =
-        (ctx.kmap != nullptr ? static_cast<double>(ctx.kmap->NumTuples())
-                             : 0.0) *
-        consts.string_match_cost_per_tuple;
+        filter_io + static_cast<double>(ctx.base->kmap()->NumPages());
+    est.scan.eval_cost = static_cast<double>(ctx.base->kmap()->NumTuples()) *
+                         consts.string_match_cost_per_tuple;
   } else {
     const double cand = static_cast<double>(est.scan.candidates);
     est.scan.fetch_bytes = cand * avg_blob_bytes;
@@ -300,16 +295,14 @@ Result<PlanSpec> BuildPlan(const PlanContext& ctx, Approach approach,
   STACCATO_ASSIGN_OR_RETURN(Pattern pat, Pattern::Parse(q.pattern));
 
   // Bind equality predicates against the MasterData schema.
-  if (ctx.master == nullptr && !q.equalities.empty()) {
-    return Status::InvalidArgument("no MasterData table to filter on");
-  }
+  const Schema& master = ctx.base->master()->schema();
   for (const EqualityPredicate& eq : q.equalities) {
-    int idx = ctx.master->schema().FindColumn(eq.column);
+    int idx = master.FindColumn(eq.column);
     if (idx < 0) {
       return Status::InvalidArgument("unknown MasterData column '" +
                                      eq.column + "' in equality predicate");
     }
-    ValueType type = ctx.master->schema().column(static_cast<size_t>(idx)).type;
+    ValueType type = master.column(static_cast<size_t>(idx)).type;
     STACCATO_ASSIGN_OR_RETURN(Value bound, CoerceLiteral(eq, type));
     plan.equalities.push_back({eq.column, idx, std::move(bound)});
   }
@@ -370,8 +363,8 @@ Result<CandidateSet> ProbeIndex(const PlanContext& ctx,
   CandidateSet set;
   set.anchor = anchor;
   for (uint64_t packed : ctx.index->Lookup(anchor)) {
-    STACCATO_ASSIGN_OR_RETURN(Tuple t,
-                              ctx.postings->Get(UnpackRecordId(packed)));
+    STACCATO_ASSIGN_OR_RETURN(
+        Tuple t, ctx.base->postings()->Get(UnpackRecordId(packed)));
     set.postings[static_cast<DocId>(t[1].AsInt())].push_back(
         static_cast<uint64_t>(t[2].AsInt()));
     ++set.total_postings;
@@ -421,7 +414,8 @@ Result<const std::vector<char>*> EqualityBitmap(const PlanContext& ctx,
   }
   std::vector<char>& allowed = *scratch;
   allowed.assign(ctx.num_sfas, 0);
-  STACCATO_RETURN_NOT_OK(ctx.master->Scan([&](RecordId, const Tuple& t) {
+  HeapTable* master = ctx.base->master();
+  STACCATO_RETURN_NOT_OK(master->Scan([&](RecordId, const Tuple& t) {
     for (const BoundEquality& eq : plan.equalities) {
       if (t[static_cast<size_t>(eq.column_index)] != eq.value) return true;
     }
@@ -429,7 +423,7 @@ Result<const std::vector<char>*> EqualityBitmap(const PlanContext& ctx,
     if (key < allowed.size()) allowed[key] = 1;
     return true;
   }));
-  stats->heap_pages_read += ctx.master->NumPages();  // one full pass
+  stats->heap_pages_read += master->NumPages();  // one full pass
   // Delta documents have no MasterData row yet; evaluate the bound
   // equalities against the same column values Load would have written
   // (DataKey, DocName, Year, SFANum), so filtering is representation-
@@ -540,13 +534,14 @@ Result<std::vector<Answer>> ExecuteStrings(const PlanContext& ctx,
   // Strings eval has no separate Fetch: the kMAP scan reads and matches in
   // one pass, so the whole pass is the fetch+eval stage.
   const uint64_t scan_start_ns = telemetry::MonotonicNanos();
-  uint64_t pages = ctx.kmap->NumPages();  // a full pass visits every page
+  // A full pass visits every page.
+  uint64_t pages = ctx.base->kmap()->NumPages();
   size_t cut_key = SIZE_MAX;  // first doc key NOT fully folded before a cut
   // Why the scan stopped early: a corrupt row or a failed control poll.
   Status scan_status = Status::OK();
   size_t rows_seen = 0;
   STACCATO_RETURN_NOT_OK(
-      ctx.kmap->ScanRecords([&](RecordId rid, std::string_view rec) {
+      ctx.base->kmap()->ScanRecords([&](RecordId rid, std::string_view rec) {
         Result<KMapRow> row = DecodeKMapRow(rec);
         if (!row.ok()) {
           scan_status = row.status();
@@ -703,8 +698,6 @@ Result<std::vector<Answer>> ExecuteSfas(const PlanContext& ctx,
                                         QueryStats* stats, PlanCache* cache,
                                         TopKThreshold* shared_topk) {
   const bool full = plan.approach == Approach::kFullSfa;
-  const std::vector<RecordId>& rids = full ? *ctx.fullsfa_rid : *ctx.graph_rid;
-  HeapTable* blob_table = full ? ctx.fullsfa : ctx.staccato_graph;
 
   size_t total_postings = 0;
   const uint64_t cand_start_ns = telemetry::MonotonicNanos();
@@ -776,17 +769,9 @@ Result<std::vector<Answer>> ExecuteSfas(const PlanContext& ctx,
       }
       STACCATO_ASSIGN_OR_RETURN(
           ws.pin,
-          ctx.blobs->GetCached(
+          ctx.base->blobs()->GetCached(
               BlobCacheKey(full, cand.doc, ctx.blob_generation),
-              [&]() -> Result<BlobId> {
-                if (cand.doc >= rids.size()) {
-                  return Status::NotFound("no such DataKey");
-                }
-                STACCATO_ASSIGN_OR_RETURN(Tuple t,
-                                          blob_table->Get(rids[cand.doc]));
-                return t[1].AsBlobId();
-              },
-              &ws.io));
+              [&] { return ctx.base->BlobIdOf(cand.doc, full); }, &ws.io));
       blob = &ws.pin.value();
       return Status::OK();
     };

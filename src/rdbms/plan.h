@@ -60,10 +60,9 @@
 #include "automata/trie.h"
 #include "indexing/postings.h"
 #include "metrics/metrics.h"
-#include "rdbms/blob_store.h"
+#include "rdbms/base_epoch.h"
 #include "rdbms/btree.h"
 #include "rdbms/delta.h"
-#include "rdbms/heap_table.h"
 #include "rdbms/sql.h"
 #include "telemetry/trace.h"
 #include "util/mutex.h"
@@ -335,16 +334,10 @@ struct PlanSpec {
 /// \brief Everything the executor needs from the database: borrowed views
 /// of the storage layer. Plans never own storage.
 struct PlanContext {
-  HeapTable* master = nullptr;    // MasterData (equality predicates)
-  HeapTable* kmap = nullptr;      // kMAPData (string approaches)
-  HeapTable* postings = nullptr;  // inverted-index postings relation
-  HeapTable* fullsfa = nullptr;   // FullSFAData (blob-holding rows)
-  HeapTable* staccato_graph = nullptr;  // StaccatoGraph (blob-holding rows)
-  BlobStore* blobs = nullptr;
+  /// The committed base epoch: relations, blob store, blob-row maps.
+  const BaseEpoch* base = nullptr;
   BPlusTree* index = nullptr;               // may be null (no index built)
   const DictionaryTrie* dict = nullptr;     // may be null
-  const std::vector<RecordId>* fullsfa_rid = nullptr;
-  const std::vector<RecordId>* graph_rid = nullptr;
   size_t num_sfas = 0;
   /// The database-owned shared buffer cache; null when caching is
   /// disabled. The Fetch stage reads blobs through it (with per-worker

@@ -1,16 +1,15 @@
 #include "rdbms/staccato_db.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <unordered_map>
+#include <utility>
 
 #include "automata/dfa.h"
 #include "indexing/index_builder.h"
 #include "inference/kbest.h"
-#include "rdbms/kmap_row.h"
 #include "rdbms/session.h"
 #include "telemetry/clock.h"
 #include "telemetry/metrics_registry.h"
@@ -28,53 +27,6 @@ namespace {
 // relational context, e.g. Claims.Year in the paper's running example):
 // page p of a corpus is dated kBaseYear + p.
 constexpr int64_t kBaseYear = 2010;
-
-Schema MasterSchema() {
-  return Schema({{"DataKey", ValueType::kInt},
-                 {"DocName", ValueType::kString},
-                 {"Year", ValueType::kInt},
-                 {"SFANum", ValueType::kInt}});
-}
-Schema TruthSchema() {
-  return Schema({{"DataKey", ValueType::kInt}, {"Data", ValueType::kString}});
-}
-Schema FullSfaSchema() {
-  return Schema({{"DataKey", ValueType::kInt}, {"SFABlob", ValueType::kBlobId}});
-}
-Schema StaccatoDataSchema() {
-  return Schema({{"DataKey", ValueType::kInt},
-                 {"ChunkNum", ValueType::kInt},
-                 {"LineNum", ValueType::kInt},
-                 {"Data", ValueType::kString},
-                 {"LogProb", ValueType::kDouble}});
-}
-Schema StaccatoGraphSchema() {
-  return Schema({{"DataKey", ValueType::kInt}, {"GraphBlob", ValueType::kBlobId}});
-}
-Schema PostingsSchema() {
-  return Schema({{"Term", ValueType::kString},
-                 {"DataKey", ValueType::kInt},
-                 {"Posting", ValueType::kInt}});
-}
-
-// ---- Epoch-suffixed storage paths ------------------------------------------
-//
-// Checkpoint never rewrites the live epoch's files in place (a crash
-// mid-fold would leave, e.g., duplicated kMAPData rows that double match
-// probabilities). It writes a complete fresh epoch and then commits it by
-// atomically replacing the `staccato.meta` pointer. Epoch 0 keeps the
-// legacy unsuffixed names so pre-WAL directories reopen unchanged.
-
-std::string TableFile(const std::string& dir, const char* base,
-                      uint64_t epoch) {
-  if (epoch == 0) return dir + "/" + base + ".tbl";
-  return dir + "/" + base + "." + std::to_string(epoch) + ".tbl";
-}
-
-std::string BlobFile(const std::string& dir, uint64_t epoch) {
-  if (epoch == 0) return dir + "/blobs.dat";
-  return dir + "/blobs." + std::to_string(epoch) + ".dat";
-}
 
 std::string MetaPath(const std::string& dir) { return dir + "/staccato.meta"; }
 
@@ -96,25 +48,17 @@ constexpr size_t kMetaSize = kMetaPayload + sizeof(uint32_t);
 
 struct DbMeta {
   uint64_t epoch = 0;
-  uint64_t kmap_k;
-  uint64_t staccato_m;
-  uint64_t staccato_k;
-
-  DbMeta() {
-    const LoadOptions defaults;  // absent meta = the default load knobs
-    kmap_k = defaults.kmap_k;
-    staccato_m = defaults.staccato.m;
-    staccato_k = defaults.staccato.k;
-  }
+  LoadOptions opts;  // absent meta = the default load knobs
 };
 
-Status WriteMetaAtomic(const std::string& dir, const DbMeta& meta) {
+Status WriteMetaAtomic(const std::string& dir, uint64_t epoch,
+                       const LoadOptions& opts) {
   BinaryWriter w;
   w.PutRaw(kMetaMagic, sizeof(kMetaMagic));
-  w.PutU64(meta.epoch);
-  w.PutU64(meta.kmap_k);
-  w.PutU64(meta.staccato_m);
-  w.PutU64(meta.staccato_k);
+  w.PutU64(epoch);
+  w.PutU64(opts.kmap_k);
+  w.PutU64(opts.staccato.m);
+  w.PutU64(opts.staccato.k);
   w.PutU32(util::Crc32(w.buffer()));
   const std::string path = MetaPath(dir);
   const std::string tmp = path + ".tmp";
@@ -163,14 +107,59 @@ Result<DbMeta> ReadMeta(const std::string& dir) {
                        data.size() - sizeof(kMetaMagic));
   DbMeta meta;
   STACCATO_ASSIGN_OR_RETURN(meta.epoch, r.GetU64());
-  STACCATO_ASSIGN_OR_RETURN(meta.kmap_k, r.GetU64());
-  STACCATO_ASSIGN_OR_RETURN(meta.staccato_m, r.GetU64());
-  STACCATO_ASSIGN_OR_RETURN(meta.staccato_k, r.GetU64());
+  STACCATO_ASSIGN_OR_RETURN(meta.opts.kmap_k, r.GetU64());
+  STACCATO_ASSIGN_OR_RETURN(meta.opts.staccato.m, r.GetU64());
+  STACCATO_ASSIGN_OR_RETURN(meta.opts.staccato.k, r.GetU64());
   STACCATO_ASSIGN_OR_RETURN(uint32_t crc, r.GetU32());
   if (crc != util::Crc32(data.data(), kMetaPayload)) {
     return Status::Corruption("meta checksum mismatch " + MetaPath(dir));
   }
   return meta;
+}
+
+/// A document's kMAPData rows: its k most likely strings, rank 0 (the MAP
+/// transcription) first.
+std::vector<DeltaKMapRow> KMapRows(const Sfa& sfa, size_t k) {
+  std::vector<DeltaKMapRow> rows;
+  for (ScoredString& s : KBestStrings(sfa, k)) {
+    rows.push_back({std::move(s.str), std::log(s.prob)});
+  }
+  return rows;
+}
+
+/// One document's postings, packed as DeltaDoc and the postings relation
+/// hold them.
+Result<PackedPostings> DocPostings(const Sfa& chunked,
+                                   const DictionaryTrie& dict) {
+  STACCATO_ASSIGN_OR_RETURN(PostingMap pm, BuildPostings(chunked, dict));
+  PackedPostings packed;
+  for (const auto& [tid, vec] : pm) {
+    std::vector<uint64_t>& dst = packed[dict.term(tid)];
+    dst.reserve(vec.size());
+    for (const Posting& p : vec) dst.push_back(PackPosting(p));
+  }
+  return packed;
+}
+
+/// Rebuilds the in-memory B+-tree and the planner's per-term statistics
+/// from a postings relation. Its rows are grouped by document in DataKey
+/// order, so a term's documents appear in nondecreasing order and distinct
+/// docs can be counted with a last-seen map.
+Status IndexPostings(HeapTable* postings, BPlusTree* index,
+                     TermStatsMap* stats) {
+  std::unordered_map<std::string, int64_t> last_doc;
+  return postings->Scan([&](RecordId rid, const Tuple& t) {
+    const std::string& term = t[0].AsString();
+    index->Insert(term, PackRecordId(rid));
+    TermStats& st = (*stats)[term];
+    ++st.postings;
+    auto [it, fresh] = last_doc.emplace(term, t[1].AsInt());
+    if (fresh || it->second != t[1].AsInt()) {
+      it->second = t[1].AsInt();
+      ++st.docs;
+    }
+    return true;
+  });
 }
 
 }  // namespace
@@ -181,31 +170,12 @@ Result<std::unique_ptr<StaccatoDb>> StaccatoDb::Open(const std::string& dir,
   std::filesystem::create_directories(dir, ec);
   if (ec) return Status::IOError("cannot create directory " + dir);
   auto db = std::unique_ptr<StaccatoDb>(new StaccatoDb(dir));
-  STACCATO_ASSIGN_OR_RETURN(
-      db->master_, HeapTable::Create(TableFile(dir, "master", 0), MasterSchema()));
-  STACCATO_ASSIGN_OR_RETURN(
-      db->truth_, HeapTable::Create(TableFile(dir, "truth", 0), TruthSchema()));
-  STACCATO_ASSIGN_OR_RETURN(
-      db->kmap_, HeapTable::Create(TableFile(dir, "kmap", 0), KMapSchema()));
-  STACCATO_ASSIGN_OR_RETURN(
-      db->fullsfa_,
-      HeapTable::Create(TableFile(dir, "fullsfa", 0), FullSfaSchema()));
-  STACCATO_ASSIGN_OR_RETURN(
-      db->staccato_,
-      HeapTable::Create(TableFile(dir, "staccato", 0), StaccatoDataSchema()));
-  STACCATO_ASSIGN_OR_RETURN(
-      db->staccato_graph_,
-      HeapTable::Create(TableFile(dir, "staccato_graph", 0),
-                        StaccatoGraphSchema()));
-  STACCATO_ASSIGN_OR_RETURN(
-      db->postings_,
-      HeapTable::Create(TableFile(dir, "postings", 0), PostingsSchema()));
-  STACCATO_ASSIGN_OR_RETURN(db->blobs_, BlobStore::Create(BlobFile(dir, 0)));
+  STACCATO_ASSIGN_OR_RETURN(db->base_, BaseEpoch::Create(dir, 0));
   if (cache.budget_bytes > 0) {
     db->cache_ = std::make_unique<cache::BufferCache>(cache.budget_bytes,
                                                       cache.shards);
   }
-  db->WireCache();
+  db->base_->WireCache(db->cache_.get());
   // A fresh database owns the directory outright: drop any stale epoch
   // pointer and truncate the log a previous database may have left here.
   std::remove(MetaPath(dir).c_str());
@@ -221,90 +191,31 @@ Result<std::unique_ptr<StaccatoDb>> StaccatoDb::OpenExisting(
   // The meta pointer names the committed epoch (0 when absent) and
   // carries the load parameters appends must reuse.
   STACCATO_ASSIGN_OR_RETURN(DbMeta meta, ReadMeta(dir));
-  const uint64_t epoch = meta.epoch;
-  STACCATO_ASSIGN_OR_RETURN(
-      db->master_,
-      HeapTable::Open(TableFile(dir, "master", epoch), MasterSchema()));
-  STACCATO_ASSIGN_OR_RETURN(
-      db->truth_, HeapTable::Open(TableFile(dir, "truth", epoch), TruthSchema()));
-  STACCATO_ASSIGN_OR_RETURN(
-      db->kmap_, HeapTable::Open(TableFile(dir, "kmap", epoch), KMapSchema()));
-  STACCATO_ASSIGN_OR_RETURN(
-      db->fullsfa_,
-      HeapTable::Open(TableFile(dir, "fullsfa", epoch), FullSfaSchema()));
-  STACCATO_ASSIGN_OR_RETURN(
-      db->staccato_,
-      HeapTable::Open(TableFile(dir, "staccato", epoch), StaccatoDataSchema()));
-  STACCATO_ASSIGN_OR_RETURN(
-      db->staccato_graph_,
-      HeapTable::Open(TableFile(dir, "staccato_graph", epoch),
-                      StaccatoGraphSchema()));
-  STACCATO_ASSIGN_OR_RETURN(
-      db->postings_,
-      HeapTable::Open(TableFile(dir, "postings", epoch), PostingsSchema()));
-  STACCATO_ASSIGN_OR_RETURN(db->blobs_, BlobStore::Open(BlobFile(dir, epoch)));
+  STACCATO_ASSIGN_OR_RETURN(db->base_, BaseEpoch::Open(dir, meta.epoch));
   if (cache.budget_bytes > 0) {
     db->cache_ = std::make_unique<cache::BufferCache>(cache.budget_bytes,
                                                       cache.shards);
   }
-  db->WireCache();
+  db->base_->WireCache(db->cache_.get());
+  db->num_sfas_.store(db->base_->NumDocuments(), std::memory_order_release);
 
-  // Recover the DataKey -> blob-row maps from the tables themselves.
-  const size_t n = db->fullsfa_->NumTuples();
-  db->num_sfas_.store(n, std::memory_order_release);
-  db->fullsfa_rid_.resize(n);
-  db->graph_rid_.resize(n);
-  STACCATO_RETURN_NOT_OK(db->fullsfa_->Scan([&](RecordId rid, const Tuple& t) {
-    size_t key = static_cast<size_t>(t[0].AsInt());
-    if (key < n) db->fullsfa_rid_[key] = rid;
-    return true;
-  }));
-  STACCATO_RETURN_NOT_OK(
-      db->staccato_graph_->Scan([&](RecordId rid, const Tuple& t) {
-        size_t key = static_cast<size_t>(t[0].AsInt());
-        if (key < n) db->graph_rid_[key] = rid;
-        return true;
-      }));
-
-  // Rebuild the in-memory B+-tree (and the dictionary trie) from the
-  // persisted postings relation, if an index had been built. The planner's
-  // per-term statistics are recovered in the same pass; postings rows were
-  // inserted grouped by document, so a term's documents appear in
-  // nondecreasing order and distinct docs can be counted with a last-seen
-  // map.
-  if (db->postings_->NumTuples() > 0) {
-    std::set<std::string> terms;
-    STACCATO_RETURN_NOT_OK(db->postings_->Scan([&](RecordId, const Tuple& t) {
-      terms.insert(t[0].AsString());
-      return true;
-    }));
-    STACCATO_ASSIGN_OR_RETURN(
-        DictionaryTrie trie,
-        DictionaryTrie::Build({terms.begin(), terms.end()}));
-    db->dict_.emplace(std::move(trie));
+  // Rebuild the in-memory B+-tree, the planner's per-term statistics and
+  // the dictionary trie from the persisted postings relation, if an index
+  // had been built.
+  if (db->base_->postings()->NumTuples() > 0) {
     db->index_ = std::make_unique<BPlusTree>();
-    std::unordered_map<std::string, int64_t> last_doc;
-    STACCATO_RETURN_NOT_OK(db->postings_->Scan([&](RecordId rid, const Tuple& t) {
-      const std::string& term = t[0].AsString();
-      db->index_->Insert(term, PackRecordId(rid));
-      TermStats& st = db->term_stats_[term];
-      ++st.postings;
-      auto [it, fresh] = last_doc.emplace(term, t[1].AsInt());
-      if (fresh || it->second != t[1].AsInt()) {
-        it->second = t[1].AsInt();
-        ++st.docs;
-      }
-      return true;
-    }));
+    STACCATO_RETURN_NOT_OK(IndexPostings(db->base_->postings(),
+                                         db->index_.get(), &db->term_stats_));
+    std::vector<std::string> terms;
+    for (const auto& [term, st] : db->term_stats_) terms.push_back(term);
+    STACCATO_ASSIGN_OR_RETURN(DictionaryTrie trie,
+                              DictionaryTrie::Build(terms));
+    db->dict_.emplace(std::move(trie));
   }
 
   {
     util::MutexLock lock(&db->ingest_mu_);
-    db->epoch_ = epoch;
-    db->base_docs_ = n;
-    db->load_opts_.kmap_k = meta.kmap_k;
-    db->load_opts_.staccato.m = meta.staccato_m;
-    db->load_opts_.staccato.k = meta.staccato_k;
+    db->load_opts_ = meta.opts;
     // Replay the committed WAL suffix into the delta generation; a torn
     // tail is truncated so fresh appends land on a record boundary.
     STACCATO_RETURN_NOT_OK(db->RecoverWal());
@@ -344,7 +255,7 @@ Status StaccatoDb::RecoverWal() {
         break;
       }
       have_pending = false;
-      const uint64_t next = base_docs_ + delta_.size();
+      const uint64_t next = base_->NumDocuments() + delta_.size();
       if (pending.seq < next) {
         // Already folded into the base by a checkpoint that committed its
         // meta pointer but crashed before truncating the log.
@@ -376,23 +287,14 @@ Result<std::shared_ptr<const DeltaDoc>> StaccatoDb::MaterializeDelta(
   d->truth = rec.truth;
   d->full_blob = rec.full_sfa;
   STACCATO_ASSIGN_OR_RETURN(Sfa sfa, Sfa::Deserialize(rec.full_sfa));
-  const std::vector<ScoredString> top = KBestStrings(sfa, rec.kmap_k);
-  d->kmap.reserve(top.size());
-  for (const ScoredString& s : top) {
-    d->kmap.push_back({s.str, std::log(s.prob)});
-  }
+  d->kmap = KMapRows(sfa, rec.kmap_k);
   StaccatoParams params = load_opts_.staccato;
   params.m = rec.staccato_m;
   params.k = rec.staccato_k;
   STACCATO_ASSIGN_OR_RETURN(Sfa chunked, ApproximateSfa(sfa, params));
   d->graph_blob = chunked.Serialize();
   if (dict_) {
-    STACCATO_ASSIGN_OR_RETURN(PostingMap pm, BuildPostings(chunked, *dict_));
-    for (const auto& [tid, vec] : pm) {
-      std::vector<uint64_t>& dst = d->postings[dict_->term(tid)];
-      dst.reserve(vec.size());
-      for (const Posting& p : vec) dst.push_back(PackPosting(p));
-    }
+    STACCATO_ASSIGN_OR_RETURN(d->postings, DocPostings(chunked, *dict_));
   }
   return std::shared_ptr<const DeltaDoc>(std::move(d));
 }
@@ -401,7 +303,7 @@ Status StaccatoDb::Append(const DocumentInput& doc) {
   util::MutexLock lock(&ingest_mu_);
   if (wal_ == nullptr) return Status::Internal("database has no write-ahead log");
   WalDocRecord rec;
-  rec.seq = base_docs_ + delta_.size();
+  rec.seq = base_->NumDocuments() + delta_.size();
   rec.doc_name = doc.doc_name;
   rec.year = doc.year;
   rec.truth = doc.truth;
@@ -453,213 +355,51 @@ Status StaccatoDb::CheckpointLocked() {
   // Nothing to fold: the log's contents are already in the base.
   if (delta_.empty()) return wal_->Reset();
 
-  const uint64_t ne = epoch_ + 1;
-  const size_t total = base_docs_ + delta_.size();
-
-  STACCATO_ASSIGN_OR_RETURN(
-      std::unique_ptr<HeapTable> nmaster,
-      HeapTable::Create(TableFile(dir_, "master", ne), MasterSchema()));
-  STACCATO_ASSIGN_OR_RETURN(
-      std::unique_ptr<HeapTable> ntruth,
-      HeapTable::Create(TableFile(dir_, "truth", ne), TruthSchema()));
-  STACCATO_ASSIGN_OR_RETURN(
-      std::unique_ptr<HeapTable> nkmap,
-      HeapTable::Create(TableFile(dir_, "kmap", ne), KMapSchema()));
-  STACCATO_ASSIGN_OR_RETURN(
-      std::unique_ptr<HeapTable> nfullsfa,
-      HeapTable::Create(TableFile(dir_, "fullsfa", ne), FullSfaSchema()));
-  STACCATO_ASSIGN_OR_RETURN(
-      std::unique_ptr<HeapTable> nstaccato,
-      HeapTable::Create(TableFile(dir_, "staccato", ne), StaccatoDataSchema()));
-  STACCATO_ASSIGN_OR_RETURN(
-      std::unique_ptr<HeapTable> ngraph,
-      HeapTable::Create(TableFile(dir_, "staccato_graph", ne),
-                        StaccatoGraphSchema()));
-  STACCATO_ASSIGN_OR_RETURN(
-      std::unique_ptr<HeapTable> npostings,
-      HeapTable::Create(TableFile(dir_, "postings", ne), PostingsSchema()));
-  STACCATO_ASSIGN_OR_RETURN(std::unique_ptr<BlobStore> nblobs,
-                            BlobStore::Create(BlobFile(dir_, ne)));
-
-  auto copy_rows = [](HeapTable* src, HeapTable* dst) -> Status {
-    Status row_st = Status::OK();
-    STACCATO_RETURN_NOT_OK(src->Scan([&](RecordId, const Tuple& t) {
-      row_st = dst->Insert(t).status();
-      return row_st.ok();
-    }));
-    return row_st;
-  };
-  STACCATO_RETURN_NOT_OK(copy_rows(master_.get(), nmaster.get()));
-  STACCATO_RETURN_NOT_OK(copy_rows(truth_.get(), ntruth.get()));
-  STACCATO_RETURN_NOT_OK(copy_rows(kmap_.get(), nkmap.get()));
-  STACCATO_RETURN_NOT_OK(copy_rows(staccato_.get(), nstaccato.get()));
-
-  // Blob-holding rows cannot be copied verbatim: blob ids are offsets in
-  // the epoch's blob file. Re-put every base document's blobs — the bytes
-  // are preserved exactly, which is what keeps the warm blob cache valid
-  // across the fold (BlobCacheKey carries blob_generation, untouched here).
-  std::vector<RecordId> nfull_rid(total);
-  std::vector<RecordId> ngraph_rid(total);
-  for (size_t i = 0; i < base_docs_; ++i) {
-    STACCATO_ASSIGN_OR_RETURN(Tuple ft, fullsfa_->Get(fullsfa_rid_[i]));
-    STACCATO_ASSIGN_OR_RETURN(std::string fblob, blobs_->Get(ft[1].AsBlobId()));
-    STACCATO_ASSIGN_OR_RETURN(BlobId fid, nblobs->Put(fblob));
-    STACCATO_ASSIGN_OR_RETURN(
-        nfull_rid[i], nfullsfa->Insert({Value::Int(static_cast<int64_t>(i)),
-                                        Value::Blob(fid)}));
-    STACCATO_ASSIGN_OR_RETURN(Tuple gt, staccato_graph_->Get(graph_rid_[i]));
-    STACCATO_ASSIGN_OR_RETURN(std::string gblob, blobs_->Get(gt[1].AsBlobId()));
-    STACCATO_ASSIGN_OR_RETURN(BlobId gid, nblobs->Put(gblob));
-    STACCATO_ASSIGN_OR_RETURN(
-        ngraph_rid[i], ngraph->Insert({Value::Int(static_cast<int64_t>(i)),
-                                       Value::Blob(gid)}));
+  STACCATO_ASSIGN_OR_RETURN(std::unique_ptr<BaseEpoch> next,
+                            BaseEpoch::Create(dir_, base_->epoch() + 1));
+  // Every document goes through AppendDocument: the base ones as the live
+  // epoch reads them back, then the delta, from the exact in-memory state
+  // queries were already serving. Blob ids are offsets in the epoch's blob
+  // file, so rows are rewritten, not copied; the blob bytes are unchanged,
+  // which keeps the warm blob cache valid across the fold (BlobCacheKey
+  // carries blob_generation, untouched here).
+  STACCATO_RETURN_NOT_OK(base_->ForEachDocument(
+      [&](const DeltaDoc& d) { return next->AppendDocument(d); }));
+  for (const auto& d : delta_) {
+    STACCATO_RETURN_NOT_OK(next->AppendDocument(*d));
   }
 
-  // Delta documents become ordinary base rows, derived from the exact
-  // in-memory state queries were already serving.
-  for (size_t i = 0; i < delta_.size(); ++i) {
-    const DeltaDoc& d = *delta_[i];
-    const int64_t key = static_cast<int64_t>(base_docs_ + i);
-    STACCATO_RETURN_NOT_OK(
-        nmaster
-            ->Insert({Value::Int(key), Value::String(d.doc_name),
-                      Value::Int(d.year), Value::Int(key)})
-            .status());
-    STACCATO_RETURN_NOT_OK(
-        ntruth->Insert({Value::Int(key), Value::String(d.truth)}).status());
-    for (size_t r = 0; r < d.kmap.size(); ++r) {
-      STACCATO_RETURN_NOT_OK(
-          nkmap
-              ->Insert(KMapTuple(key, static_cast<int64_t>(r), d.kmap[r].str,
-                                 d.kmap[r].log_prob))
-              .status());
-    }
-    STACCATO_ASSIGN_OR_RETURN(BlobId fid, nblobs->Put(d.full_blob));
-    STACCATO_ASSIGN_OR_RETURN(
-        nfull_rid[base_docs_ + i],
-        nfullsfa->Insert({Value::Int(key), Value::Blob(fid)}));
-    STACCATO_ASSIGN_OR_RETURN(Sfa chunked, Sfa::Deserialize(d.graph_blob));
-    for (EdgeId e = 0; e < chunked.NumEdges(); ++e) {
-      const Edge& edge = chunked.edge(e);
-      for (size_t r = 0; r < edge.transitions.size(); ++r) {
-        STACCATO_RETURN_NOT_OK(
-            nstaccato
-                ->Insert({Value::Int(key), Value::Int(static_cast<int64_t>(e)),
-                          Value::Int(static_cast<int64_t>(r)),
-                          Value::String(edge.transitions[r].label),
-                          Value::Double(std::log(edge.transitions[r].prob))})
-                .status());
-      }
-    }
-    STACCATO_ASSIGN_OR_RETURN(BlobId gid, nblobs->Put(d.graph_blob));
-    STACCATO_ASSIGN_OR_RETURN(
-        ngraph_rid[base_docs_ + i],
-        ngraph->Insert({Value::Int(key), Value::Blob(gid)}));
-  }
-
-  // Postings: copy the base rows into the new relation (re-pointing the
-  // B+-tree at the new record ids), then append the delta documents'
-  // in-memory postings. The dictionary trie is reused unchanged, so
-  // anchor resolution is untouched by a checkpoint.
+  // The postings went along with their documents; the dictionary trie is
+  // reused unchanged, so anchor resolution is untouched by a checkpoint.
   std::unique_ptr<BPlusTree> nindex;
   TermStatsMap nstats;
   if (dict_) {
     nindex = std::make_unique<BPlusTree>();
-    Status row_st = Status::OK();
-    std::unordered_map<std::string, int64_t> last_doc;
-    STACCATO_RETURN_NOT_OK(postings_->Scan([&](RecordId, const Tuple& t) {
-      Result<RecordId> rid = npostings->Insert(t);
-      if (!rid.ok()) {
-        row_st = rid.status();
-        return false;
-      }
-      const std::string& term = t[0].AsString();
-      nindex->Insert(term, PackRecordId(*rid));
-      TermStats& st = nstats[term];
-      ++st.postings;
-      auto [it, fresh] = last_doc.emplace(term, t[1].AsInt());
-      if (fresh || it->second != t[1].AsInt()) {
-        it->second = t[1].AsInt();
-        ++st.docs;
-      }
-      return true;
-    }));
-    STACCATO_RETURN_NOT_OK(row_st);
-    for (size_t i = 0; i < delta_.size(); ++i) {
-      const int64_t key = static_cast<int64_t>(base_docs_ + i);
-      for (const auto& [term, vec] : delta_[i]->postings) {
-        TermStats& st = nstats[term];
-        st.postings += vec.size();
-        ++st.docs;
-        for (uint64_t packed : vec) {
-          STACCATO_ASSIGN_OR_RETURN(
-              RecordId rid,
-              npostings->Insert({Value::String(term), Value::Int(key),
-                                 Value::Int(static_cast<int64_t>(packed))}));
-          nindex->Insert(term, PackRecordId(rid));
-        }
-      }
-    }
+    STACCATO_RETURN_NOT_OK(
+        IndexPostings(next->postings(), nindex.get(), &nstats));
   }
 
   // Durability barrier: everything the new epoch references must be on
   // disk before the meta pointer names it.
-  STACCATO_RETURN_NOT_OK(nmaster->Sync());
-  STACCATO_RETURN_NOT_OK(ntruth->Sync());
-  STACCATO_RETURN_NOT_OK(nkmap->Sync());
-  STACCATO_RETURN_NOT_OK(nfullsfa->Sync());
-  STACCATO_RETURN_NOT_OK(nstaccato->Sync());
-  STACCATO_RETURN_NOT_OK(ngraph->Sync());
-  STACCATO_RETURN_NOT_OK(npostings->Sync());
-  STACCATO_RETURN_NOT_OK(nblobs->Sync());
-
-  DbMeta meta;
-  meta.epoch = ne;
-  meta.kmap_k = load_opts_.kmap_k;
-  meta.staccato_m = load_opts_.staccato.m;
-  meta.staccato_k = load_opts_.staccato.k;
+  STACCATO_RETURN_NOT_OK(next->Sync());
   // The commit point: after this rename, recovery opens the new epoch and
   // skips every WAL record below the new base (absolute sequence numbers
   // make the replay idempotent until the log is truncated below).
-  STACCATO_RETURN_NOT_OK(WriteMetaAtomic(dir_, meta));
+  STACCATO_RETURN_NOT_OK(WriteMetaAtomic(dir_, next->epoch(), load_opts_));
 
-  const std::vector<std::string> old_files = {
-      TableFile(dir_, "master", epoch_), TableFile(dir_, "truth", epoch_),
-      TableFile(dir_, "kmap", epoch_), TableFile(dir_, "fullsfa", epoch_),
-      TableFile(dir_, "staccato", epoch_),
-      TableFile(dir_, "staccato_graph", epoch_),
-      TableFile(dir_, "postings", epoch_), BlobFile(dir_, epoch_)};
-  const std::vector<uint64_t> old_spaces = {
-      master_->cache_space(), truth_->cache_space(), kmap_->cache_space(),
-      fullsfa_->cache_space(), staccato_->cache_space(),
-      staccato_graph_->cache_space(), postings_->cache_space()};
-  master_ = std::move(nmaster);
-  truth_ = std::move(ntruth);
-  kmap_ = std::move(nkmap);
-  fullsfa_ = std::move(nfullsfa);
-  staccato_ = std::move(nstaccato);
-  staccato_graph_ = std::move(ngraph);
-  postings_ = std::move(npostings);
-  blobs_ = std::move(nblobs);
-  fullsfa_rid_ = std::move(nfull_rid);
-  graph_rid_ = std::move(ngraph_rid);
+  std::unique_ptr<BaseEpoch> retired = std::exchange(base_, std::move(next));
   if (dict_) {
     index_ = std::move(nindex);
     term_stats_ = std::move(nstats);
   }
-  epoch_ = ne;
-  base_docs_ = total;
   delta_.clear();
-  WireCache();
-  if (cache_ != nullptr) {
-    for (uint64_t space : old_spaces) cache_->EraseSpace(space);
-  }
+  base_->WireCache(cache_.get());
   // Record ids and table handles changed: frozen plans must re-resolve
   // (load_gen_ bump). Blob *bytes* per document did not — blob_gen_ stays
   // put, keeping the warm blob cache valid.
   load_gen_.fetch_add(1, std::memory_order_acq_rel);
   STACCATO_RETURN_NOT_OK(wal_->Reset());
-  for (const std::string& f : old_files) std::remove(f.c_str());
+  retired->Remove();
   return Status::OK();
 }
 
@@ -670,7 +410,7 @@ size_t StaccatoDb::DeltaDocs() const {
 
 uint64_t StaccatoDb::Epoch() const {
   util::MutexLock lock(&ingest_mu_);
-  return epoch_;
+  return base_->epoch();
 }
 
 Status StaccatoDb::Load(const OcrDataset& dataset, const LoadOptions& opts) {
@@ -686,116 +426,50 @@ Status StaccatoDb::Load(const OcrDataset& dataset, const LoadOptions& opts) {
   // kMAPData rows would double match probabilities, and OpenExisting
   // would recover an inflated cardinality).
   delta_.clear();
-  base_docs_ = n;
   load_opts_ = opts;
   STACCATO_RETURN_NOT_OK(wal_->Reset());
-  STACCATO_RETURN_NOT_OK(
-      ReplaceHeap(&master_, TableFile(dir_, "master", epoch_), MasterSchema()));
-  STACCATO_RETURN_NOT_OK(
-      ReplaceHeap(&truth_, TableFile(dir_, "truth", epoch_), TruthSchema()));
-  STACCATO_RETURN_NOT_OK(
-      ReplaceHeap(&kmap_, TableFile(dir_, "kmap", epoch_), KMapSchema()));
-  STACCATO_RETURN_NOT_OK(ReplaceHeap(
-      &fullsfa_, TableFile(dir_, "fullsfa", epoch_), FullSfaSchema()));
-  STACCATO_RETURN_NOT_OK(ReplaceHeap(
-      &staccato_, TableFile(dir_, "staccato", epoch_), StaccatoDataSchema()));
-  STACCATO_RETURN_NOT_OK(ReplaceHeap(&staccato_graph_,
-                                     TableFile(dir_, "staccato_graph", epoch_),
-                                     StaccatoGraphSchema()));
-  if (blobs_ != nullptr) STACCATO_RETURN_NOT_OK(blobs_->Flush());
-  STACCATO_ASSIGN_OR_RETURN(blobs_, BlobStore::Create(BlobFile(dir_, epoch_)));
-  WireCache();
+  // Flush the old handles first so they hold no dirty pages: they are
+  // destroyed only after Create has truncated their files, and a late
+  // destructor flush must not write stale pages into them.
+  STACCATO_RETURN_NOT_OK(base_->Flush());
+  STACCATO_ASSIGN_OR_RETURN(base_, BaseEpoch::Create(dir_, base_->epoch()));
+  base_->WireCache(cache_.get());
   // The generation bumps above already make every cached blob key stale
   // and the fresh table instances carry fresh page namespaces; clearing
   // just releases the dead entries' budget immediately.
   if (cache_ != nullptr) cache_->Clear();
-  // Index artifacts describe the old corpus: drop them (and truncate the
-  // persisted postings relation) rather than let cost-based planning
-  // silently probe stale postings. Callers rebuild with
+  // Index artifacts describe the old corpus: drop them (the postings
+  // relation was truncated with the rest) rather than let cost-based
+  // planning silently probe stale postings. Callers rebuild with
   // BuildInvertedIndex; frozen index-probe plans fail cleanly until then.
   index_.reset();
   dict_.reset();
   term_stats_.clear();
-  STACCATO_RETURN_NOT_OK(ReplacePostingsRelation());
 
   // Staccato construction is the expensive part; parallelize across SFAs
-  // on the shared pool (construction_threads = 0 inherits its capacity).
+  // on the shared pool.
   STACCATO_ASSIGN_OR_RETURN(
       std::vector<Sfa> chunked,
-      ParallelMap<Sfa>(
-          n, /*grain=*/1,
-          [&](size_t i) { return ApproximateSfa(dataset.sfas[i], opts.staccato); },
-          ParallelOptions{opts.construction_threads}));
+      ParallelMap<Sfa>(n, /*grain=*/1, [&](size_t i) {
+        return ApproximateSfa(dataset.sfas[i], opts.staccato);
+      }));
 
-  fullsfa_rid_.resize(n);
-  graph_rid_.resize(n);
   for (size_t i = 0; i < n; ++i) {
-    int64_t key = static_cast<int64_t>(i);
-    uint32_t page = dataset.corpus.page_of_line[i];
-    std::string doc_name = StringPrintf(
-        "%s-page-%u", dataset.corpus.name.c_str(), page);
-    STACCATO_RETURN_NOT_OK(
-        master_
-            ->Insert({Value::Int(key), Value::String(doc_name),
-                      Value::Int(kBaseYear + page),
-                      Value::Int(static_cast<int64_t>(i))})
-            .status());
-    STACCATO_RETURN_NOT_OK(
-        truth_
-            ->Insert({Value::Int(key), Value::String(dataset.corpus.lines[i])})
-            .status());
-
-    // k-MAP rows (rank 0 is the MAP transcription).
-    std::vector<ScoredString> top = KBestStrings(dataset.sfas[i], opts.kmap_k);
-    for (size_t r = 0; r < top.size(); ++r) {
-      STACCATO_RETURN_NOT_OK(
-          kmap_
-              ->Insert(KMapTuple(key, static_cast<int64_t>(r), top[r].str,
-                                 std::log(top[r].prob)))
-              .status());
-    }
-
-    // FullSFA blob.
-    STACCATO_ASSIGN_OR_RETURN(BlobId full_id, blobs_->Put(dataset.sfas[i].Serialize()));
-    STACCATO_ASSIGN_OR_RETURN(
-        RecordId full_rid,
-        fullsfa_->Insert({Value::Int(key), Value::Blob(full_id)}));
-    fullsfa_rid_[i] = full_rid;
-
-    // Staccato rows: one per (chunk, retained string), plus the graph blob.
-    const Sfa& ch = chunked[i];
-    for (EdgeId e = 0; e < ch.NumEdges(); ++e) {
-      const Edge& edge = ch.edge(e);
-      for (size_t r = 0; r < edge.transitions.size(); ++r) {
-        STACCATO_RETURN_NOT_OK(
-            staccato_
-                ->Insert({Value::Int(key), Value::Int(static_cast<int64_t>(e)),
-                          Value::Int(static_cast<int64_t>(r)),
-                          Value::String(edge.transitions[r].label),
-                          Value::Double(std::log(edge.transitions[r].prob))})
-                .status());
-      }
-    }
-    STACCATO_ASSIGN_OR_RETURN(BlobId graph_id, blobs_->Put(ch.Serialize()));
-    STACCATO_ASSIGN_OR_RETURN(
-        RecordId graph_rid,
-        staccato_graph_->Insert({Value::Int(key), Value::Blob(graph_id)}));
-    graph_rid_[i] = graph_rid;
+    DeltaDoc doc;
+    const uint32_t page = dataset.corpus.page_of_line[i];
+    doc.doc_name =
+        StringPrintf("%s-page-%u", dataset.corpus.name.c_str(), page);
+    doc.year = kBaseYear + page;
+    doc.truth = dataset.corpus.lines[i];
+    doc.kmap = KMapRows(dataset.sfas[i], opts.kmap_k);
+    doc.full_blob = dataset.sfas[i].Serialize();
+    doc.graph_blob = chunked[i].Serialize();
+    STACCATO_RETURN_NOT_OK(base_->AppendDocument(doc));
   }
-  STACCATO_RETURN_NOT_OK(master_->Flush());
-  STACCATO_RETURN_NOT_OK(truth_->Flush());
-  STACCATO_RETURN_NOT_OK(kmap_->Flush());
-  STACCATO_RETURN_NOT_OK(fullsfa_->Flush());
-  STACCATO_RETURN_NOT_OK(staccato_->Flush());
-  STACCATO_RETURN_NOT_OK(staccato_graph_->Flush());
+  STACCATO_RETURN_NOT_OK(base_->Flush());
   // Persist the load parameters: a reopened database must append with the
   // same derivation knobs or its delta would diverge from the base.
-  DbMeta meta;
-  meta.epoch = epoch_;
-  meta.kmap_k = opts.kmap_k;
-  meta.staccato_m = opts.staccato.m;
-  meta.staccato_k = opts.staccato.k;
-  return WriteMetaAtomic(dir_, meta);
+  return WriteMetaAtomic(dir_, base_->epoch(), opts);
 }
 
 Status StaccatoDb::BuildInvertedIndex(
@@ -810,127 +484,67 @@ Status StaccatoDb::BuildInvertedIndex(
   term_stats_.clear();
   // A rebuild replaces the postings relation; recreating the heap file
   // truncates it so OpenExisting never recovers stale rows.
-  STACCATO_RETURN_NOT_OK(ReplacePostingsRelation());
-  for (size_t i = 0; i < base_docs_; ++i) {
-    STACCATO_ASSIGN_OR_RETURN(Tuple t, staccato_graph_->Get(graph_rid_[i]));
-    STACCATO_ASSIGN_OR_RETURN(std::string blob, blobs_->Get(t[1].AsBlobId()));
+  STACCATO_RETURN_NOT_OK(base_->ResetPostings());
+  for (size_t i = 0; i < base_->NumDocuments(); ++i) {
+    STACCATO_ASSIGN_OR_RETURN(std::string blob,
+                              base_->ReadBlob(i, /*full_sfa=*/false));
     STACCATO_ASSIGN_OR_RETURN(Sfa sfa, Sfa::Deserialize(blob));
-    STACCATO_ASSIGN_OR_RETURN(PostingMap postings, BuildPostings(sfa, *dict_));
-    for (const auto& [term, vec] : postings) {
-      // One PostingMap entry per (doc, term): maintain the planner's
-      // posting-count / distinct-doc statistics as the index grows.
-      TermStats& st = term_stats_[dict_->term(term)];
-      st.postings += vec.size();
-      ++st.docs;
-      for (const Posting& p : vec) {
-        STACCATO_ASSIGN_OR_RETURN(
-            RecordId rid,
-            postings_->Insert({Value::String(dict_->term(term)),
-                               Value::Int(static_cast<int64_t>(i)),
-                               Value::Int(static_cast<int64_t>(PackPosting(p)))}));
-        index_->Insert(dict_->term(term), PackRecordId(rid));
-      }
-    }
+    STACCATO_ASSIGN_OR_RETURN(PackedPostings postings,
+                              DocPostings(sfa, *dict_));
+    STACCATO_RETURN_NOT_OK(
+        base_->AppendPostings(static_cast<int64_t>(i), postings));
   }
-  STACCATO_RETURN_NOT_OK(postings_->Flush());
+  STACCATO_RETURN_NOT_OK(base_->postings()->Flush());
+  STACCATO_RETURN_NOT_OK(
+      IndexPostings(base_->postings(), index_.get(), &term_stats_));
   // Delta documents keep their postings in memory (ProbeIndex merges them
   // at query time); recompute against the new dictionary, copy-on-write so
   // a concurrent query's snapshot keeps observing the old vocabulary.
   for (std::shared_ptr<const DeltaDoc>& dptr : delta_) {
     STACCATO_ASSIGN_OR_RETURN(Sfa chunked, Sfa::Deserialize(dptr->graph_blob));
-    STACCATO_ASSIGN_OR_RETURN(PostingMap pm, BuildPostings(chunked, *dict_));
     auto copy = std::make_shared<DeltaDoc>(*dptr);
-    copy->postings.clear();
-    for (const auto& [tid, vec] : pm) {
-      std::vector<uint64_t>& dst = copy->postings[dict_->term(tid)];
-      dst.reserve(vec.size());
-      for (const Posting& p : vec) dst.push_back(PackPosting(p));
-    }
+    STACCATO_ASSIGN_OR_RETURN(copy->postings, DocPostings(chunked, *dict_));
     dptr = std::move(copy);
   }
   return Status::OK();
 }
 
-Status StaccatoDb::ReplaceHeap(std::unique_ptr<HeapTable>* table,
-                               const std::string& path, Schema schema) {
-  // Flush the old handle first so it holds no dirty pages — the handle is
-  // destroyed only after Create has truncated the file, and a late
-  // destructor flush must not write stale pages into it. On any failure
-  // the old handle stays in place, so the member is never left null.
-  if (*table != nullptr) STACCATO_RETURN_NOT_OK((*table)->Flush());
-  STACCATO_ASSIGN_OR_RETURN(*table, HeapTable::Create(path, std::move(schema)));
-  // The fresh instance has a fresh cache namespace; wire it into the
-  // shared cache so its pages are second-tier cached like the old one's.
-  (*table)->SetSharedCache(cache_.get());
-  return Status::OK();
-}
-
-void StaccatoDb::WireCache() {
-  cache::BufferCache* c = cache_.get();
-  blobs_->set_cache(c);
-  master_->SetSharedCache(c);
-  truth_->SetSharedCache(c);
-  kmap_->SetSharedCache(c);
-  fullsfa_->SetSharedCache(c);
-  staccato_->SetSharedCache(c);
-  staccato_graph_->SetSharedCache(c);
-  postings_->SetSharedCache(c);
-}
-
-Status StaccatoDb::ReplacePostingsRelation() {
-  return ReplaceHeap(&postings_, TableFile(dir_, "postings", epoch_),
-                     PostingsSchema());
+std::shared_ptr<const DeltaDoc> StaccatoDb::DeltaDocOf(DocId doc) const {
+  util::MutexLock lock(&ingest_mu_);
+  const size_t base_docs = base_->NumDocuments();
+  if (doc < base_docs || doc - base_docs >= delta_.size()) return nullptr;
+  return delta_[doc - base_docs];
 }
 
 Result<cache::BufferCache::Handle> StaccatoDb::FetchBlobCached(DocId doc,
                                                                bool full_sfa) {
-  {
-    // Delta documents live in memory: serve a detached handle over a copy
-    // of the exact bytes a checkpoint would persist.
-    util::MutexLock lock(&ingest_mu_);
-    if (doc >= base_docs_ && doc - base_docs_ < delta_.size()) {
-      const DeltaDoc& d = *delta_[doc - base_docs_];
-      return cache::BufferCache::Detached(
-          std::string(full_sfa ? d.full_blob : d.graph_blob));
-    }
+  // Delta documents live in memory: serve a detached handle over a copy
+  // of the exact bytes a checkpoint would persist.
+  if (std::shared_ptr<const DeltaDoc> d = DeltaDocOf(doc)) {
+    return cache::BufferCache::Detached(
+        std::string(full_sfa ? d->full_blob : d->graph_blob));
   }
   // A cache hit serves the pinned bytes straight away; only a miss pays
   // the heap point get that resolves the blob id — same shape as the
   // executor's streaming Fetch.
-  return blobs_->GetCached(
+  return base_->blobs()->GetCached(
       BlobCacheKey(full_sfa, doc, blob_gen_.load(std::memory_order_acquire)),
-      [&]() -> Result<BlobId> {
-        const std::vector<RecordId>& rids =
-            full_sfa ? fullsfa_rid_ : graph_rid_;
-        if (doc >= rids.size()) return Status::NotFound("no such DataKey");
-        HeapTable* table = full_sfa ? fullsfa_.get() : staccato_graph_.get();
-        STACCATO_ASSIGN_OR_RETURN(Tuple t, table->Get(rids[doc]));
-        return t[1].AsBlobId();
-      });
+      [&] { return base_->BlobIdOf(doc, full_sfa); });
+}
+
+Result<std::string> StaccatoDb::ReadBlob(DocId doc, bool full_sfa) {
+  if (std::shared_ptr<const DeltaDoc> d = DeltaDocOf(doc)) {
+    return full_sfa ? d->full_blob : d->graph_blob;
+  }
+  return base_->ReadBlob(doc, full_sfa);
 }
 
 Result<std::string> StaccatoDb::ReadStaccatoBlob(DocId doc) {
-  {
-    util::MutexLock lock(&ingest_mu_);
-    if (doc >= base_docs_ && doc - base_docs_ < delta_.size()) {
-      return delta_[doc - base_docs_]->graph_blob;
-    }
-  }
-  if (doc >= graph_rid_.size()) return Status::NotFound("no such DataKey");
-  STACCATO_ASSIGN_OR_RETURN(Tuple t, staccato_graph_->Get(graph_rid_[doc]));
-  return blobs_->Get(t[1].AsBlobId());
+  return ReadBlob(doc, /*full_sfa=*/false);
 }
 
 Result<std::string> StaccatoDb::ReadFullSfaBlob(DocId doc) {
-  {
-    util::MutexLock lock(&ingest_mu_);
-    if (doc >= base_docs_ && doc - base_docs_ < delta_.size()) {
-      return delta_[doc - base_docs_]->full_blob;
-    }
-  }
-  if (doc >= fullsfa_rid_.size()) return Status::NotFound("no such DataKey");
-  STACCATO_ASSIGN_OR_RETURN(Tuple t, fullsfa_->Get(fullsfa_rid_[doc]));
-  return blobs_->Get(t[1].AsBlobId());
+  return ReadBlob(doc, /*full_sfa=*/true);
 }
 
 Result<Sfa> StaccatoDb::LoadStaccatoSfa(DocId doc) {
@@ -950,23 +564,17 @@ PlanContext StaccatoDb::MakePlanContext() {
   // delta vector doesn't carry). Published DeltaDocs are immutable —
   // execution after the snapshot runs lock-free.
   util::MutexLock lock(&ingest_mu_);
+  const size_t base_docs = base_->NumDocuments();
   PlanContext ctx;
-  ctx.master = master_.get();
-  ctx.kmap = kmap_.get();
-  ctx.postings = postings_.get();
-  ctx.fullsfa = fullsfa_.get();
-  ctx.staccato_graph = staccato_graph_.get();
-  ctx.blobs = blobs_.get();
+  ctx.base = base_.get();
   ctx.index = index_.get();
   ctx.dict = dict_ ? &*dict_ : nullptr;
-  ctx.fullsfa_rid = &fullsfa_rid_;
-  ctx.graph_rid = &graph_rid_;
-  ctx.num_sfas = base_docs_ + delta_.size();
+  ctx.num_sfas = base_docs + delta_.size();
   ctx.cache = cache_.get();
   ctx.term_stats = index_ ? &term_stats_ : nullptr;
   ctx.load_generation = load_gen_.load(std::memory_order_acquire);
   ctx.blob_generation = blob_gen_.load(std::memory_order_acquire);
-  ctx.delta.base_docs = base_docs_;
+  ctx.delta.base_docs = base_docs;
   ctx.delta.docs = delta_;
   return ctx;
 }
@@ -1000,7 +608,7 @@ Result<std::vector<Answer>> StaccatoDb::QuerySql(Approach approach,
 Result<std::set<DocId>> StaccatoDb::GroundTruthFor(const std::string& pattern) {
   STACCATO_ASSIGN_OR_RETURN(Dfa dfa, Dfa::Compile(pattern, MatchMode::kContains));
   std::set<DocId> truth;
-  STACCATO_RETURN_NOT_OK(truth_->Scan([&](RecordId, const Tuple& t) {
+  STACCATO_RETURN_NOT_OK(base_->truth()->Scan([&](RecordId, const Tuple& t) {
     if (dfa.Matches(t[1].AsString())) {
       truth.insert(static_cast<DocId>(t[0].AsInt()));
     }
@@ -1009,7 +617,7 @@ Result<std::set<DocId>> StaccatoDb::GroundTruthFor(const std::string& pattern) {
   util::MutexLock lock(&ingest_mu_);
   for (size_t i = 0; i < delta_.size(); ++i) {
     if (dfa.Matches(delta_[i]->truth)) {
-      truth.insert(static_cast<DocId>(base_docs_ + i));
+      truth.insert(static_cast<DocId>(base_->NumDocuments() + i));
     }
   }
   return truth;
@@ -1017,23 +625,16 @@ Result<std::set<DocId>> StaccatoDb::GroundTruthFor(const std::string& pattern) {
 
 StorageReport StaccatoDb::Storage() const {
   StorageReport r;
-  r.kmap_table_bytes = kmap_->FileBytes();
-  r.blob_bytes = blobs_->FileBytes();
-  r.staccato_table_bytes = staccato_->FileBytes();
+  r.kmap_table_bytes = base_->kmap()->FileBytes();
+  r.blob_bytes = base_->blobs()->FileBytes();
+  r.staccato_table_bytes = base_->staccato()->FileBytes();
   r.index_entries = index_ ? index_->size() : 0;
   return r;
 }
 
 Status StaccatoDb::DropCaches() {
   if (cache_ != nullptr) cache_->Clear();
-  STACCATO_RETURN_NOT_OK(master_->EvictAll());
-  STACCATO_RETURN_NOT_OK(truth_->EvictAll());
-  STACCATO_RETURN_NOT_OK(kmap_->EvictAll());
-  STACCATO_RETURN_NOT_OK(fullsfa_->EvictAll());
-  STACCATO_RETURN_NOT_OK(staccato_->EvictAll());
-  STACCATO_RETURN_NOT_OK(staccato_graph_->EvictAll());
-  STACCATO_RETURN_NOT_OK(postings_->EvictAll());
-  return Status::OK();
+  return base_->EvictAll();
 }
 
 }  // namespace staccato::rdbms

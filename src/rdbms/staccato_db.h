@@ -16,6 +16,11 @@
 // fresh epoch of base files and commits it atomically through the
 // `staccato.meta` pointer file, so a crash at any instant recovers exactly
 // the committed prefix of appends (OpenExisting replays the log).
+//
+// The base files are one BaseEpoch (rdbms/base_epoch.h), the one place the
+// relation set and its file layout are defined. Load and Checkpoint write
+// every document through BaseEpoch::AppendDocument, so a checkpointed
+// epoch equals a bulk load of the same documents.
 #pragma once
 
 #include <atomic>
@@ -29,10 +34,9 @@
 #include "cache/buffer_cache.h"
 #include "metrics/metrics.h"
 #include "ocr/corpus.h"
-#include "rdbms/blob_store.h"
+#include "rdbms/base_epoch.h"
 #include "rdbms/btree.h"
 #include "rdbms/delta.h"
-#include "rdbms/heap_table.h"
 #include "rdbms/plan.h"
 #include "rdbms/wal.h"
 #include "sfa/sfa.h"
@@ -49,9 +53,6 @@ namespace staccato::rdbms {
 struct LoadOptions {
   size_t kmap_k = 25;            ///< k for the k-MAP table
   StaccatoParams staccato;       ///< (m, k) for the chunked representation
-  /// Workers for parallel Staccato construction; 0 = the shared thread
-  /// pool's capacity (util/parallel.h; STACCATO_THREADS overrides).
-  size_t construction_threads = 0;
 };
 
 /// \brief One incrementally ingested document (Append). The SFA is the
@@ -229,18 +230,6 @@ class StaccatoDb {
   /// concurrent Append never mutates state a running query observes.
   PlanContext MakePlanContext();
 
-  /// Truncates and reopens one heap relation (Load replaces every table
-  /// wholesale; index rebuilds replace the postings relation). Keeps the
-  /// old handle on failure — the member is never left null.
-  Status ReplaceHeap(std::unique_ptr<HeapTable>* table,
-                     const std::string& path, Schema schema);
-  Status ReplacePostingsRelation() REQUIRES(ingest_mu_);
-
-  /// Points the blob store and every heap table at the shared buffer
-  /// cache (no-op when caching is disabled). Load re-runs it after
-  /// replacing the storage handles.
-  void WireCache();
-
   /// Replays the write-ahead log into the delta generation (OpenExisting)
   /// and positions the writer at the end of the committed prefix,
   /// truncating any torn tail.
@@ -256,22 +245,21 @@ class StaccatoDb {
 
   Status CheckpointLocked() REQUIRES(ingest_mu_);
 
+  /// The delta document with id `doc`, or null when `doc` is not in the
+  /// delta generation.
+  std::shared_ptr<const DeltaDoc> DeltaDocOf(DocId doc) const;
+  /// The serialized FullSFA (`full_sfa`) or Staccato blob of `doc`, from
+  /// the delta or the base epoch.
+  Result<std::string> ReadBlob(DocId doc, bool full_sfa);
+
   std::string dir_;
   std::atomic<size_t> num_sfas_{0};
 
-  std::unique_ptr<HeapTable> master_;       // MasterData
-  std::unique_ptr<HeapTable> truth_;        // GroundTruth
-  std::unique_ptr<HeapTable> kmap_;         // kMAPData
-  std::unique_ptr<HeapTable> fullsfa_;      // FullSFAData
-  std::unique_ptr<HeapTable> staccato_;     // StaccatoData
-  std::unique_ptr<HeapTable> staccato_graph_;  // StaccatoGraph
-  std::unique_ptr<HeapTable> postings_;     // InvertedIndex postings table
-  std::unique_ptr<BlobStore> blobs_;
+  /// The committed base: relations, blob store and blob-row maps. Load
+  /// truncates it in place; Checkpoint builds the next epoch and swaps it
+  /// in.
+  std::unique_ptr<BaseEpoch> base_;
   std::unique_ptr<cache::BufferCache> cache_;  // shared page/blob cache
-
-  // DataKey -> RecordId of the blob-holding row, for point fetches.
-  std::vector<RecordId> fullsfa_rid_;
-  std::vector<RecordId> graph_rid_;
 
   std::unique_ptr<BPlusTree> index_;  // term -> postings-table record
   std::optional<DictionaryTrie> dict_;
@@ -285,10 +273,8 @@ class StaccatoDb {
   /// in MakePlanContext, never during execution.
   mutable util::Mutex ingest_mu_;
   std::vector<std::shared_ptr<const DeltaDoc>> delta_ GUARDED_BY(ingest_mu_);
-  size_t base_docs_ GUARDED_BY(ingest_mu_) = 0;  ///< docs folded into tables
   LoadOptions load_opts_ GUARDED_BY(ingest_mu_);  ///< params appends reuse
   std::unique_ptr<WalWriter> wal_ GUARDED_BY(ingest_mu_);
-  uint64_t epoch_ GUARDED_BY(ingest_mu_) = 0;  ///< committed base-file epoch
 };
 
 }  // namespace staccato::rdbms

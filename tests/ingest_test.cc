@@ -14,6 +14,8 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <random>
 #include <string>
@@ -133,6 +135,27 @@ void ExpectSameDb(StaccatoDb* oracle, StaccatoDb* subject, Approach approach,
   EXPECT_EQ(*truth_want, *truth_got);
 }
 
+/// The planner's per-term statistics must agree term by term.
+void ExpectSameTermStats(const StaccatoDb& oracle, const StaccatoDb& subject,
+                         const char* what) {
+  const TermStatsMap& want = oracle.term_stats();
+  const TermStatsMap& got = subject.term_stats();
+  ASSERT_FALSE(want.empty()) << what;
+  EXPECT_EQ(want.size(), got.size()) << what;
+  for (const auto& [term, st] : want) {
+    const auto it = got.find(term);
+    ASSERT_NE(it, got.end()) << what << ": no stats for '" << term << "'";
+    EXPECT_EQ(st.postings, it->second.postings) << what << ": " << term;
+    EXPECT_EQ(st.docs, it->second.docs) << what << ": " << term;
+  }
+}
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << "cannot read " << path;
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
 class IngestTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -209,7 +232,8 @@ TEST_F(IngestTest, AppendWithInvertedIndex) {
   auto oracle = Oracle(total_);
   ASSERT_TRUE(oracle->BuildInvertedIndex(terms).ok());
 
-  auto subject = OpenAt(eval::MakeScratchDir("ingest_subject_idx"));
+  const std::string dir = eval::MakeScratchDir("ingest_subject_idx");
+  auto subject = OpenAt(dir);
   ASSERT_TRUE(subject->Load(Prefix(full_, total_ / 2), SmallLoad()).ok());
   ASSERT_TRUE(subject->BuildInvertedIndex(terms).ok());
   ASSERT_TRUE(AppendRange(subject.get(), total_ / 2, total_).ok());
@@ -221,6 +245,53 @@ TEST_F(IngestTest, AppendWithInvertedIndex) {
   ASSERT_TRUE(subject->BuildInvertedIndex(terms).ok());
   ExpectSameDb(oracle.get(), subject.get(), Approach::kStaccato,
                IndexMode::kForce, 4, true, patterns_);
+  // Checkpoint folds the delta postings into the postings relation and
+  // recomputes the statistics from it; OpenExisting recovers both from
+  // the relation alone.
+  ASSERT_TRUE(subject->Checkpoint().ok());
+  ExpectSameTermStats(*oracle, *subject, "after Checkpoint");
+  ExpectSameDb(oracle.get(), subject.get(), Approach::kStaccato,
+               IndexMode::kForce, 4, true, patterns_);
+  subject.reset();
+  auto reopened = StaccatoDb::OpenExisting(dir);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  ExpectSameTermStats(*oracle, **reopened, "after OpenExisting");
+  ExpectSameDb(oracle.get(), reopened->get(), Approach::kStaccato,
+               IndexMode::kForce, 4, true, patterns_);
+}
+
+// The checkpointed epoch is the bulk-loaded one, file for file: each base
+// relation and the blob file of Load(prefix) + Append(rest) + Checkpoint
+// equals, byte for byte, what Load(full) writes (pages are zero-filled).
+// Answers alone would not show it: no query reads StaccatoData rows.
+TEST_F(IngestTest, CheckpointedEpochMatchesBulkLoad) {
+  const std::string want_dir = eval::MakeScratchDir("ingest_files_oracle");
+  const std::string got_dir = eval::MakeScratchDir("ingest_files_subject");
+  {
+    auto oracle = OpenAt(want_dir);
+    ASSERT_TRUE(oracle->Load(full_, SmallLoad()).ok());
+    auto subject = OpenAt(got_dir);
+    ASSERT_TRUE(subject->Load(Prefix(full_, total_ / 2), SmallLoad()).ok());
+    ASSERT_TRUE(AppendRange(subject.get(), total_ / 2, total_).ok());
+    ASSERT_TRUE(subject->Checkpoint().ok());
+    ASSERT_EQ(subject->Epoch(), 1u);
+  }  // closing flushes every file
+  const std::vector<std::pair<std::string, std::string>> files = {
+      {"master.tbl", "master.1.tbl"},
+      {"truth.tbl", "truth.1.tbl"},
+      {"kmap.tbl", "kmap.1.tbl"},
+      {"fullsfa.tbl", "fullsfa.1.tbl"},
+      {"staccato.tbl", "staccato.1.tbl"},
+      {"staccato_graph.tbl", "staccato_graph.1.tbl"},
+      {"blobs.dat", "blobs.1.dat"}};
+  for (const auto& [want_file, got_file] : files) {
+    const std::string want = FileBytes(want_dir + "/" + want_file);
+    const std::string got = FileBytes(got_dir + "/" + got_file);
+    EXPECT_FALSE(want.empty()) << want_file;
+    EXPECT_TRUE(want == got) << got_file << " (" << got.size()
+                             << " bytes) differs from " << want_file << " ("
+                             << want.size() << " bytes)";
+  }
 }
 
 // Random interleavings of Append and Checkpoint, compared against a
