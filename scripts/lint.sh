@@ -153,6 +153,18 @@ if [ -n "$hits" ]; then
 fi
 
 # ---------------------------------------------------------------------------
+# 11. Table pages and blobs are read through util::CheckedPRead, the read
+# seam of util/fault_fs.h: a FaultOp::kRead rule then reaches heap fetches
+# and blob fetches alike, and no read shares a file position. The heap
+# table and blob store sources call neither fread( nor pread( directly.
+hits=$(grep -nE '(^|[^[:alnum:]_])(fread|pread)\(' \
+  src/rdbms/heap_table.h src/rdbms/heap_table.cc \
+  src/rdbms/blob_store.h src/rdbms/blob_store.cc || true)
+if [ -n "$hits" ]; then
+  fail "page or blob read outside util::CheckedPRead in src/rdbms/{heap_table,blob_store}.*" "$hits"
+fi
+
+# ---------------------------------------------------------------------------
 if [ "$failures" -ne 0 ]; then
   echo "" >&2
   echo "lint: $failures rule(s) failed" >&2

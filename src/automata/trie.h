@@ -50,6 +50,8 @@ class DictionaryTrie {
   }
 
   const std::string& term(TermId id) const { return terms_[id]; }
+  /// Every term, by TermId: Build of this list rebuilds this trie.
+  const std::vector<std::string>& terms() const { return terms_; }
 
   /// Looks up a term (case-insensitive); kInvalidTerm if absent.
   TermId Find(const std::string& term) const;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 
 #include "rdbms/kmap_row.h"
 #include "sfa/sfa.h"
@@ -37,6 +38,7 @@ Schema PostingsSchema() {
                  {"DataKey", ValueType::kInt},
                  {"Posting", ValueType::kInt}});
 }
+Schema DictionarySchema() { return Schema({{"Term", ValueType::kString}}); }
 
 /// Reads the rows of document `key` from `table`, whose rows are grouped
 /// by the DataKey in column `key_column`, ascending. Starts at `*at` and
@@ -68,30 +70,31 @@ const BaseEpoch::RelationSpec BaseEpoch::kRelations[kNumRelations] = {
     {"master", MasterSchema},         {"truth", TruthSchema},
     {"kmap", KMapSchema},             {"fullsfa", FullSfaSchema},
     {"staccato", StaccatoDataSchema}, {"staccato_graph", StaccatoGraphSchema},
-    {"postings", PostingsSchema}};
+    {"postings", PostingsSchema},     {"dictionary", DictionarySchema}};
 
 std::string BaseEpoch::RelationFile(Relation r) const {
   return EpochFile(dir_, kRelations[r].file, epoch_, ".tbl");
 }
 
-Result<std::unique_ptr<BaseEpoch>> BaseEpoch::Create(const std::string& dir,
-                                                     uint64_t epoch) {
-  return Make(dir, epoch, /*create=*/true);
+Result<std::unique_ptr<BaseEpoch>> BaseEpoch::Create(
+    const std::string& dir, uint64_t epoch, cache::BufferCache* cache) {
+  return Make(dir, epoch, cache, /*create=*/true);
 }
 
 Result<std::unique_ptr<BaseEpoch>> BaseEpoch::Open(const std::string& dir,
-                                                   uint64_t epoch) {
+                                                   uint64_t epoch,
+                                                   cache::BufferCache* cache) {
   STACCATO_ASSIGN_OR_RETURN(std::unique_ptr<BaseEpoch> e,
-                            Make(dir, epoch, /*create=*/false));
-  // Recover the DataKey -> blob-row maps from the rows themselves.
+                            Make(dir, epoch, cache, /*create=*/false));
+  // Recover the DataKey -> BlobId arrays from the rows themselves.
   const size_t n = e->rel_[kFullSfa]->NumTuples();
   for (Relation r : {kFullSfa, kGraph}) {
-    std::vector<RecordId>& rids =
-        r == kFullSfa ? e->fullsfa_rid_ : e->graph_rid_;
-    rids.resize(n);
-    STACCATO_RETURN_NOT_OK(e->rel_[r]->Scan([&](RecordId rid, const Tuple& t) {
+    std::vector<BlobId>& ids =
+        r == kFullSfa ? e->fullsfa_blob_ : e->graph_blob_;
+    ids.resize(n);
+    STACCATO_RETURN_NOT_OK(e->rel_[r]->Scan([&](RecordId, const Tuple& t) {
       const size_t key = static_cast<size_t>(t[0].AsInt());
-      if (key < n) rids[key] = rid;
+      if (key < n) ids[key] = t[1].AsBlobId();
       return true;
     }));
   }
@@ -100,17 +103,26 @@ Result<std::unique_ptr<BaseEpoch>> BaseEpoch::Open(const std::string& dir,
 
 Result<std::unique_ptr<BaseEpoch>> BaseEpoch::Make(const std::string& dir,
                                                    uint64_t epoch,
+                                                   cache::BufferCache* cache,
                                                    bool create) {
-  auto e = std::unique_ptr<BaseEpoch>(new BaseEpoch(dir, epoch));
+  auto e = std::unique_ptr<BaseEpoch>(new BaseEpoch(dir, epoch, cache));
   for (int r = 0; r < kNumRelations; ++r) {
     const std::string path = e->RelationFile(static_cast<Relation>(r));
+    // A directory written before the dictionary relation existed has no
+    // file for it: it starts empty, and OpenExisting falls back to the
+    // terms that have postings.
+    std::error_code ec;
+    const bool make = create || (r == kDictionary &&
+                                 !std::filesystem::exists(path, ec));
     STACCATO_ASSIGN_OR_RETURN(
-        e->rel_[r], create ? HeapTable::Create(path, kRelations[r].schema())
-                           : HeapTable::Open(path, kRelations[r].schema()));
+        e->rel_[r],
+        make ? HeapTable::Create(path, kRelations[r].schema(), cache)
+             : HeapTable::Open(path, kRelations[r].schema(), cache));
   }
   const std::string blobs = EpochFile(dir, "blobs", epoch, ".dat");
-  STACCATO_ASSIGN_OR_RETURN(
-      e->blobs_, create ? BlobStore::Create(blobs) : BlobStore::Open(blobs));
+  STACCATO_ASSIGN_OR_RETURN(e->blobs_, create
+                                           ? BlobStore::Create(blobs, cache)
+                                           : BlobStore::Open(blobs, cache));
   return e;
 }
 
@@ -132,9 +144,8 @@ Status BaseEpoch::AppendDocument(const DeltaDoc& doc) {
             .status());
   }
   STACCATO_ASSIGN_OR_RETURN(BlobId full_id, blobs_->Put(doc.full_blob));
-  STACCATO_ASSIGN_OR_RETURN(
-      RecordId full_rid,
-      rel_[kFullSfa]->Insert({Value::Int(key), Value::Blob(full_id)}));
+  STACCATO_RETURN_NOT_OK(
+      rel_[kFullSfa]->Insert({Value::Int(key), Value::Blob(full_id)}).status());
   // Staccato rows: one per (chunk, retained string), in the blob's edge
   // and transition order, then the graph blob itself.
   SfaViewArena arena;
@@ -154,12 +165,11 @@ Status BaseEpoch::AppendDocument(const DeltaDoc& doc) {
     }
   }
   STACCATO_ASSIGN_OR_RETURN(BlobId graph_id, blobs_->Put(doc.graph_blob));
-  STACCATO_ASSIGN_OR_RETURN(
-      RecordId graph_rid,
-      rel_[kGraph]->Insert({Value::Int(key), Value::Blob(graph_id)}));
+  STACCATO_RETURN_NOT_OK(
+      rel_[kGraph]->Insert({Value::Int(key), Value::Blob(graph_id)}).status());
   STACCATO_RETURN_NOT_OK(AppendPostings(key, doc.postings));
-  fullsfa_rid_.push_back(full_rid);
-  graph_rid_.push_back(graph_rid);
+  fullsfa_blob_.push_back(full_id);
+  graph_blob_.push_back(graph_id);
   return Status::OK();
 }
 
@@ -208,26 +218,41 @@ Status BaseEpoch::AppendPostings(int64_t key, const PackedPostings& postings) {
   return Status::OK();
 }
 
-Status BaseEpoch::ResetPostings() {
-  // Flush the old handle first so it holds no dirty pages: it is
-  // destroyed only after Create has truncated the file, and a late
-  // destructor flush must not write stale pages into it. On failure the
-  // old handle stays in place, so the relation is never left null.
-  STACCATO_RETURN_NOT_OK(rel_[kPostings]->Flush());
-  STACCATO_ASSIGN_OR_RETURN(
-      rel_[kPostings],
-      HeapTable::Create(RelationFile(kPostings), PostingsSchema()));
-  // The fresh instance has a fresh cache namespace; wire it like the rest.
-  rel_[kPostings]->SetSharedCache(cache_);
+Status BaseEpoch::ResetIndex() {
+  for (Relation r : {kPostings, kDictionary}) {
+    // Flush the old handle first so it holds no dirty pages: it is
+    // destroyed only after Create has truncated the file, and a late
+    // destructor flush must not write stale pages into it. On failure the
+    // old handle stays in place, so the relation is never left null.
+    STACCATO_RETURN_NOT_OK(rel_[r]->Flush());
+    STACCATO_ASSIGN_OR_RETURN(
+        rel_[r], HeapTable::Create(RelationFile(r), kRelations[r].schema(),
+                                   cache_));
+  }
   return Status::OK();
 }
 
+Status BaseEpoch::WriteDictionary(const std::vector<std::string>& terms) {
+  for (const std::string& term : terms) {
+    STACCATO_RETURN_NOT_OK(
+        rel_[kDictionary]->Insert({Value::String(term)}).status());
+  }
+  return rel_[kDictionary]->Sync();
+}
+
+Result<std::vector<std::string>> BaseEpoch::ReadDictionary() const {
+  std::vector<std::string> terms;
+  STACCATO_RETURN_NOT_OK(rel_[kDictionary]->Scan([&](RecordId, const Tuple& t) {
+    terms.push_back(t[0].AsString());
+    return true;
+  }));
+  return terms;
+}
+
 Result<BlobId> BaseEpoch::BlobIdOf(uint64_t doc, bool full_sfa) const {
-  const std::vector<RecordId>& rids = full_sfa ? fullsfa_rid_ : graph_rid_;
-  if (doc >= rids.size()) return Status::NotFound("no such DataKey");
-  STACCATO_ASSIGN_OR_RETURN(Tuple t,
-                            rel_[full_sfa ? kFullSfa : kGraph]->Get(rids[doc]));
-  return t[1].AsBlobId();
+  const std::vector<BlobId>& ids = full_sfa ? fullsfa_blob_ : graph_blob_;
+  if (doc >= ids.size()) return Status::NotFound("no such DataKey");
+  return ids[doc];
 }
 
 Result<std::string> BaseEpoch::ReadBlob(uint64_t doc, bool full_sfa) const {
@@ -243,17 +268,6 @@ Status BaseEpoch::Flush() {
 Status BaseEpoch::Sync() {
   for (const auto& rel : rel_) STACCATO_RETURN_NOT_OK(rel->Sync());
   return blobs_->Sync();
-}
-
-void BaseEpoch::WireCache(cache::BufferCache* cache) {
-  cache_ = cache;
-  blobs_->set_cache(cache);
-  for (const auto& rel : rel_) rel->SetSharedCache(cache);
-}
-
-Status BaseEpoch::EvictAll() {
-  for (const auto& rel : rel_) STACCATO_RETURN_NOT_OK(rel->EvictAll());
-  return Status::OK();
 }
 
 void BaseEpoch::Remove() {

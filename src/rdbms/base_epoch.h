@@ -1,8 +1,9 @@
 // One epoch of a StaccatoDb's base storage: the relations of Table 5 —
 // MasterData, GroundTruth, kMAPData, FullSFAData, StaccatoData,
-// StaccatoGraph, and the inverted index's postings — the blob store their
-// blob columns point into, and the DataKey -> blob-row maps that point
-// fetches use. This module alone names the epoch's files and schemas.
+// StaccatoGraph, and the inverted index's postings and dictionary terms —
+// the blob store their blob columns point into, and the DataKey -> BlobId
+// arrays that point fetches use. This module alone names the epoch's files
+// and schemas.
 //
 // Checkpoint never rewrites a live epoch in place (a crash mid-fold would
 // leave, e.g., duplicated kMAPData rows that double match probabilities):
@@ -18,8 +19,8 @@
 //
 // Concurrency: the read paths (accessors, BlobIdOf, ReadBlob) follow
 // HeapTable's and BlobStore's contracts and are safe from any thread.
-// Every writer (AppendDocument, AppendPostings, ResetPostings, WireCache)
-// requires external exclusion.
+// Every writer (AppendDocument, AppendPostings, ResetIndex,
+// WriteDictionary) requires external exclusion.
 #pragma once
 
 #include <cstdint>
@@ -38,18 +39,21 @@ namespace staccato::rdbms {
 
 class BaseEpoch {
  public:
-  /// Creates (truncates) the files of `epoch` under `dir`.
+  /// Creates (truncates) the files of `epoch` under `dir`. Relations and
+  /// blobs are read through `cache` when it is not null.
   static Result<std::unique_ptr<BaseEpoch>> Create(const std::string& dir,
-                                                   uint64_t epoch);
+                                                   uint64_t epoch,
+                                                   cache::BufferCache* cache);
   /// Opens the files of `epoch` under `dir` and recovers the DataKey ->
-  /// blob-row maps from the FullSFAData and StaccatoGraph rows.
+  /// BlobId arrays from the FullSFAData and StaccatoGraph rows.
   static Result<std::unique_ptr<BaseEpoch>> Open(const std::string& dir,
-                                                 uint64_t epoch);
+                                                 uint64_t epoch,
+                                                 cache::BufferCache* cache);
 
   uint64_t epoch() const { return epoch_; }
 
   /// Documents held; the next AppendDocument writes this DataKey.
-  size_t NumDocuments() const { return fullsfa_rid_.size(); }
+  size_t NumDocuments() const { return fullsfa_blob_.size(); }
 
   /// Writes document NumDocuments(): its MasterData and GroundTruth rows,
   /// its kMAPData rows, its FullSFA blob and FullSFAData row, its
@@ -66,11 +70,19 @@ class BaseEpoch {
   /// Writes document `key`'s postings rows, term by term (an index build
   /// writes the base documents' postings after their other rows).
   Status AppendPostings(int64_t key, const PackedPostings& postings);
-  /// Truncates the postings relation: an index build replaces it.
-  Status ResetPostings();
+  /// Truncates the postings and dictionary relations: an index build
+  /// replaces both.
+  Status ResetIndex();
 
-  /// Resolves the id of document `doc`'s FullSFA (`full_sfa`) or
-  /// StaccatoGraph blob with one heap point get.
+  /// Writes the inverted index's dictionary terms to the dictionary
+  /// relation and syncs it.
+  Status WriteDictionary(const std::vector<std::string>& terms);
+  /// The terms WriteDictionary wrote; none when no index was built, or
+  /// when an older build wrote the directory.
+  Result<std::vector<std::string>> ReadDictionary() const;
+
+  /// The id of document `doc`'s FullSFA (`full_sfa`) or StaccatoGraph
+  /// blob, from memory.
   Result<BlobId> BlobIdOf(uint64_t doc, bool full_sfa) const;
   /// Reads that blob from disk.
   Result<std::string> ReadBlob(uint64_t doc, bool full_sfa) const;
@@ -81,11 +93,6 @@ class BaseEpoch {
   /// Flush + fsync: the durability barrier before a meta commit names
   /// this epoch.
   Status Sync();
-  /// Points the blob store and every relation at the shared buffer cache
-  /// (null detaches).
-  void WireCache(cache::BufferCache* cache);
-  /// Drops every relation's cached pages in both tiers (DropCaches).
-  Status EvictAll();
 
   /// Retires this epoch: drops its relations' pages from the shared cache
   /// and deletes its files. The handles stay open until destruction.
@@ -108,6 +115,7 @@ class BaseEpoch {
     kStaccato,   // StaccatoData
     kGraph,      // StaccatoGraph
     kPostings,   // inverted-index postings
+    kDictionary, // inverted-index dictionary terms
     kNumRelations
   };
   struct RelationSpec {
@@ -116,22 +124,25 @@ class BaseEpoch {
   };
   static const RelationSpec kRelations[kNumRelations];
 
-  BaseEpoch(std::string dir, uint64_t epoch)
-      : dir_(std::move(dir)), epoch_(epoch) {}
+  BaseEpoch(std::string dir, uint64_t epoch, cache::BufferCache* cache)
+      : dir_(std::move(dir)), epoch_(epoch), cache_(cache) {}
 
   /// Creates (`create`) or opens every file of the epoch.
   static Result<std::unique_ptr<BaseEpoch>> Make(const std::string& dir,
-                                                 uint64_t epoch, bool create);
+                                                 uint64_t epoch,
+                                                 cache::BufferCache* cache,
+                                                 bool create);
   std::string RelationFile(Relation r) const;
 
   std::string dir_;
   uint64_t epoch_;
-  cache::BufferCache* cache_ = nullptr;  ///< borrowed; see WireCache
+  cache::BufferCache* const cache_;  ///< borrowed; may be null
   std::unique_ptr<HeapTable> rel_[kNumRelations];
   std::unique_ptr<BlobStore> blobs_;
-  /// DataKey -> RecordId of the blob-holding row, for point fetches.
-  std::vector<RecordId> fullsfa_rid_;
-  std::vector<RecordId> graph_rid_;
+  /// DataKey -> BlobId of the document's FullSFA and StaccatoGraph blobs,
+  /// for point fetches.
+  std::vector<BlobId> fullsfa_blob_;
+  std::vector<BlobId> graph_blob_;
 };
 
 }  // namespace staccato::rdbms

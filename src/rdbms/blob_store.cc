@@ -11,16 +11,18 @@
 
 namespace staccato::rdbms {
 
-Result<std::unique_ptr<BlobStore>> BlobStore::Create(const std::string& path) {
-  auto store = std::unique_ptr<BlobStore>(new BlobStore(path));
+Result<std::unique_ptr<BlobStore>> BlobStore::Create(
+    const std::string& path, cache::BufferCache* cache) {
+  auto store = std::unique_ptr<BlobStore>(new BlobStore(path, cache));
   store->file_ = fopen(path.c_str(), "w+b");
   if (store->file_ == nullptr) return Status::IOError("cannot create " + path);
   store->fd_ = fileno(store->file_);
   return store;
 }
 
-Result<std::unique_ptr<BlobStore>> BlobStore::Open(const std::string& path) {
-  auto store = std::unique_ptr<BlobStore>(new BlobStore(path));
+Result<std::unique_ptr<BlobStore>> BlobStore::Open(
+    const std::string& path, cache::BufferCache* cache) {
+  auto store = std::unique_ptr<BlobStore>(new BlobStore(path, cache));
   store->file_ = fopen(path.c_str(), "r+b");
   if (store->file_ == nullptr) return Status::IOError("cannot open " + path);
   store->fd_ = fileno(store->file_);
@@ -122,8 +124,7 @@ Status BlobStore::GetInto(BlobId id, std::string* out, BlobIoStats* tally) {
 }
 
 Result<cache::BufferCache::Handle> BlobStore::GetCached(
-    const cache::CacheKey& key,
-    const std::function<Result<BlobId>()>& resolve_id, BlobIoStats* tally) {
+    const cache::CacheKey& key, BlobId id, BlobIoStats* tally) {
   if (cache_ != nullptr) {
     if (cache::BufferCache::Handle h = cache_->Lookup(key)) {
       reads_.fetch_add(1, std::memory_order_relaxed);
@@ -135,7 +136,6 @@ Result<cache::BufferCache::Handle> BlobStore::GetCached(
       return h;
     }
   }
-  STACCATO_ASSIGN_OR_RETURN(BlobId id, resolve_id());
   std::string data;
   STACCATO_RETURN_NOT_OK(GetInto(id, &data, tally));  // counts reads/bytes
   if (cache_ == nullptr) {

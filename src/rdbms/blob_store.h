@@ -10,10 +10,10 @@
 // that StaccatoDb::Load performs) require external exclusion: no
 // concurrent Gets while the store is being written.
 //
-// Cache-aware reads: attach a shared BufferCache with set_cache and read
+// Cache-aware reads: hand Create/Open the shared BufferCache and read
 // through GetCached, keyed on (representation, doc, blob_generation) via
-// BlobCacheKey. A hit pins the cached bytes (no heap-table access, no
-// pread); a miss reads from disk and installs the blob under the key.
+// BlobCacheKey. A hit pins the cached bytes (no pread); a miss reads from
+// disk and installs the blob under the key.
 // The executor passes PlanContext::blob_generation, which only Load bumps
 // (Append, Checkpoint and BuildInvertedIndex leave every document's blob
 // bytes as they were), so Load's invalidation falls out of that bump:
@@ -22,7 +22,6 @@
 
 #include <atomic>
 #include <cstdio>
-#include <functional>
 #include <memory>
 #include <string>
 
@@ -64,8 +63,10 @@ inline cache::CacheKey BlobCacheKey(bool full_sfa, uint64_t doc,
 /// \brief File-backed append-only blob store.
 class BlobStore {
  public:
-  static Result<std::unique_ptr<BlobStore>> Create(const std::string& path);
-  static Result<std::unique_ptr<BlobStore>> Open(const std::string& path);
+  static Result<std::unique_ptr<BlobStore>> Create(
+      const std::string& path, cache::BufferCache* cache = nullptr);
+  static Result<std::unique_ptr<BlobStore>> Open(
+      const std::string& path, cache::BufferCache* cache = nullptr);
 
   ~BlobStore();
   BlobStore(const BlobStore&) = delete;
@@ -89,23 +90,15 @@ class BlobStore {
   /// exactly what a Get of the same blob would.
   Status GetInto(BlobId id, std::string* out, BlobIoStats* tally = nullptr);
 
-  /// Cache-aware read: consults the attached buffer cache under `key`; on
-  /// a miss, runs `resolve_id` (the executor resolves the blob id with a
-  /// heap point get), reads the blob from disk and installs it. A hit
-  /// serves the pinned bytes with no heap-table access and no pread at
-  /// all. The returned handle pins the bytes (zero-copy view) until
-  /// released. Without an attached cache this degrades to a plain disk
-  /// read on a detached handle, so callers need not branch. Same
-  /// concurrency contract as Get.
-  Result<cache::BufferCache::Handle> GetCached(
-      const cache::CacheKey& key,
-      const std::function<Result<BlobId>()>& resolve_id,
-      BlobIoStats* tally = nullptr);
-
-  /// Attaches the process-shared buffer cache (null detaches). Not
-  /// synchronized against concurrent reads: wire it at open/load time.
-  void set_cache(cache::BufferCache* cache) { cache_ = cache; }
-  cache::BufferCache* cache() const { return cache_; }
+  /// Cache-aware read of blob `id`: consults the attached buffer cache
+  /// under `key`; on a miss, reads the blob from disk and installs it. A
+  /// hit serves the pinned bytes with no pread at all. The returned handle
+  /// pins the bytes (zero-copy view) until released. Without an attached
+  /// cache this degrades to a plain disk read on a detached handle, so
+  /// callers need not branch. Same concurrency contract as Get.
+  Result<cache::BufferCache::Handle> GetCached(const cache::CacheKey& key,
+                                               BlobId id,
+                                               BlobIoStats* tally = nullptr);
 
   /// Pushes buffered writes to disk. Call before another handle truncates
   /// or reopens the same file. The dirty flag is cleared only when the
@@ -133,7 +126,8 @@ class BlobStore {
   }
 
  private:
-  explicit BlobStore(std::string path) : path_(std::move(path)) {}
+  BlobStore(std::string path, cache::BufferCache* cache)
+      : path_(std::move(path)), cache_(cache) {}
 
   std::string path_;
   FILE* file_ = nullptr;
@@ -144,7 +138,7 @@ class BlobStore {
   /// fflush); dirty_ is double-checked under it. No named field is
   /// guarded: the steady read path is atomics + pread by design.
   util::Mutex flush_mu_;
-  cache::BufferCache* cache_ = nullptr;  ///< borrowed; see set_cache
+  cache::BufferCache* const cache_;  ///< borrowed; may be null
   std::atomic<uint64_t> reads_{0};
   std::atomic<uint64_t> bytes_read_{0};
   std::atomic<uint64_t> cache_hits_{0};

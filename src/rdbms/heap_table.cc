@@ -1,11 +1,9 @@
 #include "rdbms/heap_table.h"
 
-#include <sys/stat.h>
-
 #include <atomic>
+#include <cstring>
 
 #include "util/fault_fs.h"
-#include "util/strings.h"
 
 namespace staccato::rdbms {
 
@@ -17,6 +15,10 @@ Result<FILE*> OpenFile(const std::string& path, bool truncate) {
   }
   return f;
 }
+
+uint64_t PageOffset(uint32_t page_no) {
+  return static_cast<uint64_t>(page_no) * kPageSize;
+}
 }  // namespace
 
 uint64_t HeapTable::NextCacheSpace() {
@@ -24,41 +26,44 @@ uint64_t HeapTable::NextCacheSpace() {
   return counter.fetch_add(1, std::memory_order_relaxed);
 }
 
-void HeapTable::SetSharedCache(cache::BufferCache* cache) {
-  util::MutexLock lock(&latch_);
-  shared_cache_ = cache;
-}
-
-Result<std::unique_ptr<HeapTable>> HeapTable::Create(const std::string& path,
-                                                     Schema schema,
-                                                     size_t pool_pages) {
+Result<std::unique_ptr<HeapTable>> HeapTable::Create(
+    const std::string& path, Schema schema, cache::BufferCache* cache) {
   auto table = std::unique_ptr<HeapTable>(
-      new HeapTable(path, std::move(schema), pool_pages));
+      new HeapTable(path, std::move(schema), cache));
   STACCATO_ASSIGN_OR_RETURN(table->file_, OpenFile(path, /*truncate=*/true));
+  table->fd_ = fileno(table->file_);
   return table;
 }
 
 Result<std::unique_ptr<HeapTable>> HeapTable::Open(const std::string& path,
                                                    Schema schema,
-                                                   size_t pool_pages) {
+                                                   cache::BufferCache* cache) {
   auto table = std::unique_ptr<HeapTable>(
-      new HeapTable(path, std::move(schema), pool_pages));
+      new HeapTable(path, std::move(schema), cache));
   STACCATO_ASSIGN_OR_RETURN(table->file_, OpenFile(path, /*truncate=*/false));
+  table->fd_ = fileno(table->file_);
   fseek(table->file_, 0, SEEK_END);
   long size = ftell(table->file_);
   if (size < 0 || size % static_cast<long>(kPageSize) != 0) {
     return Status::Corruption("heap file size is not a multiple of page size");
   }
-  // No other thread can hold the table yet, but FetchPage's contract is
-  // REQUIRES(latch_) — hold it so the contract stays uniform.
-  util::MutexLock lock(&table->latch_);
-  table->num_pages_ = static_cast<size_t>(size) / kPageSize;
+  const uint32_t pages = static_cast<uint32_t>(size / kPageSize);
+  if (pages == 0) return table;
   // Recount tuples (cheap metadata pass; a production system would keep a
-  // catalog entry instead).
-  for (uint32_t p = 0; p < table->num_pages_; ++p) {
-    STACCATO_ASSIGN_OR_RETURN(Frame * f, table->FetchPage(p));
-    table->num_tuples_ += f->page.NumSlots();
+  // catalog entry instead). The last page becomes the tail. No other
+  // thread can hold the table yet, but tail_ is GUARDED_BY the latch.
+  util::MutexLock lock(&table->latch_);
+  uint64_t tuples = 0;
+  char buf[kPageSize] = {};
+  for (uint32_t p = 0; p < pages; ++p) {
+    char* page = p + 1 < pages ? buf : table->tail_.raw();
+    STACCATO_RETURN_NOT_OK(util::CheckedPRead(table->fd_, page, kPageSize,
+                                              PageOffset(p), path));
+    tuples += PageView(page).NumSlots();
   }
+  table->sealed_pages_.store(pages - 1, std::memory_order_relaxed);
+  table->num_pages_.store(pages, std::memory_order_relaxed);
+  table->num_tuples_.store(tuples, std::memory_order_relaxed);
   return table;
 }
 
@@ -69,88 +74,41 @@ HeapTable::~HeapTable() {
   }
 }
 
-Status HeapTable::WritePage(uint32_t page_no, const SlottedPage& page) {
-  if (fseek(file_, static_cast<long>(page_no) * static_cast<long>(kPageSize),
-            SEEK_SET) != 0) {
-    return Status::IOError("seek failed");
-  }
-  STACCATO_RETURN_NOT_OK(util::CheckedWrite(file_, page.raw(), kPageSize, path_));
-  ++io_.pages_written;
-  if (shared_cache_ != nullptr) {
-    // Write-through: the shared copy always matches what is on disk, so a
-    // later pool miss can serve it without a coherence check. The handle
-    // is dropped immediately — the entry goes straight onto the LRU list.
-    shared_cache_->Insert(cache::CacheKey{cache_space_, page_no, 0},
-                          std::string(page.raw(), kPageSize));
-  }
-  return Status::OK();
-}
-
-Status HeapTable::EvictOne() {
-  if (lru_.empty()) return Status::Internal("buffer pool empty");
-  uint32_t victim = lru_.back();
-  auto it = pool_.find(victim);
-  if (it->second.dirty) {
-    STACCATO_RETURN_NOT_OK(WritePage(victim, it->second.page));
-  }
-  lru_.pop_back();
-  pool_.erase(it);
-  return Status::OK();
-}
-
-Result<HeapTable::Frame*> HeapTable::FetchPage(uint32_t page_no) {
-  ++io_.page_reads;
-  auto it = pool_.find(page_no);
-  if (it != pool_.end()) {
-    // Relink the frame's LRU node at the front: a pool hit allocates
-    // nothing, so a warm scan's allocations do not grow with its pages.
-    lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-    return &it->second;
-  }
-  while (pool_.size() >= pool_cap_) {
-    STACCATO_RETURN_NOT_OK(EvictOne());
-  }
-  Frame frame;
-  bool filled = false;
-  if (page_no < num_pages_ && shared_cache_ != nullptr) {
-    // Second tier: a pool miss consults the shared buffer cache before
-    // disk. The pinned bytes are copied into the pool frame and released.
-    cache::BufferCache::Handle h =
-        shared_cache_->Lookup(cache::CacheKey{cache_space_, page_no, 0});
-    if (h && h.value().size() == kPageSize) {
-      std::memcpy(frame.page.raw(), h.value().data(), kPageSize);
-      ++io_.cache_hits;
-      filled = true;
+Result<HeapTable::PageKind> HeapTable::ReadPage(uint32_t page_no,
+                                                PageRef* ref) const {
+  if (page_no >= sealed_pages_.load(std::memory_order_acquire)) {
+    util::MutexLock lock(&latch_);
+    if (page_no >= num_pages_.load(std::memory_order_relaxed)) {
+      return PageKind::kNone;
     }
-  }
-  if (!filled) {
-    ++io_.page_misses;
-    io_.bytes_read += kPageSize;
-    if (page_no < num_pages_) {
-      if (fseek(file_,
-                static_cast<long>(page_no) * static_cast<long>(kPageSize),
-                SEEK_SET) != 0) {
-        return Status::IOError("seek failed");
-      }
-      if (fread(frame.page.raw(), 1, kPageSize, file_) != kPageSize) {
-        return Status::IOError("short read");
-      }
-      if (shared_cache_ != nullptr) {
-        shared_cache_->Insert(cache::CacheKey{cache_space_, page_no, 0},
-                              std::string(frame.page.raw(), kPageSize));
-      }
-    } else {
-      frame.page.Init();
+    if (page_no == sealed_pages_.load(std::memory_order_relaxed)) {
+      std::memcpy(ref->buf, tail_.raw(), kPageSize);
+      ref->data = ref->buf;
+      return PageKind::kTail;
     }
+    // Sealed since the check above: read it like any sealed page.
   }
-  auto [ins, ok] = pool_.emplace(page_no, std::move(frame));
-  lru_.push_front(page_no);
-  ins->second.lru_it = lru_.begin();
-  return &ins->second;
+  if (cache_ == nullptr) {
+    ref->data = ref->buf;
+    STACCATO_RETURN_NOT_OK(util::CheckedPRead(fd_, ref->buf, kPageSize,
+                                              PageOffset(page_no), path_));
+    return PageKind::kSealed;
+  }
+  // A sealed page never changes, so a cached copy is valid for the life
+  // of this table instance; a page enters the cache when it is read.
+  const cache::CacheKey key{cache_space_, page_no, 0};
+  ref->pin = cache_->Lookup(key);
+  if (!ref->pin) {
+    std::string page(kPageSize, '\0');
+    STACCATO_RETURN_NOT_OK(util::CheckedPRead(fd_, page.data(), kPageSize,
+                                              PageOffset(page_no), path_));
+    ref->pin = cache_->Insert(key, std::move(page));
+  }
+  ref->data = ref->pin.value().data();
+  return PageKind::kSealed;
 }
 
 Result<RecordId> HeapTable::Insert(const Tuple& tuple) {
-  util::MutexLock lock(&latch_);
   STACCATO_RETURN_NOT_OK(schema_.CheckTuple(tuple));
   BinaryWriter w;
   schema_.EncodeTuple(tuple, &w);
@@ -159,46 +117,52 @@ Result<RecordId> HeapTable::Insert(const Tuple& tuple) {
     return Status::InvalidArgument(
         "record too large for slotted page; store large payloads as blobs");
   }
-  uint32_t page_no =
-      num_pages_ == 0 ? 0 : static_cast<uint32_t>(num_pages_ - 1);
-  STACCATO_ASSIGN_OR_RETURN(Frame * frame, FetchPage(page_no));
-  if (!frame->page.Fits(rec.size())) {
-    page_no = static_cast<uint32_t>(num_pages_);
-    STACCATO_ASSIGN_OR_RETURN(frame, FetchPage(page_no));
+  util::MutexLock lock(&latch_);
+  uint32_t page_no = sealed_pages_.load(std::memory_order_relaxed);
+  if (!tail_.Fits(rec.size())) {
+    // Seal the tail: it reaches the file before a reader may pread it.
+    STACCATO_RETURN_NOT_OK(FlushLocked());
+    sealed_pages_.store(++page_no, std::memory_order_release);
+    tail_.Init();
   }
-  STACCATO_ASSIGN_OR_RETURN(uint16_t slot, frame->page.Insert(rec));
-  frame->dirty = true;
-  if (page_no >= num_pages_) num_pages_ = page_no + 1;
-  ++num_tuples_;
+  STACCATO_ASSIGN_OR_RETURN(uint16_t slot, tail_.Insert(rec));
+  tail_dirty_ = true;
+  num_pages_.store(page_no + 1, std::memory_order_release);
+  num_tuples_.fetch_add(1, std::memory_order_release);
   return RecordId{page_no, slot};
 }
 
-Result<Tuple> HeapTable::Get(RecordId rid) {
-  util::MutexLock lock(&latch_);
-  if (rid.page >= num_pages_) return Status::NotFound("page out of range");
-  STACCATO_ASSIGN_OR_RETURN(Frame * frame, FetchPage(rid.page));
-  STACCATO_ASSIGN_OR_RETURN(std::string_view rec, frame->page.Get(rid.slot));
+Result<Tuple> HeapTable::Get(RecordId rid) const {
+  PageRef ref;
+  STACCATO_ASSIGN_OR_RETURN(PageKind kind, ReadPage(rid.page, &ref));
+  if (kind == PageKind::kNone) return Status::NotFound("page out of range");
+  STACCATO_ASSIGN_OR_RETURN(std::string_view rec,
+                            PageView(ref.data).Get(rid.slot));
   BinaryReader r(rec.data(), rec.size());
   return schema_.DecodeTuple(&r);
 }
 
 Status HeapTable::ScanRecords(
     const std::function<bool(RecordId, std::string_view)>& fn,
-    RecordId from) {
-  util::MutexLock lock(&latch_);
-  for (uint32_t p = from.page; p < num_pages_; ++p) {
-    STACCATO_ASSIGN_OR_RETURN(Frame * frame, FetchPage(p));
-    uint16_t slots = frame->page.NumSlots();
-    for (uint16_t s = p == from.page ? from.slot : 0; s < slots; ++s) {
-      STACCATO_ASSIGN_OR_RETURN(std::string_view rec, frame->page.Get(s));
+    RecordId from) const {
+  PageRef ref;
+  for (uint32_t p = from.page;; ++p) {
+    STACCATO_ASSIGN_OR_RETURN(PageKind kind, ReadPage(p, &ref));
+    if (kind == PageKind::kNone) return Status::OK();
+    const PageView page(ref.data);
+    for (uint16_t s = p == from.page ? from.slot : 0; s < page.NumSlots();
+         ++s) {
+      STACCATO_ASSIGN_OR_RETURN(std::string_view rec, page.Get(s));
       if (!fn(RecordId{p, s}, rec)) return Status::OK();
     }
+    // The tail is the last page; rows inserted after it was copied are
+    // past this scan.
+    if (kind == PageKind::kTail) return Status::OK();
   }
-  return Status::OK();
 }
 
 Status HeapTable::Scan(const std::function<bool(RecordId, const Tuple&)>& fn,
-                       RecordId from) {
+                       RecordId from) const {
   Status decode_status;
   STACCATO_RETURN_NOT_OK(ScanRecords([&](RecordId rid, std::string_view rec) {
     BinaryReader r(rec.data(), rec.size());
@@ -218,33 +182,25 @@ Status HeapTable::Flush() {
 }
 
 Status HeapTable::FlushLocked() {
-  for (auto& [page_no, frame] : pool_) {
-    if (frame.dirty) {
-      STACCATO_RETURN_NOT_OK(WritePage(page_no, frame.page));
-      frame.dirty = false;
+  if (tail_dirty_) {
+    const uint32_t tail = sealed_pages_.load(std::memory_order_relaxed);
+    if (fseek(file_, static_cast<long>(PageOffset(tail)), SEEK_SET) != 0) {
+      return Status::IOError("seek failed: " + path_);
     }
+    STACCATO_RETURN_NOT_OK(
+        util::CheckedWrite(file_, tail_.raw(), kPageSize, path_));
   }
-  return util::CheckedFlush(file_, path_);
+  // The tail counts as written only once the bytes leave the stdio buffer:
+  // pread reads the file, not the buffer.
+  STACCATO_RETURN_NOT_OK(util::CheckedFlush(file_, path_));
+  tail_dirty_ = false;
+  return Status::OK();
 }
 
 Status HeapTable::Sync() {
   util::MutexLock lock(&latch_);
   STACCATO_RETURN_NOT_OK(FlushLocked());
   return util::CheckedSync(file_, path_);
-}
-
-Status HeapTable::EvictAll() {
-  util::MutexLock lock(&latch_);
-  // Write dirty frames back BEFORE dropping them: swallowing a failed
-  // write-back here would make the next FetchPage silently serve stale
-  // bytes from disk (regression-tested in rdbms_test).
-  STACCATO_RETURN_NOT_OK(FlushLocked());
-  pool_.clear();
-  lru_.clear();
-  // A "cold cache" must be cold in both tiers, or the next scan would be
-  // served warm from the shared cache.
-  if (shared_cache_ != nullptr) shared_cache_->EraseSpace(cache_space_);
-  return Status::OK();
 }
 
 }  // namespace staccato::rdbms

@@ -35,11 +35,34 @@ inline RecordId UnpackRecordId(uint64_t v) {
                   static_cast<uint16_t>(v & 0xFFFF)};
 }
 
-/// \brief One 8 KiB slotted page.
-///
-/// Layout:
+/// Slotted-page layout:
 ///   [u16 num_slots][u16 free_end][slot dir: u16 off, u16 len per slot]...
 ///   ...free space... [record data packed at the tail]
+inline constexpr size_t kPageHeaderSize = 4;
+inline constexpr size_t kSlotEntrySize = 4;
+
+/// \brief Read-only view of one slotted page's bytes, wherever they live:
+/// a SlottedPage, a read buffer, or a cached copy.
+class PageView {
+ public:
+  explicit PageView(const char* data) : data_(data) {}
+
+  uint16_t NumSlots() const { return ReadU16(0); }
+
+  /// Reads the record in `slot`.
+  Result<std::string_view> Get(uint16_t slot) const;
+
+  uint16_t ReadU16(size_t off) const {
+    uint16_t v;
+    std::memcpy(&v, data_ + off, 2);
+    return v;
+  }
+
+ private:
+  const char* data_;
+};
+
+/// \brief One 8 KiB slotted page (layout above).
 class SlottedPage {
  public:
   SlottedPage() { Init(); }
@@ -50,7 +73,8 @@ class SlottedPage {
     SetFreeEnd(kPageSize);
   }
 
-  uint16_t NumSlots() const { return ReadU16(0); }
+  PageView view() const { return PageView(data_); }
+  uint16_t NumSlots() const { return view().NumSlots(); }
 
   /// Bytes still available for one more record (including its slot entry).
   size_t FreeSpace() const;
@@ -62,20 +86,13 @@ class SlottedPage {
   Result<uint16_t> Insert(std::string_view record);
 
   /// Reads the record in `slot`.
-  Result<std::string_view> Get(uint16_t slot) const;
+  Result<std::string_view> Get(uint16_t slot) const { return view().Get(slot); }
 
   const char* raw() const { return data_; }
   char* raw() { return data_; }
 
  private:
-  static constexpr size_t kHeaderSize = 4;
-  static constexpr size_t kSlotEntrySize = 4;
-
-  uint16_t ReadU16(size_t off) const {
-    uint16_t v;
-    std::memcpy(&v, data_ + off, 2);
-    return v;
-  }
+  uint16_t ReadU16(size_t off) const { return view().ReadU16(off); }
   void WriteU16(size_t off, uint16_t v) { std::memcpy(data_ + off, &v, 2); }
 
   uint16_t FreeEnd() const { return ReadU16(2); }

@@ -95,9 +95,12 @@ size_t ResolveThreads(size_t requested, size_t default_threads) {
 // Calibration (bench_table1_costmodel "calibration" section +
 // bench_topk_earlystop kernel table, Release build, reference container):
 //
-//   * One B+-tree descent + heap point Get + blob read measures ~0.65 µs
+//   * One B+-tree descent + heap point Get + blob read measured ~0.65 µs
 //     warm. That operation is priced point_read_cost = 2.0, anchoring the
-//     abstract unit at ≈ 0.33 µs.
+//     abstract unit at ≈ 0.33 µs. A blob fetch reads its blob id from
+//     BaseEpoch's in-memory arrays and makes no heap point get, so the
+//     model overcharges a fetch miss; re-pricing is left open so that no
+//     plan or Explain string moves.
 //   * The DFA×SFA DP costs ~4.8 ns per (label-char × dfa-state) step, and
 //     stored chunk blobs carry ~0.7 steps per serialized byte per DFA
 //     state — with the short contains-DFAs of the workload, ~4.9 ns of
@@ -175,9 +178,8 @@ CostEstimate EstimateCost(const PlanContext& ctx, Approach approach,
   } else {
     const double cand = static_cast<double>(est.scan.candidates);
     est.scan.fetch_bytes = cand * avg_blob_bytes;
-    // A cache hit skips the whole fetch unit — the blob-row point get
-    // AND the pread — paying cache_hit_cost instead (the executor probes
-    // the cache before resolving the blob id).
+    // A cache hit skips the pread a miss pays (priced, with the blob-id
+    // lookup, as a point read), paying cache_hit_cost instead.
     est.scan.io_cost =
         filter_io +
         miss_rate * (cand * consts.point_read_cost +
@@ -755,23 +757,24 @@ Result<std::vector<Answer>> ExecuteSfas(const PlanContext& ctx,
     const SfaCandidate& cand = cands[i];
     WorkerState& ws = workers[worker];
     // Fetch: the worker pins the blob's bytes for the duration of its DP.
-    // With the shared buffer cache, a hit skips the heap point get and
-    // the pread entirely; without one, GetCached is a plain disk read.
+    // The blob id comes from memory. With the shared buffer cache, a hit
+    // skips the pread entirely; without one, GetCached is a plain disk
+    // read.
     const std::string* blob = nullptr;
     auto fetch_once = [&]() -> Status {
       if (ctx.delta.Contains(cand.doc)) {
         // Appended documents serve their serialized SFA straight from the
-        // delta (no heap get, no pread, no cache entry) — the bytes are
-        // identical to what a checkpoint or rebuild would store.
+        // delta (no pread, no cache entry) — the bytes are identical to
+        // what a checkpoint or rebuild would store.
         const DeltaDoc& d = ctx.delta.Doc(cand.doc);
         blob = full ? &d.full_blob : &d.graph_blob;
         return Status::OK();
       }
+      STACCATO_ASSIGN_OR_RETURN(BlobId id, ctx.base->BlobIdOf(cand.doc, full));
       STACCATO_ASSIGN_OR_RETURN(
-          ws.pin,
-          ctx.base->blobs()->GetCached(
-              BlobCacheKey(full, cand.doc, ctx.blob_generation),
-              [&] { return ctx.base->BlobIdOf(cand.doc, full); }, &ws.io));
+          ws.pin, ctx.base->blobs()->GetCached(
+                      BlobCacheKey(full, cand.doc, ctx.blob_generation), id,
+                      &ws.io));
       blob = &ws.pin.value();
       return Status::OK();
     };

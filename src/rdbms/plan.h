@@ -241,6 +241,8 @@ struct BoundEquality {
 /// re-estimate with their own measurements.
 struct CostConstants {
   /// A B+-tree descent plus one heap point Get (random, not sequential).
+  /// A blob fetch miss is also charged one, though it reads the blob id
+  /// from memory (see the calibration comment in plan.cc).
   double point_read_cost = 2.0;
   /// DFA×SFA dynamic-programming cost per serialized blob byte.
   double eval_cost_per_byte = 1.0 / 64.0;
@@ -253,7 +255,7 @@ struct CostConstants {
   /// classic 1/10).
   double equality_default_selectivity = 0.1;
   /// Cost of serving one blob fetch from the shared buffer cache (shard
-  /// hash probe + pin; no heap get, no pread), in cost units. The
+  /// hash probe + pin; no pread), in cost units. The
   /// estimated hit fraction of fetches is priced at this instead of the
   /// per-byte read cost.
   double cache_hit_cost = 0.25;

@@ -169,13 +169,9 @@ Result<std::unique_ptr<StaccatoDb>> StaccatoDb::Open(const std::string& dir,
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) return Status::IOError("cannot create directory " + dir);
-  auto db = std::unique_ptr<StaccatoDb>(new StaccatoDb(dir));
-  STACCATO_ASSIGN_OR_RETURN(db->base_, BaseEpoch::Create(dir, 0));
-  if (cache.budget_bytes > 0) {
-    db->cache_ = std::make_unique<cache::BufferCache>(cache.budget_bytes,
-                                                      cache.shards);
-  }
-  db->base_->WireCache(db->cache_.get());
+  auto db = std::unique_ptr<StaccatoDb>(new StaccatoDb(dir, cache));
+  STACCATO_ASSIGN_OR_RETURN(db->base_,
+                            BaseEpoch::Create(dir, 0, db->cache_.get()));
   // A fresh database owns the directory outright: drop any stale epoch
   // pointer and truncate the log a previous database may have left here.
   std::remove(MetaPath(dir).c_str());
@@ -187,27 +183,28 @@ Result<std::unique_ptr<StaccatoDb>> StaccatoDb::Open(const std::string& dir,
 
 Result<std::unique_ptr<StaccatoDb>> StaccatoDb::OpenExisting(
     const std::string& dir, cache::CacheConfig cache) {
-  auto db = std::unique_ptr<StaccatoDb>(new StaccatoDb(dir));
+  auto db = std::unique_ptr<StaccatoDb>(new StaccatoDb(dir, cache));
   // The meta pointer names the committed epoch (0 when absent) and
   // carries the load parameters appends must reuse.
   STACCATO_ASSIGN_OR_RETURN(DbMeta meta, ReadMeta(dir));
-  STACCATO_ASSIGN_OR_RETURN(db->base_, BaseEpoch::Open(dir, meta.epoch));
-  if (cache.budget_bytes > 0) {
-    db->cache_ = std::make_unique<cache::BufferCache>(cache.budget_bytes,
-                                                      cache.shards);
-  }
-  db->base_->WireCache(db->cache_.get());
+  STACCATO_ASSIGN_OR_RETURN(
+      db->base_, BaseEpoch::Open(dir, meta.epoch, db->cache_.get()));
   db->num_sfas_.store(db->base_->NumDocuments(), std::memory_order_release);
 
-  // Rebuild the in-memory B+-tree, the planner's per-term statistics and
-  // the dictionary trie from the persisted postings relation, if an index
-  // had been built.
-  if (db->base_->postings()->NumTuples() > 0) {
+  // Rebuild the in-memory B+-tree and the planner's per-term statistics
+  // from the persisted postings relation, and the dictionary trie from the
+  // persisted terms, if an index had been built. A directory whose
+  // dictionary relation is empty falls back to the terms that have
+  // postings.
+  STACCATO_ASSIGN_OR_RETURN(std::vector<std::string> terms,
+                            db->base_->ReadDictionary());
+  if (!terms.empty() || db->base_->postings()->NumTuples() > 0) {
     db->index_ = std::make_unique<BPlusTree>();
     STACCATO_RETURN_NOT_OK(IndexPostings(db->base_->postings(),
                                          db->index_.get(), &db->term_stats_));
-    std::vector<std::string> terms;
-    for (const auto& [term, st] : db->term_stats_) terms.push_back(term);
+    if (terms.empty()) {
+      for (const auto& [term, st] : db->term_stats_) terms.push_back(term);
+    }
     STACCATO_ASSIGN_OR_RETURN(DictionaryTrie trie,
                               DictionaryTrie::Build(terms));
     db->dict_.emplace(std::move(trie));
@@ -355,8 +352,9 @@ Status StaccatoDb::CheckpointLocked() {
   // Nothing to fold: the log's contents are already in the base.
   if (delta_.empty()) return wal_->Reset();
 
-  STACCATO_ASSIGN_OR_RETURN(std::unique_ptr<BaseEpoch> next,
-                            BaseEpoch::Create(dir_, base_->epoch() + 1));
+  STACCATO_ASSIGN_OR_RETURN(
+      std::unique_ptr<BaseEpoch> next,
+      BaseEpoch::Create(dir_, base_->epoch() + 1, cache_.get()));
   // Every document goes through AppendDocument: the base ones as the live
   // epoch reads them back, then the delta, from the exact in-memory state
   // queries were already serving. Blob ids are offsets in the epoch's blob
@@ -377,6 +375,7 @@ Status StaccatoDb::CheckpointLocked() {
     nindex = std::make_unique<BPlusTree>();
     STACCATO_RETURN_NOT_OK(
         IndexPostings(next->postings(), nindex.get(), &nstats));
+    STACCATO_RETURN_NOT_OK(next->WriteDictionary(dict_->terms()));
   }
 
   // Durability barrier: everything the new epoch references must be on
@@ -393,7 +392,6 @@ Status StaccatoDb::CheckpointLocked() {
     term_stats_ = std::move(nstats);
   }
   delta_.clear();
-  base_->WireCache(cache_.get());
   // Record ids and table handles changed: frozen plans must re-resolve
   // (load_gen_ bump). Blob *bytes* per document did not — blob_gen_ stays
   // put, keeping the warm blob cache valid.
@@ -432,8 +430,8 @@ Status StaccatoDb::Load(const OcrDataset& dataset, const LoadOptions& opts) {
   // destroyed only after Create has truncated their files, and a late
   // destructor flush must not write stale pages into them.
   STACCATO_RETURN_NOT_OK(base_->Flush());
-  STACCATO_ASSIGN_OR_RETURN(base_, BaseEpoch::Create(dir_, base_->epoch()));
-  base_->WireCache(cache_.get());
+  STACCATO_ASSIGN_OR_RETURN(
+      base_, BaseEpoch::Create(dir_, base_->epoch(), cache_.get()));
   // The generation bumps above already make every cached blob key stale
   // and the fresh table instances carry fresh page namespaces; clearing
   // just releases the dead entries' budget immediately.
@@ -482,9 +480,10 @@ Status StaccatoDb::BuildInvertedIndex(
   dict_.emplace(std::move(trie));
   index_ = std::make_unique<BPlusTree>();
   term_stats_.clear();
-  // A rebuild replaces the postings relation; recreating the heap file
-  // truncates it so OpenExisting never recovers stale rows.
-  STACCATO_RETURN_NOT_OK(base_->ResetPostings());
+  // A rebuild replaces the postings and dictionary relations; recreating
+  // the heap files truncates them so OpenExisting never recovers stale
+  // rows.
+  STACCATO_RETURN_NOT_OK(base_->ResetIndex());
   for (size_t i = 0; i < base_->NumDocuments(); ++i) {
     STACCATO_ASSIGN_OR_RETURN(std::string blob,
                               base_->ReadBlob(i, /*full_sfa=*/false));
@@ -497,6 +496,9 @@ Status StaccatoDb::BuildInvertedIndex(
   STACCATO_RETURN_NOT_OK(base_->postings()->Flush());
   STACCATO_RETURN_NOT_OK(
       IndexPostings(base_->postings(), index_.get(), &term_stats_));
+  // OpenExisting rebuilds the trie from these terms, so a term without
+  // postings still anchors an index probe after a reopen.
+  STACCATO_RETURN_NOT_OK(base_->WriteDictionary(dict_->terms()));
   // Delta documents keep their postings in memory (ProbeIndex merges them
   // at query time); recompute against the new dictionary, copy-on-write so
   // a concurrent query's snapshot keeps observing the old vocabulary.
@@ -524,12 +526,12 @@ Result<cache::BufferCache::Handle> StaccatoDb::FetchBlobCached(DocId doc,
     return cache::BufferCache::Detached(
         std::string(full_sfa ? d->full_blob : d->graph_blob));
   }
-  // A cache hit serves the pinned bytes straight away; only a miss pays
-  // the heap point get that resolves the blob id — same shape as the
-  // executor's streaming Fetch.
+  // The same shape as the executor's streaming Fetch: the blob id comes
+  // from memory, and a cache hit serves the pinned bytes without a pread.
+  STACCATO_ASSIGN_OR_RETURN(BlobId id, base_->BlobIdOf(doc, full_sfa));
   return base_->blobs()->GetCached(
       BlobCacheKey(full_sfa, doc, blob_gen_.load(std::memory_order_acquire)),
-      [&] { return base_->BlobIdOf(doc, full_sfa); });
+      id);
 }
 
 Result<std::string> StaccatoDb::ReadBlob(DocId doc, bool full_sfa) {
@@ -634,7 +636,7 @@ StorageReport StaccatoDb::Storage() const {
 
 Status StaccatoDb::DropCaches() {
   if (cache_ != nullptr) cache_->Clear();
-  return base_->EvictAll();
+  return Status::OK();
 }
 
 }  // namespace staccato::rdbms

@@ -95,10 +95,11 @@ class StaccatoDb {
 
   /// Reopens a previously loaded database directory: the epoch named by
   /// `staccato.meta` (epoch 0 when absent) is opened in place, the blob
-  /// record ids are recovered by scanning the FullSFAData/StaccatoGraph
-  /// tables, the inverted index (if it was built) is reconstructed from
-  /// the persisted postings table, and the write-ahead log is replayed —
-  /// every committed append is recovered, a torn tail is discarded.
+  /// ids are recovered by scanning the FullSFAData/StaccatoGraph tables,
+  /// the inverted index (if it was built) is reconstructed from the
+  /// persisted postings table and dictionary terms, and the write-ahead
+  /// log is replayed — every committed append is recovered, a torn tail
+  /// is discarded.
   static Result<std::unique_ptr<StaccatoDb>> OpenExisting(
       const std::string& dir,
       cache::CacheConfig cache = cache::CacheConfig::Default());
@@ -163,10 +164,11 @@ class StaccatoDb {
   size_t NumSfas() const { return num_sfas_.load(std::memory_order_acquire); }
   StorageReport Storage() const;
 
-  /// Drops page/blob caches (per-table pools and the shared buffer
-  /// cache) so the next query runs cold. Plan caches are untouched — the
-  /// data has not changed. Dirty pages are written back first; a failed
-  /// write-back is returned, never swallowed.
+  /// Clears the shared buffer cache, the one cache of table pages and SFA
+  /// blobs, so the next query reads every sealed page and blob from the
+  /// files. Plan caches are untouched — the data has not changed. Each
+  /// table's unsealed tail page stays in memory: it is the table's only
+  /// copy until the next flush.
   Status DropCaches();
 
   /// The shared memory-budgeted buffer cache (pages + SFA blobs); null
@@ -174,11 +176,11 @@ class StaccatoDb {
   cache::BufferCache* buffer_cache() const { return cache_.get(); }
 
   /// Cache-aware blob read, exactly as the executor's Fetch stage
-  /// performs it: a heap point get resolves the blob id, then the store
-  /// reads through the buffer cache keyed on (representation, doc,
-  /// blob_generation). Delta documents are served from memory on a
-  /// detached handle. Exposed for benches and tests that measure the
-  /// Fetch unit in isolation.
+  /// performs it: the blob id comes from the base epoch's in-memory
+  /// array, then the store reads through the buffer cache keyed on
+  /// (representation, doc, blob_generation). Delta documents are served
+  /// from memory on a detached handle. Exposed for benches and tests that
+  /// measure the Fetch unit in isolation.
   Result<cache::BufferCache::Handle> FetchBlobCached(DocId doc,
                                                      bool full_sfa);
 
@@ -223,7 +225,12 @@ class StaccatoDb {
   friend class Session;
   friend class PreparedQuery;
 
-  explicit StaccatoDb(std::string dir) : dir_(std::move(dir)) {}
+  StaccatoDb(std::string dir, const cache::CacheConfig& cache)
+      : dir_(std::move(dir)),
+        cache_(cache.budget_bytes == 0
+                   ? nullptr
+                   : std::make_unique<cache::BufferCache>(cache.budget_bytes,
+                                                          cache.shards)) {}
 
   /// Borrowed storage views for the planner/executor (rdbms/plan.h).
   /// Snapshots the delta generation under the ingest mutex, so a
@@ -255,7 +262,7 @@ class StaccatoDb {
   std::string dir_;
   std::atomic<size_t> num_sfas_{0};
 
-  /// The committed base: relations, blob store and blob-row maps. Load
+  /// The committed base: relations, blob store and blob ids. Load
   /// truncates it in place; Checkpoint builds the next epoch and swaps it
   /// in.
   std::unique_ptr<BaseEpoch> base_;

@@ -1,13 +1,14 @@
-// Deterministic fault injection for the stdio file operations the storage
-// layer depends on (WAL appends, heap-page write-back, blob flushes).
+// Deterministic fault injection for the file operations the storage layer
+// depends on (WAL appends, heap-page write-back, blob flushes, and heap-page
+// and blob reads).
 //
-// Production code calls CheckedWrite/CheckedFlush/CheckedSync/SyncDir
-// instead of bare fwrite/fflush/fsync. Each wrapper consults the
-// process-global FaultInjector first: tests Install() rules that make the
-// Nth matching operation fail (optionally as a *short* write that really
-// leaves torn bytes on disk), then assert the failure surfaces as a Status
-// instead of being swallowed. With no rules armed the wrappers are a
-// single relaxed atomic load away from the bare calls.
+// Production code calls CheckedWrite/CheckedFlush/CheckedSync/SyncDir/
+// CheckedPRead instead of bare fwrite/fflush/fsync/pread. Each wrapper
+// consults the process-global FaultInjector first: tests Install() rules
+// that make the Nth matching operation fail (optionally as a *short* write
+// that really leaves torn bytes on disk), then assert the failure surfaces
+// as a Status instead of being swallowed. With no rules armed the wrappers
+// are a single relaxed atomic load away from the bare calls.
 #pragma once
 
 #include <atomic>
@@ -25,7 +26,7 @@ enum class FaultOp : uint8_t {
   kWrite = 0,  ///< fwrite via CheckedWrite
   kFlush = 1,  ///< fflush via CheckedFlush
   kSync = 2,   ///< fsync via CheckedSync
-  kRead = 3,   ///< pread via CheckedPRead (blob/heap read paths)
+  kRead = 3,   ///< pread via CheckedPRead (heap-page and blob reads)
   kDirSync = 4,  ///< fsync of a directory via SyncDir
 };
 
@@ -91,7 +92,8 @@ Status SyncDir(const std::string& dir);
 /// \brief pread(fd, buf, n, offset) that retries EINTR and short reads and
 /// fails unless all `n` bytes arrive, with fault injection (FaultOp::kRead)
 /// consulted first. The concurrent-safe positioned read every storage read
-/// path uses, so a kRead rule can hit blob and heap fetches alike.
+/// path uses — HeapTable's sealed pages and BlobStore's blobs — so a kRead
+/// rule can hit blob and heap fetches alike (lint rule 11 keeps it so).
 Status CheckedPRead(int fd, void* buf, size_t n, uint64_t offset,
                     const std::string& path);
 

@@ -2,8 +2,9 @@
 // short writes, flush failures, and fsync failures must surface as
 // Status errors through every storage layer that writes bytes —
 // HeapTable, BlobStore, and the WAL writer — instead of being swallowed.
-// Directory-sync failures after the atomic meta renames must surface from
-// Load, Checkpoint, and ShardedDb::Open.
+// Heap page reads go through the same seam as blob reads. Directory-sync
+// failures after the atomic meta renames must surface from Load,
+// Checkpoint, and ShardedDb::Open.
 
 #include <cstdio>
 #include <filesystem>
@@ -17,6 +18,7 @@
 #include "ocr/generator.h"
 #include "rdbms/blob_store.h"
 #include "rdbms/heap_table.h"
+#include "rdbms/session.h"
 #include "rdbms/shard.h"
 #include "rdbms/staccato_db.h"
 #include "rdbms/value.h"
@@ -143,17 +145,78 @@ TEST_F(FaultFsTest, HeapTableSurfacesWriteFaults) {
   FaultInjector::Global()->Clear();
   EXPECT_TRUE(table->Flush().ok());
 
-  // EvictAll writes back dirty pages; a write fault must surface rather
-  // than letting the frame drop and serve stale bytes later.
+  // Flush writes back the dirty tail page; a write fault must surface
+  // rather than the page counting as written.
   ASSERT_TRUE(
       table->Insert({rdbms::Value::Int(2), rdbms::Value::String("b")}).ok());
   FaultInjector::Global()->Install({FaultOp::kWrite, "table.tbl", 0, 0, true});
-  EXPECT_FALSE(table->EvictAll().ok());
+  EXPECT_FALSE(table->Flush().ok());
   FaultInjector::Global()->Clear();
 
   FaultInjector::Global()->Install({FaultOp::kSync, "table.tbl", 0, 0, false});
   EXPECT_FALSE(table->Sync().ok());
   EXPECT_TRUE(table->Sync().ok());
+
+  // The tail stayed dirty through the failed write, so the successful
+  // Sync wrote it: a fresh handle reads both rows from the file.
+  auto reopened = rdbms::HeapTable::Open(path, schema);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->NumTuples(), 2u);
+  auto row = (*reopened)->Get(rdbms::RecordId{0, 1});
+  ASSERT_TRUE(row.ok()) << row.status().ToString();
+  EXPECT_EQ((*row)[1].AsString(), "b");
+}
+
+// Heap page reads go through CheckedPRead, as blob reads do: once the
+// cache is dropped, a read fault on the kMAPData file fails a MAP query
+// with the injected IOError, and once the disk heals the same prepared
+// query answers exactly as before.
+TEST_F(FaultFsTest, HeapPageReadFaultsSurfaceFromQueries) {
+  CorpusSpec spec;
+  spec.kind = DatasetKind::kCongressActs;
+  spec.num_pages = 2;
+  spec.lines_per_page = 20;
+  spec.max_line_chars = 40;
+  spec.seed = 99;
+  OcrNoiseModel noise;
+  noise.alternatives = 4;
+  auto data = GenerateOcrDataset(spec, noise);
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  rdbms::LoadOptions load;
+  load.kmap_k = 8;
+  load.staccato.m = 8;
+  load.staccato.k = 4;
+  auto db = rdbms::StaccatoDb::Open(Path("heap_read_db"));
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  ASSERT_TRUE((*db)->Load(*data, load).ok());
+  // Page 0 must be sealed: the unsealed tail is read from memory.
+  ASSERT_GT((*db)->Storage().kmap_table_bytes, rdbms::kPageSize);
+
+  rdbms::Session session(db->get());
+  rdbms::QueryOptions q;
+  q.pattern = DatasetQueries(DatasetKind::kCongressActs)[0];
+  q.num_ans = 100;
+  auto pq = session.Prepare(rdbms::Approach::kMap, q);
+  ASSERT_TRUE(pq.ok()) << pq.status().ToString();
+  auto want = pq->Execute();
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+
+  ASSERT_TRUE((*db)->DropCaches().ok());
+  FaultInjector::Global()->Install({FaultOp::kRead, "kmap.tbl", 0, 0, true});
+  auto failed = pq->Execute();
+  ASSERT_FALSE(failed.ok());
+  EXPECT_TRUE(failed.status().IsIOError()) << failed.status().ToString();
+  EXPECT_NE(failed.status().ToString().find("kmap.tbl"), std::string::npos)
+      << failed.status().ToString();
+
+  FaultInjector::Global()->Clear();
+  auto healed = pq->Execute();
+  ASSERT_TRUE(healed.ok()) << healed.status().ToString();
+  ASSERT_EQ(healed->size(), want->size());
+  for (size_t i = 0; i < want->size(); ++i) {
+    EXPECT_EQ((*healed)[i].doc, (*want)[i].doc) << "rank " << i;
+    EXPECT_EQ((*healed)[i].prob, (*want)[i].prob) << "rank " << i;
+  }
 }
 
 TEST_F(FaultFsTest, BlobStoreSurfacesWriteFaults) {

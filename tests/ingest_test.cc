@@ -260,6 +260,69 @@ TEST_F(IngestTest, AppendWithInvertedIndex) {
                IndexMode::kForce, 4, true, patterns_);
 }
 
+// The dictionary is persisted beside the postings: a term that has no
+// postings still anchors a kForce index probe after a reopen, with the
+// same plan and answers, also after a Checkpoint wrote the next epoch. An
+// index rebuild replaces the dictionary and a Load drops it: a reopen
+// brings neither old dictionary back.
+TEST_F(IngestTest, DictionarySurvivesOpenExisting) {
+  const std::string dir = eval::MakeScratchDir("ingest_dictionary");
+  // "zzzzq" occurs in no document, so no posting names it.
+  std::vector<std::string> terms =
+      BuildDictionaryFromCorpus(full_.corpus.lines);
+  terms.push_back("zzzzq");
+  auto plan_and_answers = [&](StaccatoDb* db) {
+    Session session(db, SessionOptions{1, 50});
+    QueryOptions q;
+    q.pattern = "zzzzq";
+    q.num_ans = 50;
+    q.index_mode = IndexMode::kForce;
+    auto pq = session.Prepare(Approach::kStaccato, q);
+    EXPECT_TRUE(pq.ok()) << pq.status().ToString();
+    if (!pq.ok()) return std::make_pair(std::string(), std::vector<Answer>());
+    auto ans = pq->Execute();
+    EXPECT_TRUE(ans.ok()) << ans.status().ToString();
+    return std::make_pair(pq->Explain(),
+                          ans.ok() ? *ans : std::vector<Answer>());
+  };
+  std::pair<std::string, std::vector<Answer>> want;
+  {
+    auto db = OpenAt(dir);
+    ASSERT_TRUE(db->Load(Prefix(full_, total_ / 2), SmallLoad()).ok());
+    std::vector<std::string> replaced = terms;
+    replaced.back() = "qqqqx";
+    ASSERT_TRUE(db->BuildInvertedIndex(replaced).ok());
+    ASSERT_TRUE(db->BuildInvertedIndex(terms).ok());
+    ASSERT_FALSE(db->term_stats().empty());
+    ASSERT_EQ(db->term_stats().count("zzzzq"), 0u);
+    want = plan_and_answers(db.get());
+    EXPECT_NE(want.first.find("index-probe"), std::string::npos) << want.first;
+  }
+  // Reopen the index build's epoch, then the one a Checkpoint wrote.
+  for (bool checkpoint : {false, true}) {
+    auto reopened = StaccatoDb::OpenExisting(dir);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    const auto got = plan_and_answers(reopened->get());
+    EXPECT_EQ(got.first, want.first) << "checkpoint=" << checkpoint;
+    ExpectSameAnswers(want.second, got.second, "after OpenExisting");
+    EXPECT_EQ((*reopened)->dictionary()->Find("qqqqx"), kInvalidTerm);
+    if (!checkpoint) {
+      ASSERT_TRUE(
+          AppendRange(reopened->get(), total_ / 2, total_ / 2 + 2).ok());
+      ASSERT_TRUE((*reopened)->Checkpoint().ok());
+      want = plan_and_answers(reopened->get());
+    }
+  }
+  {
+    auto reopened = StaccatoDb::OpenExisting(dir);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    ASSERT_TRUE((*reopened)->Load(Prefix(full_, total_ / 2), SmallLoad()).ok());
+  }
+  auto reloaded = StaccatoDb::OpenExisting(dir);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  EXPECT_EQ((*reloaded)->dictionary(), nullptr);
+}
+
 // The checkpointed epoch is the bulk-loaded one, file for file: each base
 // relation and the blob file of Load(prefix) + Append(rest) + Checkpoint
 // equals, byte for byte, what Load(full) writes (pages are zero-filled).

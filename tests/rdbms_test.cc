@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <csignal>
 #include <filesystem>
+#include <thread>
+#include <vector>
 
 #include <sys/resource.h>
 
@@ -159,27 +162,27 @@ TEST(HeapTableTest, PersistsAcrossReopen) {
   EXPECT_EQ(count, 500);
 }
 
-TEST(HeapTableTest, BufferPoolEviction) {
+TEST(HeapTableTest, UncachedScanReadsSealedPagesFromTheFile) {
   Schema schema({{"k", ValueType::kInt}, {"v", ValueType::kString}});
-  // Tiny pool of 2 pages forces eviction traffic.
-  auto table = HeapTable::Create(TempPath("t4.tbl"), schema, /*pool_pages=*/2);
+  // No cache: every sealed page is read from the file, the tail from
+  // memory.
+  auto table = HeapTable::Create(TempPath("t4.tbl"), schema);
   ASSERT_TRUE(table.ok());
   std::string payload(500, 'p');
   for (int i = 0; i < 200; ++i) {
     ASSERT_TRUE((*table)->Insert({Value::Int(i), Value::String(payload)}).ok());
   }
   EXPECT_GT((*table)->NumPages(), 10u);
-  // Scanning with a cold-ish pool must still return every tuple intact.
   int count = 0;
   ASSERT_TRUE((*table)
                   ->Scan([&](RecordId, const Tuple& t) {
+                    EXPECT_EQ(t[0].AsInt(), count);
                     EXPECT_EQ(t[1].AsString(), payload);
                     ++count;
                     return true;
                   })
                   .ok());
   EXPECT_EQ(count, 200);
-  EXPECT_GT((*table)->io_stats().page_misses, 0u);
 }
 
 TEST(BlobStoreTest, PutGetRoundTrip) {
@@ -229,9 +232,8 @@ TEST(BlobStoreTest, GetAndGetIntoReportIdenticalIoStats) {
   EXPECT_EQ(via_into.bytes_read, via_get.bytes_read);
 
   BlobIoStats via_cached;
-  auto handle = (*store)->GetCached(
-      cache::CacheKey{1, 2, 3}, [&]() -> Result<BlobId> { return *id; },
-      &via_cached);
+  auto handle = (*store)->GetCached(cache::CacheKey{1, 2, 3}, *id,
+                                    &via_cached);
   ASSERT_TRUE(handle.ok());
   EXPECT_EQ(handle->value(), buf);
   EXPECT_EQ(via_cached.reads, via_get.reads);
@@ -249,17 +251,15 @@ TEST(BlobStoreTest, GetAndGetIntoReportIdenticalIoStats) {
 }
 
 TEST(BlobStoreTest, GetCachedServesFromBufferCache) {
-  auto store = BlobStore::Create(TempPath("b4.dat"));
+  cache::BufferCache cache(1 << 20);
+  auto store = BlobStore::Create(TempPath("b4.dat"), &cache);
   ASSERT_TRUE(store.ok());
   auto id = (*store)->Put(std::string(300, 'c'));
   ASSERT_TRUE(id.ok());
-  cache::BufferCache cache(1 << 20);
-  (*store)->set_cache(&cache);
   const cache::CacheKey key{9, 1, 1};
-  auto resolve = [&]() -> Result<BlobId> { return id.ValueOrDie(); };
 
   BlobIoStats after_miss;
-  auto miss = (*store)->GetCached(key, resolve, &after_miss);
+  auto miss = (*store)->GetCached(key, *id, &after_miss);
   ASSERT_TRUE(miss.ok());
   EXPECT_EQ(miss->value().size(), 300u);
   EXPECT_EQ(after_miss.reads, 1u);
@@ -267,7 +267,7 @@ TEST(BlobStoreTest, GetCachedServesFromBufferCache) {
   EXPECT_EQ(after_miss.bytes_read, 300u + sizeof(uint64_t));
 
   BlobIoStats hit_io;
-  auto hit = (*store)->GetCached(key, resolve, &hit_io);
+  auto hit = (*store)->GetCached(key, *id, &hit_io);
   ASSERT_TRUE(hit.ok());
   EXPECT_EQ(hit->value(), miss->value());
   EXPECT_EQ(hit_io.reads, 1u);
@@ -284,76 +284,70 @@ TEST(BlobStoreTest, GetCachedServesFromBufferCache) {
 
   // A different version word misses: generation-bump invalidation.
   BlobIoStats bumped_io;
-  auto bumped = (*store)->GetCached(cache::CacheKey{9, 1, 2}, resolve,
+  auto bumped = (*store)->GetCached(cache::CacheKey{9, 1, 2}, *id,
                                     &bumped_io);
   ASSERT_TRUE(bumped.ok());
   EXPECT_EQ(bumped_io.cache_misses, 1u);
   EXPECT_EQ((*store)->io_stats().cache_misses, 2u);
 }
 
-TEST(HeapTableTest, SharedPageCacheServesEvictedPages) {
+TEST(HeapTableTest, SharedCacheServesSealedPages) {
   Schema schema({{"k", ValueType::kInt}, {"v", ValueType::kString}});
   cache::BufferCache cache(4 << 20);
-  // Tiny pool so the scan constantly misses its first tier.
-  auto table = HeapTable::Create(TempPath("t5.tbl"), schema, /*pool_pages=*/2);
+  auto table = HeapTable::Create(TempPath("t5.tbl"), schema, &cache);
   ASSERT_TRUE(table.ok());
-  (*table)->SetSharedCache(&cache);
   std::string payload(500, 's');
   for (int i = 0; i < 200; ++i) {
     ASSERT_TRUE((*table)->Insert({Value::Int(i), Value::String(payload)}).ok());
   }
   ASSERT_TRUE((*table)->Flush().ok());
   ASSERT_GT((*table)->NumPages(), 10u);
+  // Writing puts no page in the cache: a page enters it when it is read.
+  EXPECT_EQ(cache.stats().entries, 0u);
+  // The tail is read from memory; every other page is sealed.
+  const uint64_t sealed = (*table)->NumPages() - 1;
+  auto scan_all = [&] {
+    int count = 0;
+    ASSERT_TRUE((*table)
+                    ->Scan([&](RecordId, const Tuple& t) {
+                      EXPECT_EQ(t[1].AsString(), payload);
+                      ++count;
+                      return true;
+                    })
+                    .ok());
+    EXPECT_EQ(count, 200);
+  };
 
-  // Pool evictions wrote every page through to the shared cache, so a
-  // full scan never needs disk — and still sees every tuple intact. Each
-  // scan's counts are the lifetime counters' growth across it.
-  const IoStats before_warm = (*table)->io_stats();
-  int count = 0;
-  ASSERT_TRUE((*table)
-                  ->Scan([&](RecordId, const Tuple& t) {
-                    EXPECT_EQ(t[1].AsString(), payload);
-                    ++count;
-                    return true;
-                  })
-                  .ok());
-  EXPECT_EQ(count, 200);
-  IoStats warm = (*table)->io_stats();
-  EXPECT_EQ(warm.page_misses - before_warm.page_misses, 0u)
-      << "shared cache should have served these";
-  EXPECT_EQ(warm.bytes_read - before_warm.bytes_read, 0u);
-  EXPECT_GT(warm.cache_hits - before_warm.cache_hits, 0u);
+  scan_all();
+  const cache::CacheStats first = cache.stats();
+  EXPECT_EQ(first.misses, sealed);
+  EXPECT_EQ(first.entries, sealed);
 
-  // EvictAll must cool BOTH tiers: the same scan then reads from disk.
-  ASSERT_TRUE((*table)->EvictAll().ok());
-  const IoStats before_cold = (*table)->io_stats();
-  count = 0;
-  ASSERT_TRUE((*table)
-                  ->Scan([&](RecordId, const Tuple& t) {
-                    EXPECT_EQ(t[1].AsString(), payload);
-                    ++count;
-                    return true;
-                  })
-                  .ok());
-  EXPECT_EQ(count, 200);
-  IoStats cold = (*table)->io_stats();
-  EXPECT_GT(cold.page_misses - before_cold.page_misses, 0u);
-  EXPECT_EQ(cold.cache_hits - before_cold.cache_hits, 0u);
+  // A second scan is served from the cache: no new misses.
+  scan_all();
+  const cache::CacheStats second = cache.stats();
+  EXPECT_EQ(second.misses - first.misses, 0u);
+  EXPECT_EQ(second.hits - first.hits, sealed);
+
+  // After a cold start (StaccatoDb::DropCaches clears the cache), the next
+  // scan reads every sealed page from the file again.
+  cache.Clear();
+  scan_all();
+  EXPECT_EQ(cache.stats().misses - second.misses, sealed);
 }
 
-// Regression for a swallowed write-back error: EvictAll used to call
-// FlushLocked() and throw the status away, so a failed dirty-page write
-// dropped the only good copy of the page — the next read silently served
-// stale bytes from disk. With [[nodiscard]] Status plumbed through,
-// EvictAll must surface the failure instead. The failure is forced with
+// Regression for a swallowed write-back error: a failed write of the dirty
+// tail page must be returned, and the tail must stay in memory — dropping
+// it would lose the only good copy of its rows. The failure is forced with
 // RLIMIT_FSIZE: the heap file cannot grow past one page, so writing back
-// dirty page 1 fails deterministically.
-TEST(HeapTableTest, EvictAllSurfacesWriteBackFailure) {
+// the tail (page 2) fails deterministically.
+TEST(HeapTableTest, FlushSurfacesWriteBackFailure) {
   Schema schema({{"k", ValueType::kInt}, {"v", ValueType::kString}});
   auto table = HeapTable::Create(TempPath("t6.tbl"), schema);
   ASSERT_TRUE(table.ok());
   std::string payload(500, 'e');
-  // Three pages of dirty frames, none written back yet (pool holds them).
+  // Three pages: the inserts sealed pages 0 and 1 (wrote them to the
+  // file); page 2 is the dirty tail.
   for (int i = 0; i < 40; ++i) {
     ASSERT_TRUE((*table)->Insert({Value::Int(i), Value::String(payload)}).ok());
   }
@@ -368,7 +362,7 @@ TEST(HeapTableTest, EvictAllSurfacesWriteBackFailure) {
   capped.rlim_cur = kPageSize;
   ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &capped), 0);
 
-  Status st = (*table)->EvictAll();
+  Status st = (*table)->Flush();
 
   ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &old_limit), 0);
   std::signal(SIGXFSZ, old_handler);
@@ -377,11 +371,92 @@ TEST(HeapTableTest, EvictAllSurfacesWriteBackFailure) {
   EXPECT_TRUE(st.IsIOError()) << st.ToString();
 
   // And with the limit restored the data is still recoverable: the dirty
-  // frames were not dropped on the failure path.
-  ASSERT_TRUE((*table)->EvictAll().ok());
+  // tail was not dropped on the failure path.
+  ASSERT_TRUE((*table)->Flush().ok());
   auto tuple = (*table)->Get(RecordId{2, 0});
   ASSERT_TRUE(tuple.ok());
   EXPECT_EQ((*tuple)[1].AsString(), payload);
+
+  // The Get above reads the in-memory tail, so check the file itself: the
+  // retried write-back reached it, and a fresh handle reads the row there.
+  EXPECT_EQ(std::filesystem::file_size(TempPath("t6.tbl")), 3 * kPageSize);
+  auto reopened = HeapTable::Open(TempPath("t6.tbl"), schema);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->NumPages(), 3u);
+  auto from_file = (*reopened)->Get(RecordId{2, 0});
+  ASSERT_TRUE(from_file.ok()) << from_file.status().ToString();
+  EXPECT_EQ((*from_file)[1].AsString(), payload);
+}
+
+// Latch-free reads race one writer: while rows are inserted into a table
+// read through a small cache (pages are evicted and re-read), readers scan
+// it, get rows by the ids the writer already returned, and read its
+// counts. Each reader sees every row inserted before it started, intact,
+// and the counts never go down. The CI TSan job runs this test.
+TEST(HeapTableTest, LatchFreeReadersRaceOneWriter) {
+  Schema schema({{"k", ValueType::kInt}, {"v", ValueType::kString}});
+  cache::BufferCache cache(/*budget_bytes=*/128 << 10, /*shards=*/2);
+  auto table_or = HeapTable::Create(TempPath("t7.tbl"), schema, &cache);
+  ASSERT_TRUE(table_or.ok());
+  HeapTable& table = **table_or;
+  constexpr int kRows = 3000;
+  auto payload = [](int i) {
+    return std::string(20 + i % 90, static_cast<char>('a' + i % 26));
+  };
+  constexpr int kReaders = 3;
+  std::vector<RecordId> rids(kRows);
+  std::atomic<int> published{0};  // rids[0, published) are set
+  std::atomic<int> readers_running{0};
+
+  std::thread writer([&] {
+    // Start writing once every reader runs, so reads overlap the inserts.
+    while (readers_running.load() < kReaders) std::this_thread::yield();
+    for (int i = 0; i < kRows; ++i) {
+      auto rid = table.Insert({Value::Int(i), Value::String(payload(i))});
+      ASSERT_TRUE(rid.ok()) << rid.status().ToString();
+      rids[i] = *rid;
+      published.store(i + 1, std::memory_order_release);
+    }
+  });
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      readers_running.fetch_add(1);
+      size_t last_pages = 0;
+      uint64_t last_tuples = 0;
+      for (bool done = false; !done;) {
+        const int before = published.load(std::memory_order_acquire);
+        done = before == kRows;
+        const size_t pages = table.NumPages();
+        const uint64_t tuples = table.NumTuples();
+        EXPECT_GE(pages, last_pages);
+        EXPECT_GE(tuples, last_tuples);
+        EXPECT_GE(tuples, static_cast<uint64_t>(before));
+        last_pages = pages;
+        last_tuples = tuples;
+
+        int seen = 0;
+        Status st = table.Scan([&](RecordId, const Tuple& t) {
+          EXPECT_EQ(t[0].AsInt(), seen);
+          EXPECT_EQ(t[1].AsString(), payload(seen));
+          ++seen;
+          return true;
+        });
+        EXPECT_TRUE(st.ok()) << st.ToString();
+        EXPECT_GE(seen, before);
+
+        for (int i = r; i < before; i += 37) {
+          auto t = table.Get(rids[i]);
+          ASSERT_TRUE(t.ok()) << t.status().ToString();
+          EXPECT_EQ((*t)[0].AsInt(), i);
+          EXPECT_EQ((*t)[1].AsString(), payload(i));
+        }
+      }
+    });
+  }
+  writer.join();
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(table.NumTuples(), static_cast<uint64_t>(kRows));
 }
 
 TEST(BPlusTreeTest, InsertLookup) {

@@ -648,6 +648,28 @@ TEST(SessionTest, BufferCacheWarmExecuteBitIdenticalToColdAndToCacheOff) {
   }
 }
 
+// The buffer cache is the one cache of table pages, and a page enters it
+// only when a reader reads it: a Load leaves it empty, and DropCaches
+// empties it again after queries filled it.
+TEST(SessionTest, LoadLeavesTheBufferCacheEmpty) {
+  WorkbenchSpec spec = SmallSpec();
+  spec.cache = cache::CacheConfig{/*budget_bytes=*/32 << 20, /*shards=*/4};
+  auto wb = Workbench::Create(spec);
+  ASSERT_TRUE(wb.ok()) << wb.status().ToString();
+  rdbms::StaccatoDb& db = (*wb)->db();
+  ASSERT_NE(db.buffer_cache(), nullptr);
+  EXPECT_EQ(db.buffer_cache()->stats().bytes_in_use, 0u);
+  EXPECT_EQ(db.buffer_cache()->stats().entries, 0u);
+
+  auto ans = db.QuerySql(Approach::kKMap,
+                         "SELECT * FROM Docs WHERE Year = 2010 AND "
+                         "DocData LIKE '%President%'");
+  ASSERT_TRUE(ans.ok()) << ans.status().ToString();
+  EXPECT_GT(db.buffer_cache()->stats().bytes_in_use, 0u);
+  ASSERT_TRUE(db.DropCaches().ok());
+  EXPECT_EQ(db.buffer_cache()->stats().bytes_in_use, 0u);
+}
+
 TEST(SessionTest, BufferCacheInvalidatesOnLoadGenerationBump) {
   WorkbenchSpec spec = SmallSpec();
   spec.cache = cache::CacheConfig{/*budget_bytes=*/32 << 20, /*shards=*/4};
