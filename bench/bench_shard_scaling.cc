@@ -38,6 +38,7 @@
 #include "eval/workbench.h"
 #include "ocr/corpus.h"
 #include "ocr/generator.h"
+#include "rdbms/session.h"
 #include "rdbms/shard.h"
 #include "util/strings.h"
 #include "util/timer.h"
@@ -108,10 +109,17 @@ QueryOptions SelectiveTop5(const std::string& pattern) {
   return q;
 }
 
-// One timed execution; exits on failure so every row is a real number.
+// One timed prepare + execute in a fresh Session; exits on failure so
+// every row is a real number.
 double QueryMs(ShardedDb* db, const QueryOptions& q, QueryStats* stats) {
   Timer t;
-  auto answers = db->Query(Approach::kStaccato, q, stats);
+  rdbms::Session session(db);
+  auto pq = session.Prepare(Approach::kStaccato, q);
+  if (!pq.ok()) {
+    fprintf(stderr, "prepare: %s\n", pq.status().ToString().c_str());
+    exit(1);
+  }
+  auto answers = pq->Execute(stats);
   if (!answers.ok()) {
     fprintf(stderr, "query: %s\n", answers.status().ToString().c_str());
     exit(1);

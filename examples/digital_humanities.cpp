@@ -57,8 +57,13 @@ int main() {
     };
     rdbms::QueryOptions q;
     q.pattern = query;
-    auto map_ans = (*wb)->db().Query(Approach::kMap, q);
-    auto stac_ans = (*wb)->db().Query(Approach::kStaccato, q);
+    auto answers_of = [&](Approach a) -> Result<std::vector<Answer>> {
+      STACCATO_ASSIGN_OR_RETURN(rdbms::PreparedQuery pq, (*wb)->Prepare(a, q));
+      return pq.Execute();
+    };
+    auto map_ans = answers_of(Approach::kMap);
+    auto stac_ans = answers_of(Approach::kStaccato);
+    if (!map_ans.ok() || !stac_ans.ok()) continue;
     int truth_page = -1;
     for (DocId d : *truth) {
       int page = static_cast<int>(corpus.page_of_line[d]);

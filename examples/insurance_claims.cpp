@@ -108,12 +108,16 @@ int main() {
 
   printf("%-10s %8s %8s %8s %10s\n", "approach", "found", "recall", "prec",
          "time(ms)");
+  // Serial Eval, so the timings compare the approaches' work.
+  QueryOptions q;
+  q.pattern = pattern;
+  q.eval_threads = 1;
   for (Approach a : {Approach::kMap, Approach::kKMap, Approach::kFullSfa,
                      Approach::kStaccato}) {
-    QueryOptions q;
-    q.pattern = pattern;
+    auto pq = session.Prepare(a, q);
+    if (!pq.ok()) continue;
     QueryStats stats;
-    auto answers = (*db)->Query(a, q, &stats);
+    auto answers = pq->Execute(&stats);
     if (!answers.ok()) continue;
     size_t hits = 0;
     for (const Answer& ans : *answers) hits += truth->count(ans.doc);
@@ -124,9 +128,16 @@ int main() {
   }
 
   printf("\nTop Staccato answers (probabilistic relation):\n");
-  QueryOptions q;
-  q.pattern = pattern;
-  auto answers = (*db)->Query(Approach::kStaccato, q);
+  auto staccato = session.Prepare(Approach::kStaccato, q);
+  if (!staccato.ok()) {
+    fprintf(stderr, "%s\n", staccato.status().ToString().c_str());
+    return 1;
+  }
+  auto answers = staccato->Execute();
+  if (!answers.ok()) {
+    fprintf(stderr, "%s\n", answers.status().ToString().c_str());
+    return 1;
+  }
   int shown = 0;
   for (const Answer& ans : *answers) {
     printf("  DocID %3llu  Pr = %.3g  %s  truth: %s\n",

@@ -165,6 +165,18 @@ if [ -n "$hits" ]; then
 fi
 
 # ---------------------------------------------------------------------------
+# 12. The executor has one caller: PreparedQuery's scatter-gather in
+# src/rdbms/session.cc, which always passes its stats and its plan-cache
+# entry, so every query runs through a Session and the Session's table
+# stays the only plan cache. `ExecutePlan(` appears nowhere else.
+hits=$(grep -rn 'ExecutePlan(' src/ tests/ bench/ examples/ e2ebench/ \
+  --include="*.h" --include="*.cc" --include="*.cpp" \
+  | grep -vE "^src/rdbms/(plan\.(h|cc)|session\.cc):" || true)
+if [ -n "$hits" ]; then
+  fail "ExecutePlan( outside src/rdbms/plan.{h,cc} and src/rdbms/session.cc (run queries through a Session)" "$hits"
+fi
+
+# ---------------------------------------------------------------------------
 if [ "$failures" -ne 0 ]; then
   echo "" >&2
   echo "lint: $failures rule(s) failed" >&2

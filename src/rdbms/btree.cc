@@ -84,77 +84,19 @@ const BPlusTree::Node* BPlusTree::FindLeaf(const std::string& key) const {
   return node;
 }
 
-void BPlusTree::VisitKey(const std::string& key,
-                         const std::function<bool(uint64_t)>& fn) const {
-  const Node* leaf = FindLeaf(key);
-  while (leaf != nullptr) {
+std::vector<uint64_t> BPlusTree::Lookup(const std::string& key) const {
+  std::vector<uint64_t> out;
+  // A duplicate run may spill into the next leaf: follow the chain until
+  // another key shows up.
+  for (const Node* leaf = FindLeaf(key); leaf != nullptr; leaf = leaf->next) {
     auto it = std::lower_bound(leaf->keys.begin(), leaf->keys.end(), key);
     for (size_t i = static_cast<size_t>(it - leaf->keys.begin());
          i < leaf->keys.size(); ++i) {
-      if (leaf->keys[i] != key) return;
-      if (!fn(leaf->values[i])) return;
+      if (leaf->keys[i] != key) return out;
+      out.push_back(leaf->values[i]);
     }
-    leaf = leaf->next;  // a duplicate run may spill into the next leaf
   }
-}
-
-std::vector<uint64_t> BPlusTree::Lookup(const std::string& key) const {
-  std::vector<uint64_t> out;
-  VisitKey(key, [&](uint64_t v) {
-    out.push_back(v);
-    return true;
-  });
   return out;
-}
-
-size_t BPlusTree::CountKey(const std::string& key) const {
-  size_t n = 0;
-  VisitKey(key, [&](uint64_t) {
-    ++n;
-    return true;
-  });
-  return n;
-}
-
-void BPlusTree::ScanRange(
-    const std::string& lo, const std::string& hi,
-    const std::function<bool(const std::string&, uint64_t)>& fn) const {
-  const Node* leaf = FindLeaf(lo);
-  while (leaf != nullptr) {
-    for (size_t i = 0; i < leaf->keys.size(); ++i) {
-      if (leaf->keys[i] < lo) continue;
-      if (leaf->keys[i] >= hi) return;
-      if (!fn(leaf->keys[i], leaf->values[i])) return;
-    }
-    leaf = leaf->next;
-  }
-}
-
-void BPlusTree::ScanAll(
-    const std::function<bool(const std::string&, uint64_t)>& fn) const {
-  const Node* node = root_.get();
-  while (!node->leaf) node = node->children.front().get();
-  while (node != nullptr) {
-    for (size_t i = 0; i < node->keys.size(); ++i) {
-      if (!fn(node->keys[i], node->values[i])) return;
-    }
-    node = node->next;
-  }
-}
-
-size_t BPlusTree::NumDistinctKeys() const {
-  size_t n = 0;
-  const std::string* prev = nullptr;
-  std::string last;
-  ScanAll([&](const std::string& k, uint64_t) {
-    if (prev == nullptr || k != last) {
-      ++n;
-      last = k;
-      prev = &last;
-    }
-    return true;
-  });
-  return n;
 }
 
 }  // namespace staccato::rdbms

@@ -1,10 +1,10 @@
 // B+-tree over string keys with duplicate support and leaf chaining.
 // Backs the inverted-index postings table (Section 5.3: "a relational table
-// with a B+-tree on top of it") and point lookups in the catalog tables.
+// with a B+-tree on top of it"): the index probe looks up one term's
+// postings.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,26 +18,12 @@ class BPlusTree {
 
   void Insert(const std::string& key, uint64_t value);
 
-  /// All values stored under `key`, in insertion-independent sorted order of
-  /// the tree traversal.
+  /// All values stored under `key`, in the order of the tree traversal,
+  /// following the leaf chain across duplicate runs.
   std::vector<uint64_t> Lookup(const std::string& key) const;
-
-  /// Number of entries stored under `key`, without materializing the
-  /// values. The planner's posting-count estimates use this.
-  size_t CountKey(const std::string& key) const;
-
-  /// Visits entries with lo <= key < hi; callback returns false to stop.
-  void ScanRange(const std::string& lo, const std::string& hi,
-                 const std::function<bool(const std::string&, uint64_t)>& fn) const;
-
-  /// Visits all entries in key order.
-  void ScanAll(const std::function<bool(const std::string&, uint64_t)>& fn) const;
 
   size_t size() const { return size_; }
   int height() const { return height_; }
-
-  /// Number of distinct keys (O(n) walk).
-  size_t NumDistinctKeys() const;
 
  private:
   struct Node {
@@ -62,12 +48,6 @@ class BPlusTree {
                                           uint64_t value);
 
   const Node* FindLeaf(const std::string& key) const;
-
-  // Visits every value stored under `key`, following the leaf chain across
-  // duplicate runs; callback returns false to stop. Lookup and CountKey
-  // share this walk.
-  void VisitKey(const std::string& key,
-                const std::function<bool(uint64_t)>& fn) const;
 
   std::unique_ptr<Node> root_;
   size_t size_ = 0;

@@ -193,13 +193,7 @@ CostEstimate EstimateCost(const PlanContext& ctx, Approach approach,
   // anchor must have resolved against the dictionary.
   if (approach == Approach::kStaccato && !anchor.empty() &&
       ctx.index != nullptr) {
-    if (ctx.term_stats == nullptr) {
-      // No maintained stats: posting length from the B+-tree, distinct-doc
-      // count bounded by it.
-      est.anchor_postings = ctx.index->CountKey(anchor);
-      est.anchor_docs = std::min(est.anchor_postings, ctx.num_sfas);
-    } else if (auto it = ctx.term_stats->find(anchor);
-               it != ctx.term_stats->end()) {
+    if (auto it = ctx.term_stats->find(anchor); it != ctx.term_stats->end()) {
       est.anchor_postings = it->second.postings;
       est.anchor_docs = it->second.docs;
     }
@@ -401,20 +395,18 @@ void EndStage(const PlanContext& ctx, const char* span, uint64_t start_ns,
 }
 
 /// The Filter operator: docs whose MasterData row satisfies every bound
-/// equality. The bitmap stays empty when the plan has no predicates (all
-/// docs pass). Returns a pointer into the cache (warm: no MasterData scan,
-/// no copy) or into `scratch` (uncached execution).
-Result<const std::vector<char>*> EqualityBitmap(const PlanContext& ctx,
-                                                const PlanSpec& plan,
-                                                QueryStats* stats,
-                                                PlanCache* cache,
-                                                std::vector<char>* scratch) {
-  if (plan.equalities.empty()) return scratch;  // left empty: all pass
-  if (cache != nullptr && cache->bitmap_valid) {
+/// equality, as the entry's bitmap (left empty when the plan has no
+/// predicates: all docs pass). A warm run (`fill` null) reads the pinned
+/// entry's bitmap; a cold one builds it into `fill`, the entry this run
+/// is filling.
+Status EqualityBitmap(const PlanContext& ctx, const PlanSpec& plan,
+                      QueryStats* stats, PlanCacheEntry* fill) {
+  if (plan.equalities.empty()) return Status::OK();
+  if (fill == nullptr) {
     stats->filter_from_cache = true;
-    return &cache->bitmap;
+    return Status::OK();
   }
-  std::vector<char>& allowed = *scratch;
+  std::vector<char>& allowed = fill->bitmap;
   allowed.assign(ctx.num_sfas, 0);
   HeapTable* master = ctx.base->master();
   STACCATO_RETURN_NOT_OK(master->Scan([&](RecordId, const Tuple& t) {
@@ -446,12 +438,7 @@ Result<const std::vector<char>*> EqualityBitmap(const PlanContext& ctx,
     }
     if (pass) allowed[key] = 1;
   }
-  if (cache != nullptr) {
-    cache->bitmap = std::move(allowed);
-    cache->bitmap_valid = true;
-    return &cache->bitmap;
-  }
-  return scratch;
+  return Status::OK();
 }
 
 /// One kMAPData row applied to its doc's match mass: a row the filter
@@ -510,15 +497,6 @@ void InitQueryStats(QueryStats* stats, const PlanSpec& plan) {
   stats->plan_summary = PlanSummary(plan);
   stats->est_candidates = plan.cost.chosen_cost().candidates;
   stats->est_cost = plan.cost.chosen_cost().total;
-}
-
-/// Entries built against older data are dead; start the cache over at the
-/// current generation.
-void ResetStaleCache(PlanCache* cache, const PlanContext& ctx) {
-  if (cache != nullptr && cache->generation != ctx.load_generation) {
-    *cache = PlanCache{};
-    cache->generation = ctx.load_generation;
-  }
 }
 
 /// Strings Eval: one serial pass over kMAPData's record bytes accumulating
@@ -591,11 +569,11 @@ Result<std::vector<Answer>> ExecuteStrings(const PlanContext& ctx,
 
 struct SfaCandidate {
   DocId doc = 0;
-  std::vector<uint64_t> postings;  // packed; empty on the full-scan path
-  /// Anchor postings inside this doc (index-probe path only): the cheap
-  /// relevance estimate that orders the Eval visit so the top-k threshold
-  /// tightens early. 0 on the full-scan path (natural doc order).
-  size_t est_postings = 0;
+  /// This doc's packed anchor postings, read in place from the plan-cache
+  /// entry's CandidateSet; null on the full-scan path. Their count is the
+  /// cheap relevance estimate that orders the Eval visit so the top-k
+  /// threshold tightens early.
+  const std::vector<uint64_t>* postings = nullptr;
 };
 
 /// Projection Eval for one fetched candidate blob: score the region
@@ -616,14 +594,16 @@ Result<double> EvalProjectedBlob(const std::string& blob,
 }
 
 /// The CandidateGen operator for the SFA approaches: the plan's candidate
-/// documents in ascending-doc order, filtered by the equality bitmap. A
-/// warm cache serves the probed CandidateSet without touching the B+-tree
-/// or the postings relation. `total_postings` reports the probe size.
+/// documents in ascending-doc order, filtered by the entry's equality
+/// bitmap. A warm run (`fill` null) serves the pinned entry's CandidateSet
+/// without touching the B+-tree or the postings relation; a cold one
+/// probes into `fill`, the entry this run is filling. `total_postings`
+/// reports the probe size.
 Result<std::vector<SfaCandidate>> BuildSfaCandidates(
-    const PlanContext& ctx, const PlanSpec& plan,
-    const std::vector<char>& allowed, QueryStats* stats, PlanCache* cache,
-    size_t* total_postings) {
+    const PlanContext& ctx, const PlanSpec& plan, const PlanCacheEntry& entry,
+    PlanCacheEntry* fill, QueryStats* stats, size_t* total_postings) {
   const bool filtered = !plan.equalities.empty();
+  const std::vector<char>& allowed = entry.bitmap;
   std::vector<SfaCandidate> cands;
   *total_postings = 0;
   if (plan.source == CandidateSource::kIndexProbe) {
@@ -636,48 +616,24 @@ Result<std::vector<SfaCandidate>> BuildSfaCandidates(
           "plan probes an inverted index that no longer serves anchor '" +
           plan.anchor + "'; re-prepare after BuildInvertedIndex");
     }
-    CandidateSet probed;
-    CandidateSet* owned = nullptr;  // postings may be moved out
-    const CandidateSet* set = nullptr;
-    if (cache != nullptr && cache->candidates_valid) {
-      set = &cache->candidates;
+    if (fill == nullptr) {
       stats->candidates_from_cache = true;
     } else {
-      STACCATO_ASSIGN_OR_RETURN(probed, ProbeIndex(ctx, plan.anchor));
-      if (cache != nullptr) {
-        cache->candidates = std::move(probed);
-        cache->candidates_valid = true;
-        set = &cache->candidates;
-      } else {
-        owned = &probed;
-        set = &probed;
-      }
+      STACCATO_ASSIGN_OR_RETURN(fill->candidates,
+                                ProbeIndex(ctx, plan.anchor));
     }
-    *total_postings = set->total_postings;
-    cands.reserve(set->NumDocs());
-    // Only the projection path reads per-candidate postings; the blob
-    // fetch ignores them, so skip carrying them at all in that case.
-    const bool need_postings = plan.fetch == FetchMethod::kProjection;
-    if (owned != nullptr) {
-      // Uncached execution: the set is local, so hand its posting vectors
-      // to the candidates instead of copying them.
-      for (auto& [doc, posts] : owned->postings) {
-        if (filtered && (doc >= allowed.size() || !allowed[doc])) continue;
-        cands.push_back({doc, {}, posts.size()});
-        if (need_postings) cands.back().postings = std::move(posts);
-      }
-    } else {
-      for (const auto& [doc, posts] : set->postings) {
-        if (filtered && (doc >= allowed.size() || !allowed[doc])) continue;
-        cands.push_back({doc, {}, posts.size()});
-        if (need_postings) cands.back().postings = posts;
-      }
+    const CandidateSet& set = entry.candidates;
+    *total_postings = set.total_postings;
+    cands.reserve(set.NumDocs());
+    for (const auto& [doc, posts] : set.postings) {
+      if (filtered && (doc >= allowed.size() || !allowed[doc])) continue;
+      cands.push_back({doc, &posts});
     }
   } else {
     cands.reserve(ctx.num_sfas);
     for (DocId doc = 0; doc < ctx.num_sfas; ++doc) {
       if (filtered && (doc >= allowed.size() || !allowed[doc])) continue;
-      cands.push_back({doc, {}, 0});
+      cands.push_back({doc, nullptr});
     }
   }
   return cands;
@@ -696,8 +652,9 @@ Result<std::vector<SfaCandidate>> BuildSfaCandidates(
 /// unranked answers. Peak memory is one blob + one DP arena per worker.
 Result<std::vector<Answer>> ExecuteSfas(const PlanContext& ctx,
                                         const PlanSpec& plan, const Dfa& dfa,
-                                        const std::vector<char>& allowed,
-                                        QueryStats* stats, PlanCache* cache,
+                                        const PlanCacheEntry& entry,
+                                        PlanCacheEntry* fill,
+                                        QueryStats* stats,
                                         TopKThreshold* shared_topk) {
   const bool full = plan.approach == Approach::kFullSfa;
 
@@ -705,7 +662,7 @@ Result<std::vector<Answer>> ExecuteSfas(const PlanContext& ctx,
   const uint64_t cand_start_ns = telemetry::MonotonicNanos();
   STACCATO_ASSIGN_OR_RETURN(
       std::vector<SfaCandidate> cands,
-      BuildSfaCandidates(ctx, plan, allowed, stats, cache, &total_postings));
+      BuildSfaCandidates(ctx, plan, entry, fill, stats, &total_postings));
   EndStage(ctx, "CandidateGen", cand_start_ns, &stats->stage.candidate_gen_s);
 
   size_t threads = std::max<size_t>(1, plan.eval_threads);
@@ -723,7 +680,7 @@ Result<std::vector<Answer>> ExecuteSfas(const PlanContext& ctx,
   std::iota(order.begin(), order.end(), size_t{0});
   if (prune && plan.source == CandidateSource::kIndexProbe) {
     std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return cands[a].est_postings > cands[b].est_postings;
+      return cands[a].postings->size() > cands[b].postings->size();
     });
   }
   // The pruning threshold: query-local by default; a caller-owned one
@@ -797,7 +754,7 @@ Result<std::vector<Answer>> ExecuteSfas(const PlanContext& ctx,
     }
     if (plan.fetch == FetchMethod::kProjection) {
       STACCATO_ASSIGN_OR_RETURN(
-          prob[i], EvalProjectedBlob(*blob, cand.postings, dfa, horizon));
+          prob[i], EvalProjectedBlob(*blob, *cand.postings, dfa, horizon));
       visited[i] = 1;
       return Status::OK();
     }
@@ -852,12 +809,10 @@ Result<std::vector<Answer>> ExecuteSfas(const PlanContext& ctx,
 
 }  // namespace
 
-Result<std::vector<Answer>> ExecutePlan(const PlanContext& ctx,
-                                        const PlanSpec& plan, const Dfa& dfa,
-                                        QueryStats* stats, PlanCache* cache,
-                                        TopKThreshold* shared_topk) {
-  QueryStats local_stats;
-  if (stats == nullptr) stats = &local_stats;
+Result<std::vector<Answer>> ExecutePlan(
+    const PlanContext& ctx, const PlanSpec& plan, const Dfa& dfa,
+    QueryStats* stats, std::shared_ptr<const PlanCacheEntry>* entry,
+    TopKThreshold* shared_topk) {
   InitQueryStats(stats, plan);
   const uint64_t plan_start_ns = telemetry::MonotonicNanos();
   // Cancellation point: query entry. An already-expired deadline fails (or
@@ -872,19 +827,23 @@ Result<std::vector<Answer>> ExecutePlan(const PlanContext& ctx,
       return std::vector<Answer>{};
     }
   }
-  ResetStaleCache(cache, ctx);
-  std::vector<char> scratch;
+  // Without a pinned entry, Filter and CandidateGen fill a fresh one,
+  // handed to the caller only if the run succeeds.
+  std::shared_ptr<PlanCacheEntry> fill;
+  if (*entry == nullptr) {
+    fill = std::make_shared<PlanCacheEntry>();
+    fill->generation = ctx.load_generation;
+  }
+  const PlanCacheEntry& memo = fill != nullptr ? *fill : **entry;
   const uint64_t filter_start_ns = telemetry::MonotonicNanos();
-  STACCATO_ASSIGN_OR_RETURN(
-      const std::vector<char>* allowed,
-      EqualityBitmap(ctx, plan, stats, cache, &scratch));
+  STACCATO_RETURN_NOT_OK(EqualityBitmap(ctx, plan, stats, fill.get()));
   EndStage(ctx, plan.equalities.empty() ? nullptr : "Filter", filter_start_ns,
            &stats->stage.filter_s);
   STACCATO_ASSIGN_OR_RETURN(
       std::vector<Answer> answers,
       plan.eval == EvalStrategy::kStrings
-          ? ExecuteStrings(ctx, plan, dfa, *allowed, stats)
-          : ExecuteSfas(ctx, plan, dfa, *allowed, stats, cache, shared_topk));
+          ? ExecuteStrings(ctx, plan, dfa, memo.bitmap, stats)
+          : ExecuteSfas(ctx, plan, dfa, memo, fill.get(), stats, shared_topk));
   stats->selectivity = ctx.num_sfas == 0
                            ? 0.0
                            : static_cast<double>(stats->candidates) /
@@ -894,6 +853,7 @@ Result<std::vector<Answer>> ExecutePlan(const PlanContext& ctx,
   std::vector<Answer> ranked = RankAnswers(std::move(answers), plan.num_ans);
   EndStage(ctx, "TopK", topk_start_ns, &stats->stage.topk_s);
   EndStage(ctx, nullptr, plan_start_ns, &stats->stage.total_s);
+  if (fill != nullptr) *entry = std::move(fill);
   return ranked;
 }
 

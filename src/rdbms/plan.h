@@ -38,14 +38,15 @@
 // path wins unless the caller pins the choice with `IndexMode`. The
 // estimate is frozen into the plan and rendered by `ExplainPlan`.
 //
-// `ExecutePlan` can then run the same plan many times. A `PlanCache`
-// (owned by the PreparedQuery that owns the plan) memoizes the two
-// execution artifacts that do not depend on the DFA evaluation itself —
-// the CandidateSet produced by an index probe and the equality-filter
-// bitmap — so a warm Execute skips CandidateGen and Filter entirely.
-// Cache entries are tagged with the database's load generation and are
-// discarded whenever the data is reloaded or the index rebuilt; a warm
-// Execute is always bit-identical to a cold one.
+// `ExecutePlan` can then run the same plan many times. Its two artifacts
+// that do not depend on the DFA evaluation itself — the CandidateSet
+// produced by an index probe and the equality-filter bitmap — live in an
+// immutable `PlanCacheEntry`: a cold run builds one in its CandidateGen
+// and Filter stages, and a run handed a current entry skips both stages
+// and reads the entry in place. The Session's plan-cache table
+// (session.h) is the only owner of entries. Each entry is tagged with the
+// database's load generation, so a reload or index rebuild retires it; a
+// warm Execute is always bit-identical to a cold one.
 #pragma once
 
 #include <algorithm>
@@ -94,18 +95,17 @@ const char* IndexModeName(IndexMode m);
 struct QueryOptions {
   std::string pattern;     ///< the paper's pattern language ('%pat%' implied)
   size_t num_ans = 100;    ///< NumAns (Table 3)
-  /// Index policy. The default lets the cost model decide; benches that
-  /// measure one fixed path pin it with kForce/kNever. The pattern-query
-  /// facades (StaccatoDb::Query, ShardedDb::Query) pin kAuto to kNever.
+  /// Index policy. The default lets the cost model decide; benches and
+  /// tests that measure one fixed path pin it with kForce/kNever.
   IndexMode index_mode = IndexMode::kAuto;
   bool use_projection = false;  ///< fetch only the projected SFA region
   /// Equality predicates over MasterData columns (`Year = 2010`); filters
   /// candidates before any SFA is fetched or evaluated.
   std::vector<EqualityPredicate> equalities;
   /// Workers for the parallel SFA Eval stage. 1 = serial; 0 = inherit the
-  /// session default (which itself defaults to serial for the legacy
-  /// StaccatoDb::Query path and hardware concurrency for Sessions). The
-  /// string approaches always run one serial kMAPData scan.
+  /// session default (SessionOptions::eval_threads, itself defaulting to
+  /// hardware concurrency). The string approaches always run one serial
+  /// kMAPData scan.
   size_t eval_threads = 0;
   /// Allow the Eval stage to abort a candidate's DP as soon as its exact
   /// probability upper bound falls below the running k-th best answer
@@ -170,7 +170,7 @@ struct QueryStats {
   size_t est_candidates = 0;
   double est_cost = 0.0;      ///< chosen path's total cost units
   // Plan-cache observability: which stages were served from the
-  // PreparedQuery's memoized state instead of being recomputed.
+  // plan-cache entry the PreparedQuery pinned instead of being recomputed.
   bool filter_from_cache = false;      ///< equality bitmap reused
   bool candidates_from_cache = false;  ///< index CandidateSet reused
   // Buffer-cache observability for the Fetch stage: this query's blob
@@ -181,9 +181,9 @@ struct QueryStats {
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t cache_bytes = 0;
-  /// This Execute adopted CandidateGen/Filter artifacts from the owning
-  /// Session's shared plan-cache table (warmed by another PreparedQuery
-  /// with the same plan fingerprint) instead of recomputing them.
+  /// This Execute pinned a plan-cache entry that another PreparedQuery
+  /// with the same plan fingerprint had published to the owning Session's
+  /// table, instead of computing CandidateGen/Filter itself.
   bool shared_plan_hit = false;
   // Early-termination observability. `eval_pruned` counts candidates whose
   // DP aborted because their probability upper bound fell below the
@@ -303,17 +303,20 @@ struct CostEstimate {
   std::string ToString() const;
 };
 
-/// \brief Memoized execution state for one plan, owned by the
-/// PreparedQuery that executes it. Entries are valid only for the database
-/// load generation they were built at; ExecutePlan discards them when the
-/// generation moves (data reloaded, index rebuilt). Reusing a cache entry
-/// is bit-identical to recomputing it.
-struct PlanCache {
-  uint64_t generation = 0;  ///< db load generation the entries belong to
-  bool bitmap_valid = false;
-  std::vector<char> bitmap;  ///< equality-filter bitmap (Filter operator)
-  bool candidates_valid = false;
-  CandidateSet candidates;   ///< index-probe result (CandidateGen operator)
+/// \brief The memoized CandidateGen/Filter artifacts of one plan at one
+/// database load generation. ExecutePlan fills an entry once, in its
+/// Filter and CandidateGen stages; from then on it is shared as a
+/// `shared_ptr<const PlanCacheEntry>` by the Session's table and every
+/// PreparedQuery that pins it, and is read in place, never copied. It is
+/// current only while the load generation still matches. Serving an
+/// entry is bit-identical to recomputing it.
+struct PlanCacheEntry {
+  uint64_t generation = 0;  ///< db load generation the artifacts belong to
+  /// Equality-filter bitmap (Filter operator); empty when the plan has no
+  /// equality predicate (every doc passes).
+  std::vector<char> bitmap;
+  /// Index-probe result (CandidateGen operator); empty on a full scan.
+  CandidateSet candidates;
 };
 
 /// \brief A resolved physical plan. Immutable once built; executing it many
@@ -346,12 +349,13 @@ struct PlanContext {
   /// pinned handles) and the planner folds its observed hit rate into
   /// CostEstimate.
   cache::BufferCache* cache = nullptr;
-  /// Per-term posting statistics maintained by the index builder; may be
-  /// null (no index). The cost model reads these instead of probing.
+  /// Per-term posting statistics maintained by the index builder; null
+  /// exactly when `index` is. The cost model reads these instead of
+  /// probing.
   const TermStatsMap* term_stats = nullptr;
   /// Monotone counter the owning database bumps on every Load /
-  /// BuildInvertedIndex / Append / Checkpoint; PlanCache entries from
-  /// older generations are invalid.
+  /// BuildInvertedIndex / Append / Checkpoint; PlanCacheEntry objects from
+  /// older generations are retired.
   uint64_t load_generation = 0;
   /// Bumped only when blob *contents* change per doc id (Load) — Append
   /// and Checkpoint preserve every existing doc's bytes, so blob-cache
@@ -444,23 +448,22 @@ class TopKThreshold {
   std::vector<double> heap_ GUARDED_BY(mu_);  // min-heap of the best k
 };
 
-/// Runs the plan's operator pipeline. Repeated calls with the same plan and
-/// DFA return identical answers regardless of `eval_threads`. `stats` may
-/// be null; the executor then fills a local one. `cache`, when
-/// non-null, memoizes the CandidateGen/Filter artifacts across calls: a
-/// warm call reuses the equality bitmap and the probed CandidateSet (and
-/// reports doing so in `stats`) as long as `ctx.load_generation` still
-/// matches the cached generation. `shared_topk`, when non-null, replaces
-/// the Eval stage's query-local pruning threshold — the scatter passes one
+/// Runs the plan's operator pipeline and fills `stats`. Repeated calls with
+/// the same plan and DFA return identical answers regardless of
+/// `eval_threads`. `*entry` is the caller's pin on the plan's memoized
+/// artifacts: an entry current for `ctx.load_generation` serves Filter and
+/// CandidateGen in place (`stats` reports the hits); a null pin makes those
+/// stages build a fresh entry, which a successful run leaves in `*entry`
+/// for the caller to publish. `shared_topk`, when non-null, replaces the
+/// Eval stage's query-local pruning threshold — the scatter passes one
 /// instance to every shard's ExecutePlan so the global k-th best bound
 /// forwards across shards (answer-neutral: the kernel prunes strictly
 /// below the threshold, and the global bound is at least as high as any
-/// shard-local one).
-Result<std::vector<Answer>> ExecutePlan(const PlanContext& ctx,
-                                        const PlanSpec& plan, const Dfa& dfa,
-                                        QueryStats* stats,
-                                        PlanCache* cache = nullptr,
-                                        TopKThreshold* shared_topk = nullptr);
+/// shard-local one). PreparedQuery's scatter-gather is the only caller.
+Result<std::vector<Answer>> ExecutePlan(
+    const PlanContext& ctx, const PlanSpec& plan, const Dfa& dfa,
+    QueryStats* stats, std::shared_ptr<const PlanCacheEntry>* entry,
+    TopKThreshold* shared_topk);
 
 /// Probes the inverted index with `anchor` (CandidateGen, index flavor).
 /// The caller guarantees ctx.index/ctx.dict are present.

@@ -38,9 +38,12 @@ std::string PlanFingerprint(const PlanSpec& plan) {
   return fp;
 }
 
-/// Artifact richness, for "publish only if we know more" comparisons.
-int ArtifactCount(const PlanCache& cache) {
-  return (cache.bitmap_valid ? 1 : 0) + (cache.candidates_valid ? 1 : 0);
+/// A plan with neither an equality predicate nor an index probe memoizes
+/// nothing: its (empty) entry stays a private pin, never published to or
+/// pinned from the session table.
+bool Memoizes(const PlanSpec& plan) {
+  return !plan.equalities.empty() ||
+         plan.source == CandidateSource::kIndexProbe;
 }
 
 /// Session-level query metrics, registered once (see service.cc for the
@@ -97,7 +100,7 @@ PreparedQuery::PreparedQuery(std::vector<StaccatoDb*> shards, ShardedDb* sdb,
     : shards_(std::move(shards)),
       sdb_(sdb),
       plans_(std::move(plans)),
-      caches_(plans_.size()),
+      pins_(plans_.size()),
       dfa_(std::move(dfa)),
       shared_(std::move(shared)),
       tracer_(std::move(tracer)) {
@@ -107,46 +110,26 @@ PreparedQuery::PreparedQuery(std::vector<StaccatoDb*> shards, ShardedDb* sdb,
   }
 }
 
-bool PreparedQuery::AdoptSharedCache(size_t s, uint64_t generation) {
-  const PlanSpec& plan = plans_[s];
-  PlanCache& cache = caches_[s];
-  const bool needs_bitmap = !plan.equalities.empty();
-  const bool needs_cands = plan.source == CandidateSource::kIndexProbe;
-  if (!needs_bitmap && !needs_cands) return false;  // nothing is memoized
-  const bool local_current = cache.generation == generation;
-  if (local_current && (!needs_bitmap || cache.bitmap_valid) &&
-      (!needs_cands || cache.candidates_valid)) {
-    return false;  // locally warm already
+bool PreparedQuery::PinCurrentEntry(size_t s, uint64_t generation) {
+  std::shared_ptr<const PlanCacheEntry>& pin = pins_[s];
+  if (pin != nullptr && pin->generation == generation) return false;
+  pin = nullptr;
+  if (!Memoizes(plans_[s])) return false;
+  util::MutexLock lock(&shared_->mu);
+  auto it = shared_->entries.find(shared_keys_[s]);
+  if (it == shared_->entries.end() || it->second->generation != generation) {
+    return false;
   }
-  std::shared_ptr<const PlanCache> entry;
-  {
-    util::MutexLock lock(&shared_->mu);
-    auto it = shared_->entries.find(shared_keys_[s]);
-    if (it != shared_->entries.end()) entry = it->second;
-  }
-  if (entry == nullptr || entry->generation != generation) return false;
-  if (!local_current) {
-    cache = PlanCache{};
-    cache.generation = generation;
-  }
-  bool adopted = false;
-  if (needs_bitmap && !cache.bitmap_valid && entry->bitmap_valid) {
-    cache.bitmap = entry->bitmap;
-    cache.bitmap_valid = true;
-    adopted = true;
-  }
-  if (needs_cands && !cache.candidates_valid && entry->candidates_valid) {
-    cache.candidates = entry->candidates;
-    cache.candidates_valid = true;
-    adopted = true;
-  }
-  return adopted;
+  pin = it->second;
+  return true;
 }
 
-void PreparedQuery::PublishSharedCache(size_t s, uint64_t generation) {
-  const PlanCache& cache = caches_[s];
-  if (cache.generation != generation || ArtifactCount(cache) == 0) return;
+void PreparedQuery::PublishEntry(size_t s,
+                                 std::shared_ptr<const PlanCacheEntry> entry) {
+  pins_[s] = entry;
+  if (!Memoizes(plans_[s])) return;
   const std::string& key = shared_keys_[s];
+  const uint64_t generation = entry->generation;
   util::MutexLock lock(&shared_->mu);
   // The table is bounded: these are memoizations, so dropping them only
   // costs a recompute. When full, first purge entries a reload already
@@ -162,11 +145,8 @@ void PreparedQuery::PublishSharedCache(size_t s, uint64_t generation) {
       shared_->entries.clear();
     }
   }
-  std::shared_ptr<const PlanCache>& slot = shared_->entries[key];
-  if (slot == nullptr || slot->generation != generation ||
-      ArtifactCount(*slot) < ArtifactCount(cache)) {
-    slot = std::make_shared<const PlanCache>(cache);
-  }
+  std::shared_ptr<const PlanCacheEntry>& slot = shared_->entries[key];
+  if (slot == nullptr || slot->generation < generation) slot = std::move(entry);
 }
 
 Result<PreparedQuery> Session::Prepare(Approach approach,
@@ -185,7 +165,7 @@ Result<PreparedQuery> Session::Prepare(Approach approach,
     plans.push_back(std::move(plan));
   }
   return PreparedQuery(shards_, sdb_, std::move(plans), std::move(dfa),
-                       shared_caches_, tracer_);
+                       plan_cache_, tracer_);
 }
 
 Result<PreparedQuery> Session::PrepareSql(Approach approach,
@@ -212,16 +192,18 @@ Result<std::vector<Answer>> PreparedQuery::ScatterGather(
   // publishes its map extension before touching the owning shard, so
   // every document a context can see is translatable.
   std::vector<PlanContext> ctxs(num_shards);
-  bool adopted = false;
+  std::vector<std::shared_ptr<const PlanCacheEntry>> entries(num_shards);
+  bool shared_hit = false;
   size_t total_docs = 0;
   for (size_t s = 0; s < num_shards; ++s) {
     ctxs[s] = shards_[s]->MakePlanContext();
     ctxs[s].control = control;  // one budget, shared across every shard
     ctxs[s].trace = trace;
     total_docs += ctxs[s].num_sfas;
-    adopted |= AdoptSharedCache(s, ctxs[s].load_generation);
+    shared_hit |= PinCurrentEntry(s, ctxs[s].load_generation);
+    entries[s] = pins_[s];  // null: this Execute builds the shard's entry
   }
-  if (adopted) shared_->hits.fetch_add(1, std::memory_order_relaxed);
+  if (shared_hit) shared_->hits.fetch_add(1, std::memory_order_relaxed);
   std::shared_ptr<const ShardMap> map =
       sdb_ != nullptr ? sdb_->map_snapshot() : nullptr;
   // The forwarded global bound: every shard's Eval offers its answers
@@ -245,7 +227,7 @@ Result<std::vector<Answer>> PreparedQuery::ScatterGather(
                                      scatter_span.id());
     ctxs[s].trace_parent = shard_span.id();
     Result<std::vector<Answer>> r =
-        ExecutePlan(ctxs[s], plans_[s], dfa_, &per_shard[s], &caches_[s],
+        ExecutePlan(ctxs[s], plans_[s], dfa_, &per_shard[s], &entries[s],
                     forwarded);
     if (r.ok()) {
       shard_answers[s] = std::move(r).ValueUnsafe();
@@ -271,11 +253,11 @@ Result<std::vector<Answer>> PreparedQuery::ScatterGather(
         GatherShardAnswers(map.get(), s, shard_answers[s], &merged));
   }
   for (size_t s = 0; s < num_shards; ++s) {
-    PublishSharedCache(s, ctxs[s].load_generation);
+    if (entries[s] != pins_[s]) PublishEntry(s, std::move(entries[s]));
   }
   if (stats != nullptr) {
     FoldShardStats(per_shard, total_docs, stats);
-    stats->shared_plan_hit = adopted;
+    stats->shared_plan_hit = shared_hit;
   }
   return RankAnswers(std::move(merged), plans_.front().num_ans);
 }

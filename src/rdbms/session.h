@@ -28,24 +28,22 @@
 // 1-shard case runs inline on the calling thread, so a plain database pays
 // no scheduling cost for the uniform shape.
 //
-// Each PreparedQuery carries one plan-level cache per shard: the first
-// Execute memoizes the index-probe CandidateSet and the equality-filter
-// bitmap, so warm Executes skip the CandidateGen and Filter operators
-// entirely (QueryStats::candidates_from_cache / filter_from_cache report
-// this). Cached entries live until the shard's load generation moves —
-// any Load, BuildInvertedIndex, Append or Checkpoint invalidates them on
-// the next Execute — and warm answers are always bit-identical to cold
-// ones. Plan caches are also shared *across* the PreparedQueries of one
-// Session: after a successful Execute the warmed artifacts are published
-// (as immutable snapshots, keyed by shard ordinal plus plan fingerprint)
-// into a session-wide table, and a cold PreparedQuery with the same
-// fingerprint adopts them on its first Execute instead of recomputing
-// (QueryStats::shared_plan_hit, Session::shared_plan_hits). A
+// A Session is the only way to run a query, and its plan-cache table is
+// the only plan cache. The table holds immutable PlanCacheEntry objects
+// (plan.h) — the index-probe CandidateSet and the equality-filter bitmap —
+// keyed by shard ordinal plus plan fingerprint. Each PreparedQuery pins
+// one entry per shard: its own if still current, else the table's if
+// current (QueryStats::shared_plan_hit, Session::shared_plan_hits), else
+// none, in which case the executor builds the entry during CandidateGen
+// and Filter and, once the gather succeeds, the session publishes and
+// pins it. A pinned entry serves both operators in place, so warm
+// Executes skip them (QueryStats::candidates_from_cache /
+// filter_from_cache) and nothing memoized is ever copied. An entry is
+// current until the shard's load generation moves — any Load,
+// BuildInvertedIndex, Append or Checkpoint retires it on the next
+// Execute — and warm answers are always bit-identical to cold ones. A
 // PreparedQuery is not synchronized: run concurrent Executes on separate
-// PreparedQuery objects. The legacy StaccatoDb::Query call is a thin
-// wrapper over this engine that pins an IndexMode::kAuto query to kNever;
-// StaccatoDb::QuerySql is cost-based like any SQL prepare.
-// Both run prepare + execute in one shot, so they never hit the warm path.
+// PreparedQuery objects.
 #pragma once
 
 #include <atomic>
@@ -65,17 +63,16 @@ class StaccatoDb;
 class ShardedDb;
 class PreparedQuery;
 
-/// \brief The session-wide shared plan-cache table: immutable snapshots of
-/// warmed PlanCache artifacts, keyed by shard ordinal plus plan
-/// fingerprint (candidate source + anchor + bound equalities — exactly
-/// what the memoized CandidateSet and bitmap depend on; the ordinal keeps
-/// one shard's artifacts from serving another). Entries carry their
-/// shard's load generation inside the PlanCache; a PreparedQuery adopts
-/// an entry only when the generation still matches, and publishes a fresh
-/// snapshot after warming its own cache. Shared (via shared_ptr) between a
-/// Session and every PreparedQuery it creates, so queries stay valid if
-/// the Session dies first. All access goes through the mutex; the
-/// snapshots themselves are immutable, so concurrent Executes on separate
+/// \brief The session-wide plan-cache table: immutable PlanCacheEntry
+/// objects keyed by shard ordinal plus plan fingerprint (candidate source
+/// + anchor + bound equalities — exactly what the memoized CandidateSet
+/// and bitmap depend on; the ordinal keeps one shard's artifacts from
+/// serving another). A PreparedQuery pins an entry only while its load
+/// generation still matches the shard's, and publishes the entry it built
+/// after a successful Execute. Shared (via shared_ptr) between a Session
+/// and every PreparedQuery it creates, so queries stay valid if the
+/// Session dies first. All access goes through the mutex; the entries
+/// themselves are immutable, so concurrent Executes on separate
 /// PreparedQuery objects stay safe.
 struct SharedPlanCacheTable {
   /// Bound on distinct fingerprints retained (each entry can hold an
@@ -86,9 +83,9 @@ struct SharedPlanCacheTable {
   static constexpr size_t kMaxEntries = 256;
 
   util::Mutex mu;
-  std::unordered_map<std::string, std::shared_ptr<const PlanCache>> entries
-      GUARDED_BY(mu);
-  std::atomic<uint64_t> hits{0};  ///< Executes that adopted any entry
+  std::unordered_map<std::string, std::shared_ptr<const PlanCacheEntry>>
+      entries GUARDED_BY(mu);
+  std::atomic<uint64_t> hits{0};  ///< Executes that pinned a table entry
 };
 
 /// \brief Session-wide defaults applied at prepare time.
@@ -127,12 +124,12 @@ class Session {
   const SessionOptions& options() const { return opts_; }
 
   /// How many Executes served CandidateGen/Filter on at least one shard
-  /// from the session's shared plan-cache table — i.e. were warmed by a
-  /// *different* PreparedQuery with the same plan fingerprint. Counts once
-  /// per Execute however many shards adopted (QueryStats::shared_plan_hit
-  /// flags the individual executions).
+  /// from an entry of the session's plan-cache table — i.e. were warmed by
+  /// a *different* PreparedQuery with the same plan fingerprint. Counts
+  /// once per Execute however many shards pinned a table entry
+  /// (QueryStats::shared_plan_hit flags the individual executions).
   uint64_t shared_plan_hits() const {
-    return shared_caches_->hits.load(std::memory_order_relaxed);
+    return plan_cache_->hits.load(std::memory_order_relaxed);
   }
 
   /// Per-query tracing (telemetry/trace.h). The sink is shared with every
@@ -158,7 +155,7 @@ class Session {
   /// a plain database, whose id map is the identity.
   ShardedDb* sdb_ = nullptr;
   SessionOptions opts_;
-  std::shared_ptr<SharedPlanCacheTable> shared_caches_ =
+  std::shared_ptr<SharedPlanCacheTable> plan_cache_ =
       std::make_shared<SharedPlanCacheTable>();
   std::shared_ptr<telemetry::TraceSink> tracer_ =
       std::make_shared<telemetry::TraceSink>();
@@ -172,10 +169,10 @@ class PreparedQuery {
   /// early termination: the Eval stage streams candidates against the
   /// running k-th best answer and aborts provably-hopeless ones, but a
   /// pruned candidate can never have entered the top-k. Repeated calls
-  /// serve CandidateGen/Filter from the plan cache (bit-identical
-  /// results); the cache self-invalidates when the database reloads data.
-  /// Non-const because it warms the cache — the honest signal that one
-  /// PreparedQuery must not Execute concurrently with itself.
+  /// serve CandidateGen/Filter from the pinned plan-cache entry
+  /// (bit-identical results); the pin is dropped when the database
+  /// reloads data. Non-const because it re-pins — the honest signal that
+  /// one PreparedQuery must not Execute concurrently with itself.
   Result<std::vector<Answer>> Execute(QueryStats* stats = nullptr);
 
   /// Execute under a per-query budget/cancellation block (rdbms/service.h):
@@ -227,24 +224,25 @@ class PreparedQuery {
                                             QueryStats* stats,
                                             telemetry::QueryTrace* trace);
 
-  /// Copies any artifacts shard `s`'s plan will need from the session
-  /// table into that shard's local cache, when the local cache lacks them
-  /// for `generation`. Returns true if anything was adopted.
-  bool AdoptSharedCache(size_t s, uint64_t generation);
-  /// Publishes a snapshot of shard `s`'s warmed local cache into the
-  /// session table when it carries more artifacts than the current entry.
-  void PublishSharedCache(size_t s, uint64_t generation);
+  /// Leaves pins_[s] holding an entry current at `generation`: the
+  /// query's own pin if it still is, else the session table's entry if
+  /// that is, else null. Returns true when the table's entry was pinned.
+  bool PinCurrentEntry(size_t s, uint64_t generation);
+  /// Pins the entry shard `s` just built and publishes it to the session
+  /// table, replacing an absent or older entry.
+  void PublishEntry(size_t s, std::shared_ptr<const PlanCacheEntry> entry);
 
   std::vector<StaccatoDb*> shards_;
   ShardedDb* sdb_;  ///< owns the id map; null = identity (plain database)
-  /// One independently planned PlanSpec per shard, one generation-tagged
-  /// PlanCache per shard (plan.h), and each shard's key into the shared
-  /// table (shard ordinal + plan fingerprint).
+  /// One independently planned PlanSpec per shard, the plan-cache entry
+  /// pinned for each shard (null until an Execute succeeds), and each
+  /// shard's key into the session table (shard ordinal + plan
+  /// fingerprint).
   std::vector<PlanSpec> plans_;
-  std::vector<PlanCache> caches_;
+  std::vector<std::shared_ptr<const PlanCacheEntry>> pins_;
   std::vector<std::string> shared_keys_;
   Dfa dfa_;
-  /// The owning session's shared plan-cache table and trace sink. Shared
+  /// The owning session's plan-cache table and trace sink. Shared
   /// so the query stays valid (and keeps tracing) if the Session dies
   /// first.
   std::shared_ptr<SharedPlanCacheTable> shared_;

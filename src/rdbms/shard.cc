@@ -5,7 +5,6 @@
 #include <cstring>
 #include <filesystem>
 
-#include "rdbms/session.h"
 #include "util/fault_fs.h"
 #include "util/parallel.h"
 #include "util/strings.h"
@@ -231,29 +230,6 @@ Status ShardedDb::BuildInvertedIndex(
   return ParallelFor(shards_.size(), 1, [&](size_t s) -> Status {
     return shards_[s]->BuildInvertedIndex(dictionary_terms);
   });
-}
-
-Result<std::vector<Answer>> ShardedDb::Query(Approach approach,
-                                             const QueryOptions& q,
-                                             QueryStats* stats) {
-  // Same pinned semantics as StaccatoDb::Query: the facade measures the
-  // path it names (kAuto runs as kNever). Per-shard eval stays serial —
-  // the scatter across shards is the parallelism this facade exercises.
-  QueryOptions pinned = q;
-  if (pinned.index_mode == IndexMode::kAuto) {
-    pinned.index_mode = IndexMode::kNever;
-  }
-  Session session(this, SessionOptions{/*eval_threads=*/1, q.num_ans});
-  STACCATO_ASSIGN_OR_RETURN(PreparedQuery pq, session.Prepare(approach, pinned));
-  return pq.Execute(stats);
-}
-
-Result<std::vector<Answer>> ShardedDb::QuerySql(Approach approach,
-                                                const std::string& sql,
-                                                QueryStats* stats) {
-  Session session(this, SessionOptions{/*eval_threads=*/1, /*num_ans=*/100});
-  STACCATO_ASSIGN_OR_RETURN(PreparedQuery pq, session.PrepareSql(approach, sql));
-  return pq.Execute(stats);
 }
 
 Result<std::set<DocId>> ShardedDb::GroundTruthFor(const std::string& pattern) {

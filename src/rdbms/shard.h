@@ -81,7 +81,8 @@ struct ShardMap {
   size_t total = 0;  ///< global documents (== next Append's id)
 };
 
-/// \brief N StaccatoDb shards behind the single-partition facade.
+/// \brief N StaccatoDb shards behind the single-partition facade, queried
+/// through a Session (rdbms/session.h) like a plain StaccatoDb.
 ///
 /// Concurrency: Append is safe against concurrent query execution (it
 /// publishes the id-map extension before touching the owning shard, so a
@@ -125,18 +126,6 @@ class ShardedDb {
   /// Every shard indexes the same dictionary, so an anchor term resolves
   /// identically everywhere (a shard without postings probes to empty).
   Status BuildInvertedIndex(const std::vector<std::string>& dictionary_terms);
-
-  /// Scatter-gather query with the pinned semantics of StaccatoDb::Query
-  /// (kAuto runs as kNever; per-shard eval is serial — the scatter across
-  /// shards is the parallelism). Answers
-  /// carry global doc ids and are bit-identical to the 1-shard answer.
-  Result<std::vector<Answer>> Query(Approach approach, const QueryOptions& q,
-                                    QueryStats* stats = nullptr);
-
-  /// Cost-based SQL entry point (mirrors StaccatoDb::QuerySql).
-  Result<std::vector<Answer>> QuerySql(Approach approach,
-                                       const std::string& sql,
-                                       QueryStats* stats = nullptr);
 
   /// Ground-truth answer set, remapped to global doc ids.
   Result<std::set<DocId>> GroundTruthFor(const std::string& pattern);

@@ -10,7 +10,6 @@
 #include "automata/dfa.h"
 #include "indexing/index_builder.h"
 #include "inference/kbest.h"
-#include "rdbms/session.h"
 #include "telemetry/clock.h"
 #include "telemetry/metrics_registry.h"
 #include "util/crc32.h"
@@ -579,32 +578,6 @@ PlanContext StaccatoDb::MakePlanContext() {
   ctx.delta.base_docs = base_docs;
   ctx.delta.docs = delta_;
   return ctx;
-}
-
-Result<std::vector<Answer>> StaccatoDb::Query(Approach approach,
-                                              const QueryOptions& q,
-                                              QueryStats* stats) {
-  // The one-shot path stays serial unless the caller asks for workers, so
-  // legacy timing comparisons (MAP filescan vs FullSFA) are undisturbed.
-  // It is also not cost-based: benches built on this facade measure the
-  // path they name, so kAuto pins the full scan and only an explicit
-  // IndexMode::kForce probes the index.
-  QueryOptions pinned = q;
-  if (pinned.index_mode == IndexMode::kAuto) {
-    pinned.index_mode = IndexMode::kNever;
-  }
-  Session session(this, SessionOptions{/*eval_threads=*/1, q.num_ans});
-  STACCATO_ASSIGN_OR_RETURN(PreparedQuery pq, session.Prepare(approach, pinned));
-  return pq.Execute(stats);
-}
-
-Result<std::vector<Answer>> StaccatoDb::QuerySql(Approach approach,
-                                                 const std::string& sql,
-                                                 QueryStats* stats) {
-  Session session(this, SessionOptions{/*eval_threads=*/1, /*num_ans=*/100});
-  STACCATO_ASSIGN_OR_RETURN(PreparedQuery pq,
-                            session.PrepareSql(approach, sql));
-  return pq.Execute(stats);
 }
 
 Result<std::set<DocId>> StaccatoDb::GroundTruthFor(const std::string& pattern) {

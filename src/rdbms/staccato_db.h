@@ -1,7 +1,8 @@
 // StaccatoDb: the end-to-end system of the paper. It owns the relational
 // schema of Table 5 inside the mini-RDBMS, the blob stores holding
-// serialized (Full and chunked) SFAs, the dictionary-based inverted index,
-// and the probabilistic LIKE query executor for all four approaches:
+// serialized (Full and chunked) SFAs, and the dictionary-based inverted
+// index that a Session (rdbms/session.h) queries under all four
+// approaches:
 //
 //   MAP      — the single most likely transcription per line
 //   k-MAP    — the k most likely transcriptions per line
@@ -47,7 +48,7 @@
 namespace staccato::rdbms {
 
 // Approach, QueryOptions, and QueryStats live in rdbms/plan.h (the query
-// model shared by the planner, the session layer, and this facade).
+// model shared by the planner and the session layer).
 
 /// \brief Load-time configuration.
 struct LoadOptions {
@@ -76,7 +77,8 @@ struct StorageReport {
   uint64_t index_entries = 0;
 };
 
-/// \brief The database. Construct with Open(), then Load() a dataset.
+/// \brief The database. Construct with Open(), then Load() a dataset;
+/// query it through a Session (rdbms/session.h).
 ///
 /// Concurrency: Append is safe against concurrent query execution (the
 /// delta generation is snapshotted into every PlanContext under the ingest
@@ -137,27 +139,6 @@ class StaccatoDb {
   /// Builds the dictionary inverted index over the Staccato representation.
   Status BuildInvertedIndex(const std::vector<std::string>& dictionary_terms);
 
-  /// Executes a probabilistic LIKE query under the chosen approach.
-  /// Thin wrapper over Session::Prepare + PreparedQuery::Execute that pins
-  /// the candidate source instead of letting the cost model decide: a
-  /// `q.index_mode` of kAuto runs as kNever, so only kForce probes the
-  /// index. Use a Session (rdbms/session.h) to get cost-based
-  /// planning and to amortize parsing, DFA compilation, planning, and the
-  /// plan-level cache across repeated executions.
-  Result<std::vector<Answer>> Query(Approach approach, const QueryOptions& q,
-                                    QueryStats* stats = nullptr);
-
-  /// Convenience: parses a single-table select-project SQL statement with a
-  /// LIKE predicate (the paper's query class) and executes it. Equality
-  /// predicates (`Year = 2010`) filter candidates on MasterData columns
-  /// before any SFA is fetched. Thin wrapper over Session::PrepareSql —
-  /// and, like any SQL prepare, cost-based (IndexMode::kAuto): with an
-  /// index built, the anchor is probed whenever the estimate says that is
-  /// cheaper than scanning. Only the pattern-query `Query` facade pins the
-  /// source.
-  Result<std::vector<Answer>> QuerySql(Approach approach, const std::string& sql,
-                                       QueryStats* stats = nullptr);
-
   /// Ground-truth answer set: lines whose true transcription matches.
   Result<std::set<DocId>> GroundTruthFor(const std::string& pattern);
 
@@ -201,8 +182,7 @@ class StaccatoDb {
 
   /// Monotone data-version counter: bumped by every Load, Append,
   /// Checkpoint and BuildInvertedIndex (and set by OpenExisting).
-  /// PreparedQuery plan caches are tagged with it and self-invalidate
-  /// when it moves.
+  /// Plan-cache entries are tagged with it and retire when it moves.
   uint64_t load_generation() const {
     return load_gen_.load(std::memory_order_acquire);
   }

@@ -1,12 +1,13 @@
 // End-to-end tests through the StaccatoDb: load a synthetic OCR dataset into
-// the RDBMS, query it under all four approaches, and check the paper's
-// qualitative claims (recall ordering, probability bounds, index
-// consistency) hold on the loaded data.
+// the RDBMS, query it under all four approaches through a Session, and
+// check the paper's qualitative claims (recall ordering, probability
+// bounds, index consistency) hold on the loaded data.
 #include <gtest/gtest.h>
 
 #include "eval/workbench.h"
 #include "metrics/metrics.h"
 #include "ocr/corpus.h"
+#include "rdbms/session.h"
 #include "rdbms/staccato_db.h"
 
 namespace staccato {
@@ -15,6 +16,22 @@ namespace {
 using eval::Workbench;
 using eval::WorkbenchSpec;
 using rdbms::Approach;
+using rdbms::Session;
+
+/// Prepares `q` on `session` and executes it once.
+Result<std::vector<Answer>> RunOnce(Session& session, Approach a,
+                                    const rdbms::QueryOptions& q,
+                                    rdbms::QueryStats* stats = nullptr) {
+  STACCATO_ASSIGN_OR_RETURN(rdbms::PreparedQuery pq, session.Prepare(a, q));
+  return pq.Execute(stats);
+}
+
+/// Prepares the SQL statement on `session` and executes it once.
+Result<std::vector<Answer>> RunSqlOnce(Session& session, Approach a,
+                                       const std::string& sql) {
+  STACCATO_ASSIGN_OR_RETURN(rdbms::PreparedQuery pq, session.PrepareSql(a, sql));
+  return pq.Execute();
+}
 
 WorkbenchSpec SmallSpec(DatasetKind kind, bool index = false) {
   WorkbenchSpec spec;
@@ -69,8 +86,8 @@ TEST(IntegrationTest, FullSfaProbabilityUpperBoundsOthers) {
   ASSERT_TRUE(wb.ok());
   rdbms::QueryOptions q;
   q.pattern = "database";
-  auto full = (*wb)->db().Query(Approach::kFullSfa, q);
-  auto stac = (*wb)->db().Query(Approach::kStaccato, q);
+  auto full = RunOnce((*wb)->session(), Approach::kFullSfa, q);
+  auto stac = RunOnce((*wb)->session(), Approach::kStaccato, q);
   ASSERT_TRUE(full.ok() && stac.ok());
   std::map<DocId, double> full_p;
   for (const Answer& a : *full) full_p[a.doc] = a.prob;
@@ -100,11 +117,13 @@ TEST(IntegrationTest, IndexedQueryMatchesFilescan) {
   ASSERT_TRUE(wb.ok()) << wb.status().ToString();
   rdbms::QueryOptions scan_q;
   scan_q.pattern = "Public Law (8|9)\\d";
+  scan_q.index_mode = rdbms::IndexMode::kNever;
   rdbms::QueryStats scan_stats, idx_stats;
-  auto scan = (*wb)->db().Query(Approach::kStaccato, scan_q, &scan_stats);
+  auto scan =
+      RunOnce((*wb)->session(), Approach::kStaccato, scan_q, &scan_stats);
   rdbms::QueryOptions idx_q = scan_q;
   idx_q.index_mode = rdbms::IndexMode::kForce;
-  auto idx = (*wb)->db().Query(Approach::kStaccato, idx_q, &idx_stats);
+  auto idx = RunOnce((*wb)->session(), Approach::kStaccato, idx_q, &idx_stats);
   ASSERT_TRUE(scan.ok() && idx.ok());
   EXPECT_LE(idx_stats.candidates, scan_stats.candidates);
   // Every filescan answer whose line contains the anchor term must also be
@@ -153,20 +172,23 @@ TEST(IntegrationTest, NumAnsLimitsAnswers) {
   EXPECT_GE(row100->quality.recall, row5->quality.recall - 1e-9);
 }
 
-TEST(IntegrationTest, QuerySqlMatchesDirectQuery) {
-  // No index on this workbench: QuerySql plans cost-based (kAuto) while
-  // Query pins a full scan from its legacy flag, so equality of the two
-  // answer sets holds only when both resolve to the scan. With an index
-  // built, QuerySql may legitimately probe it and prune candidates.
+TEST(IntegrationTest, SqlMatchesPatternQuery) {
+  // No index on this workbench: the SQL statement plans cost-based
+  // (kAuto) while the pattern query pins a full scan, so equality of the
+  // two answer sets holds only when both resolve to the scan. With an
+  // index built, the SQL plan may legitimately probe it and prune
+  // candidates.
   auto wb = Workbench::Create(SmallSpec(DatasetKind::kCongressActs));
   ASSERT_TRUE(wb.ok());
-  auto via_sql = (*wb)->db().QuerySql(
-      Approach::kStaccato,
+  Session& session = (*wb)->session();
+  auto via_sql = RunSqlOnce(
+      session, Approach::kStaccato,
       "SELECT DataKey FROM Docs WHERE DocData LIKE '%President%';");
   ASSERT_TRUE(via_sql.ok()) << via_sql.status().ToString();
   rdbms::QueryOptions q;
   q.pattern = "President";
-  auto direct = (*wb)->db().Query(Approach::kStaccato, q);
+  q.index_mode = rdbms::IndexMode::kNever;
+  auto direct = RunOnce(session, Approach::kStaccato, q);
   ASSERT_TRUE(direct.ok());
   ASSERT_EQ(via_sql->size(), direct->size());
   for (size_t i = 0; i < direct->size(); ++i) {
@@ -175,21 +197,18 @@ TEST(IntegrationTest, QuerySqlMatchesDirectQuery) {
   }
   // The paper's query shape with an equality predicate now executes
   // end-to-end (Year is a MasterData column; page 0 is dated 2010).
-  auto filtered = (*wb)->db().QuerySql(
-      Approach::kStaccato,
-      "SELECT DataKey FROM Docs WHERE Year = 2010 AND "
-      "DocData LIKE '%President%';");
+  auto filtered = RunSqlOnce(session, Approach::kStaccato,
+                             "SELECT DataKey FROM Docs WHERE Year = 2010 AND "
+                             "DocData LIKE '%President%';");
   ASSERT_TRUE(filtered.ok()) << filtered.status().ToString();
   EXPECT_LE(filtered->size(), direct->size());
   // Unsupported shapes are rejected cleanly.
-  EXPECT_TRUE((*wb)->db()
-                  .QuerySql(Approach::kMap, "SELECT a FROM t")
+  EXPECT_TRUE(RunSqlOnce(session, Approach::kMap, "SELECT a FROM t")
                   .status()
                   .IsInvalidArgument());
-  EXPECT_TRUE((*wb)->db()
-                  .QuerySql(Approach::kMap,
-                            "SELECT a FROM t WHERE NoSuchColumn = 1 AND "
-                            "DocData LIKE '%x%'")
+  EXPECT_TRUE(RunSqlOnce(session, Approach::kMap,
+                         "SELECT a FROM t WHERE NoSuchColumn = 1 AND "
+                         "DocData LIKE '%x%'")
                   .status()
                   .IsInvalidArgument());
 }
@@ -200,8 +219,9 @@ TEST(IntegrationTest, ReopenedDatabaseAnswersIdentically) {
   ASSERT_TRUE(wb.ok()) << wb.status().ToString();
   rdbms::QueryOptions q;
   q.pattern = "Public Law (8|9)\\d";
-  auto before = (*wb)->db().Query(rdbms::Approach::kStaccato, q);
-  auto before_full = (*wb)->db().Query(rdbms::Approach::kFullSfa, q);
+  q.index_mode = rdbms::IndexMode::kNever;
+  auto before = RunOnce((*wb)->session(), Approach::kStaccato, q);
+  auto before_full = RunOnce((*wb)->session(), Approach::kFullSfa, q);
   ASSERT_TRUE(before.ok() && before_full.ok());
   std::string dir = (*wb)->spec().work_dir;
   wb->reset();  // close the database, flushing everything
@@ -209,8 +229,9 @@ TEST(IntegrationTest, ReopenedDatabaseAnswersIdentically) {
   auto reopened = rdbms::StaccatoDb::OpenExisting(dir);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_EQ((*reopened)->NumSfas(), 60u);
-  auto after = (*reopened)->Query(rdbms::Approach::kStaccato, q);
-  auto after_full = (*reopened)->Query(rdbms::Approach::kFullSfa, q);
+  Session session(reopened->get());
+  auto after = RunOnce(session, Approach::kStaccato, q);
+  auto after_full = RunOnce(session, Approach::kFullSfa, q);
   ASSERT_TRUE(after.ok() && after_full.ok());
   ASSERT_EQ(after->size(), before->size());
   for (size_t i = 0; i < after->size(); ++i) {
@@ -222,7 +243,7 @@ TEST(IntegrationTest, ReopenedDatabaseAnswersIdentically) {
   rdbms::QueryOptions iq = q;
   iq.index_mode = rdbms::IndexMode::kForce;
   rdbms::QueryStats stats;
-  auto indexed = (*reopened)->Query(rdbms::Approach::kStaccato, iq, &stats);
+  auto indexed = RunOnce(session, Approach::kStaccato, iq, &stats);
   ASSERT_TRUE(indexed.ok()) << indexed.status().ToString();
   EXPECT_LT(stats.selectivity, 1.0);
 }

@@ -42,6 +42,13 @@ WorkbenchSpec SmallSpec(bool index = false) {
   return spec;
 }
 
+/// Prepares `q` on `session` and executes it once.
+Result<std::vector<Answer>> RunOnce(Session& session, Approach a,
+                                    const QueryOptions& q) {
+  STACCATO_ASSIGN_OR_RETURN(PreparedQuery pq, session.Prepare(a, q));
+  return pq.Execute();
+}
+
 void ExpectSameAnswers(const std::vector<Answer>& a,
                        const std::vector<Answer>& b) {
   ASSERT_EQ(a.size(), b.size());
@@ -51,22 +58,26 @@ void ExpectSameAnswers(const std::vector<Answer>& a,
   }
 }
 
-TEST(SessionTest, PrepareExecuteReuseMatchesLegacyQuery) {
+TEST(SessionTest, PrepareExecuteReuseMatchesOneShotQuery) {
   auto wb = Workbench::Create(SmallSpec());
   ASSERT_TRUE(wb.ok()) << wb.status().ToString();
   Session session(&(*wb)->db());
+  // The one-shot reference: a fresh serial session, pinned to the scan.
+  Session serial(&(*wb)->db(), SessionOptions{1, 100});
   QueryOptions q;
   q.pattern = "President";
+  QueryOptions pinned = q;
+  pinned.index_mode = IndexMode::kNever;
   for (Approach a : {Approach::kMap, Approach::kKMap, Approach::kFullSfa,
                      Approach::kStaccato}) {
     auto pq = session.Prepare(a, q);
     ASSERT_TRUE(pq.ok()) << pq.status().ToString();
     auto first = pq->Execute();
     auto second = pq->Execute();  // the same plan, re-run
-    auto legacy = (*wb)->db().Query(a, q);
-    ASSERT_TRUE(first.ok() && second.ok() && legacy.ok());
+    auto once = RunOnce(serial, a, pinned);
+    ASSERT_TRUE(first.ok() && second.ok() && once.ok());
     ExpectSameAnswers(*first, *second);
-    ExpectSameAnswers(*first, *legacy);
+    ExpectSameAnswers(*first, *once);
   }
 }
 
@@ -129,7 +140,7 @@ TEST(SessionTest, EqualityPredicateFiltersCandidates) {
   // page 0 (per-doc probabilities are independent of the filter).
   QueryOptions q;
   q.pattern = "President";
-  auto all = (*wb)->db().Query(Approach::kStaccato, q);
+  auto all = RunOnce(session, Approach::kStaccato, q);
   ASSERT_TRUE(all.ok());
   std::vector<Answer> expected;
   for (const Answer& ans : *all) {
@@ -358,16 +369,26 @@ TEST(SessionTest, AutoModeRoutesRareAnchorsThroughTheIndex) {
   EXPECT_EQ(pq->plan().anchor, rare);
 }
 
-TEST(SessionTest, WarmExecuteServesCacheAndIsBitIdentical) {
+// A Year-filtered 'President' query under each index mode: the first
+// Execute builds the plan-cache entry, and a warm one serves the Filter
+// bitmap from it — and the CandidateSet too, exactly when the plan probes
+// the index (a full scan has no CandidateSet to memoize).
+class WarmExecuteTest : public ::testing::TestWithParam<IndexMode> {};
+
+TEST_P(WarmExecuteTest, WarmExecuteServesCacheAndIsBitIdentical) {
   auto wb = Workbench::Create(SmallSpec(/*index=*/true));
   ASSERT_TRUE(wb.ok());
   Session session(&(*wb)->db());
   QueryOptions q;
   q.pattern = "President";
-  q.index_mode = IndexMode::kForce;
+  q.index_mode = GetParam();
   q.equalities = {{"Year", "2010"}};
   auto pq = session.Prepare(Approach::kStaccato, q);
   ASSERT_TRUE(pq.ok()) << pq.status().ToString();
+  const bool probes = pq->plan().source == CandidateSource::kIndexProbe;
+  if (GetParam() != IndexMode::kAuto) {
+    EXPECT_EQ(probes, GetParam() == IndexMode::kForce);
+  }
 
   QueryStats cold, warm;
   auto first = pq->Execute(&cold);
@@ -378,7 +399,7 @@ TEST(SessionTest, WarmExecuteServesCacheAndIsBitIdentical) {
   auto second = pq->Execute(&warm);
   ASSERT_TRUE(second.ok());
   EXPECT_TRUE(warm.filter_from_cache) << "Filter ran again on a warm plan";
-  EXPECT_TRUE(warm.candidates_from_cache)
+  EXPECT_EQ(warm.candidates_from_cache, probes)
       << "CandidateGen ran again on a warm plan";
   EXPECT_EQ(warm.candidates, cold.candidates);
   EXPECT_EQ(warm.index_postings, cold.index_postings);
@@ -390,8 +411,16 @@ TEST(SessionTest, WarmExecuteServesCacheAndIsBitIdentical) {
   EXPECT_NE(analyzed.find("Actual: candidates="), std::string::npos)
       << analyzed;
   EXPECT_NE(analyzed.find("filter=hit"), std::string::npos) << analyzed;
-  EXPECT_NE(analyzed.find("candidates=hit"), std::string::npos) << analyzed;
+  EXPECT_EQ(analyzed.find("candidates=hit") != std::string::npos, probes)
+      << analyzed;
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    IndexModes, WarmExecuteTest,
+    ::testing::Values(IndexMode::kAuto, IndexMode::kForce, IndexMode::kNever),
+    [](const ::testing::TestParamInfo<IndexMode>& info) {
+      return std::string(rdbms::IndexModeName(info.param));
+    });
 
 TEST(SessionTest, PlanCacheInvalidatesWhenDataReloads) {
   auto wb = Workbench::Create(SmallSpec(/*index=*/true));
@@ -661,9 +690,12 @@ TEST(SessionTest, LoadLeavesTheBufferCacheEmpty) {
   EXPECT_EQ(db.buffer_cache()->stats().bytes_in_use, 0u);
   EXPECT_EQ(db.buffer_cache()->stats().entries, 0u);
 
-  auto ans = db.QuerySql(Approach::kKMap,
-                         "SELECT * FROM Docs WHERE Year = 2010 AND "
-                         "DocData LIKE '%President%'");
+  Session session(&db);
+  auto pq = session.PrepareSql(Approach::kKMap,
+                               "SELECT * FROM Docs WHERE Year = 2010 AND "
+                               "DocData LIKE '%President%'");
+  ASSERT_TRUE(pq.ok()) << pq.status().ToString();
+  auto ans = pq->Execute();
   ASSERT_TRUE(ans.ok()) << ans.status().ToString();
   EXPECT_GT(db.buffer_cache()->stats().bytes_in_use, 0u);
   ASSERT_TRUE(db.DropCaches().ok());
@@ -791,9 +823,10 @@ TEST(SessionTest, SessionDefaultsToParallelEval) {
   EXPECT_GE(pq->plan().eval_threads, 1u);
   auto answers = pq->Execute();
   ASSERT_TRUE(answers.ok());
-  auto legacy = (*wb)->db().Query(Approach::kStaccato, q);
-  ASSERT_TRUE(legacy.ok());
-  ExpectSameAnswers(*answers, *legacy);
+  Session serial(&(*wb)->db(), SessionOptions{1, 100});
+  auto once = RunOnce(serial, Approach::kStaccato, q);
+  ASSERT_TRUE(once.ok());
+  ExpectSameAnswers(*answers, *once);
 }
 
 }  // namespace

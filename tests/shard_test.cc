@@ -15,6 +15,7 @@
 #include <atomic>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -104,6 +105,37 @@ void ExpectSameAnswers(const std::vector<Answer>& want,
     EXPECT_EQ(want[i].prob, got[i].prob)
         << what << " rank " << i << " (must be bit-identical)";
   }
+}
+
+/// A cold run: `sql` prepared in a fresh Session after the data it runs
+/// over is final.
+std::vector<Answer> ColdSqlAnswers(ShardedDb* db, const std::string& sql,
+                                   QueryStats* stats) {
+  Session fresh(db, SessionOptions{2, 50});
+  auto pq = fresh.PrepareSql(Approach::kStaccato, sql);
+  EXPECT_TRUE(pq.ok()) << pq.status().ToString();
+  if (!pq.ok()) return {};
+  auto ans = pq->Execute(stats);
+  EXPECT_TRUE(ans.ok()) << ans.status().ToString();
+  return ans.ok() ? *ans : std::vector<Answer>{};
+}
+
+/// A Year-filtered LIKE whose plan probes the index on some shard and that
+/// has answers, so both memoized artifacts exist; empty when none does.
+std::string IndexedYearFilteredSql(ShardedDb* db) {
+  for (const std::string& pat : DatasetQueries(DatasetKind::kCongressActs)) {
+    for (int year : {2010, 2011}) {
+      const std::string candidate = StringPrintf(
+          "SELECT DocID FROM Acts WHERE Year = %d AND DocData LIKE '%%%s%%' "
+          "LIMIT 10;",
+          year, pat.c_str());
+      QueryStats probe;
+      if (!ColdSqlAnswers(db, candidate, &probe).empty() && probe.used_index) {
+        return candidate;
+      }
+    }
+  }
+  return "";
 }
 
 /// Shared corpus + single-partition oracle, built once for the suite.
@@ -421,34 +453,7 @@ TEST_F(ShardTest, ShardedSiblingsAdoptTheSharedPlanCache) {
                   ->BuildInvertedIndex(
                       DatasetQueries(DatasetKind::kCongressActs))
                   .ok());
-  // The reference: a cold query in a fresh session, prepared after the
-  // data it runs over is final.
-  auto cold_answers = [&](const std::string& sql,
-                          QueryStats* stats) -> std::vector<Answer> {
-    Session fresh(db->get(), SessionOptions{2, 50});
-    auto pq = fresh.PrepareSql(Approach::kStaccato, sql);
-    EXPECT_TRUE(pq.ok()) << pq.status().ToString();
-    if (!pq.ok()) return {};
-    auto ans = pq->Execute(stats);
-    EXPECT_TRUE(ans.ok()) << ans.status().ToString();
-    return ans.ok() ? *ans : std::vector<Answer>{};
-  };
-  // A Year-filtered LIKE whose plan probes the index on some shard and
-  // that has answers, so both memoized artifacts exist.
-  std::string sql;
-  for (const std::string& pat : DatasetQueries(DatasetKind::kCongressActs)) {
-    for (int year : {2010, 2011}) {
-      const std::string candidate = StringPrintf(
-          "SELECT DocID FROM Acts WHERE Year = %d AND DocData LIKE '%%%s%%' "
-          "LIMIT 10;",
-          year, pat.c_str());
-      QueryStats probe;
-      if (sql.empty() && !cold_answers(candidate, &probe).empty() &&
-          probe.used_index) {
-        sql = candidate;
-      }
-    }
-  }
+  const std::string sql = IndexedYearFilteredSql(db->get());
   ASSERT_FALSE(sql.empty()) << "no indexed Year-filtered query has answers";
 
   Session session(db->get(), SessionOptions{2, 50});
@@ -460,7 +465,7 @@ TEST_F(ShardTest, ShardedSiblingsAdoptTheSharedPlanCache) {
   ASSERT_TRUE(warming.used_index) << "no shard probes the index";
   EXPECT_FALSE(warming.shared_plan_hit);
   EXPECT_EQ(session.shared_plan_hits(), 0u);
-  ExpectSameAnswers(cold_answers(sql, nullptr), *warmed, "first execute");
+  ExpectSameAnswers(ColdSqlAnswers(db->get(), sql, nullptr), *warmed, "first execute");
 
   auto sibling = session.PrepareSql(Approach::kStaccato, sql);
   ASSERT_TRUE(sibling.ok()) << sibling.status().ToString();
@@ -487,7 +492,7 @@ TEST_F(ShardTest, ShardedSiblingsAdoptTheSharedPlanCache) {
   ASSERT_TRUE(post_ans.ok()) << post_ans.status().ToString();
   EXPECT_TRUE(post.shared_plan_hit) << "the untouched shard's entry is live";
   EXPECT_EQ(session.shared_plan_hits(), 2u);
-  ExpectSameAnswers(cold_answers(sql, nullptr), *post_ans, "after append");
+  ExpectSameAnswers(ColdSqlAnswers(db->get(), sql, nullptr), *post_ans, "after append");
   bool has_new_doc = false;
   for (const Answer& a : *post_ans) has_new_doc |= a.doc == total - 1;
   EXPECT_TRUE(has_new_doc) << "the appended document is missing";
@@ -536,6 +541,67 @@ TEST_F(ShardTest, ConcurrentExecutesRaceAppendsSafely) {
     auto want = RunQuery(oracle_, Approach::kStaccato, pat, 2, true);
     auto got = RunQuery(db->get(), Approach::kStaccato, pat, 2, true);
     ExpectSameAnswers(want, got, "post-race: " + pat);
+  }
+}
+
+// Sibling PreparedQueries of one Session race on its plan-cache table:
+// three threads each prepare the same Year-filtered, index-probing
+// statement and Execute it 8 times, pinning and publishing entries while
+// Appends move the shards' generations under them. The table is warm when
+// the threads start and the appends wait for every thread's first
+// Execute, so each first Execute pins the table's entry. Afterwards every
+// query answers like a cold run over the grown database.
+TEST_F(ShardTest, SiblingsRaceTheSharedPlanCacheAgainstAppends) {
+  auto db = ShardedDb::Open(eval::MakeScratchDir("shard_plan_race"),
+                            ShardConfig{2, cache::CacheConfig()});
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  const size_t base = dataset_->sfas.size() - 6;
+  ASSERT_TRUE((*db)->Load(Prefix(*dataset_, base), SmallLoad()).ok());
+  ASSERT_TRUE((*db)
+                  ->BuildInvertedIndex(
+                      DatasetQueries(DatasetKind::kCongressActs))
+                  .ok());
+  const std::string sql = IndexedYearFilteredSql(db->get());
+  ASSERT_FALSE(sql.empty()) << "no indexed Year-filtered query has answers";
+
+  Session session(db->get(), SessionOptions{2, 50});
+  {
+    auto warm = session.PrepareSql(Approach::kStaccato, sql);
+    ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+    ASSERT_TRUE(warm->Execute().ok());
+  }
+  constexpr size_t kThreads = 3;
+  std::vector<std::optional<PreparedQuery>> queries(kThreads);
+  std::atomic<size_t> first_executes{0};
+  std::atomic<bool> failed{false};
+  std::vector<std::thread> workers;
+  for (size_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      auto pq = session.PrepareSql(Approach::kStaccato, sql);
+      if (pq.ok()) queries[t].emplace(std::move(*pq));
+      for (int iter = 0; iter < 8; ++iter) {
+        if (!queries[t].has_value() || !queries[t]->Execute().ok()) {
+          failed = true;
+        }
+        if (iter == 0) first_executes.fetch_add(1);
+      }
+    });
+  }
+  workers.emplace_back([&] {
+    while (first_executes.load() < kThreads) std::this_thread::yield();
+    for (size_t i = base; i < dataset_->sfas.size(); ++i) {
+      if (!(*db)->Append(InputFor(*dataset_, i)).ok()) failed = true;
+    }
+  });
+  for (std::thread& w : workers) w.join();
+  ASSERT_FALSE(failed.load());
+  EXPECT_GT(session.shared_plan_hits(), 0u);
+
+  const std::vector<Answer> want = ColdSqlAnswers(db->get(), sql, nullptr);
+  for (size_t t = 0; t < kThreads; ++t) {
+    auto got = queries[t]->Execute();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ExpectSameAnswers(want, *got, StringPrintf("sibling %zu after race", t));
   }
 }
 
