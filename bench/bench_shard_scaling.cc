@@ -1,7 +1,7 @@
-// Shard-scaling bench: scatter-gather query latency, ingest throughput,
-// and the cross-shard threshold-forwarding ablation.
+// Shard-scaling bench: scatter-gather query latency and ingest
+// throughput at each shard count.
 //
-// Three sections:
+// Two sections:
 //
 //  1. Cold / warm selective top-5 latency at 1/2/4/8 shards. Each query
 //     runs with eval_threads=1 per shard so the measured parallelism is
@@ -13,13 +13,6 @@
 //  2. Ingest throughput at each shard count: Append routes each document
 //     to its owning shard's WAL + delta, so this prices the per-shard
 //     WAL bookkeeping against the single-WAL baseline.
-//
-//  3. Threshold-forwarding ablation at 4 shards: the same cold query with
-//     the process-global top-k bound forwarded into in-flight shard evals
-//     (default) vs each shard keeping an independent top-k. Forwarding
-//     tightens every shard's pruning bound to the *global* k-th best, so
-//     it must win on pruned candidates / DP steps saved; answers are
-//     bit-identical either way.
 //
 // The scatter speedup needs real cores: ParallelFor schedules one task
 // per shard on the shared pool, so wall clock improves only up to
@@ -49,7 +42,6 @@ using rdbms::DocumentInput;
 using rdbms::IndexMode;
 using rdbms::LoadOptions;
 using rdbms::QueryOptions;
-using rdbms::QueryStats;
 using rdbms::ShardConfig;
 using rdbms::ShardedDb;
 
@@ -111,7 +103,7 @@ QueryOptions SelectiveTop5(const std::string& pattern) {
 
 // One timed prepare + execute in a fresh Session; exits on failure so
 // every row is a real number.
-double QueryMs(ShardedDb* db, const QueryOptions& q, QueryStats* stats) {
+double QueryMs(ShardedDb* db, const QueryOptions& q) {
   Timer t;
   rdbms::Session session(db);
   auto pq = session.Prepare(Approach::kStaccato, q);
@@ -119,7 +111,7 @@ double QueryMs(ShardedDb* db, const QueryOptions& q, QueryStats* stats) {
     fprintf(stderr, "prepare: %s\n", pq.status().ToString().c_str());
     exit(1);
   }
-  auto answers = pq->Execute(stats);
+  auto answers = pq->Execute();
   if (!answers.ok()) {
     fprintf(stderr, "query: %s\n", answers.status().ToString().c_str());
     exit(1);
@@ -127,22 +119,21 @@ double QueryMs(ShardedDb* db, const QueryOptions& q, QueryStats* stats) {
   return t.ElapsedMillis();
 }
 
-double ColdBestOf(ShardedDb* db, const QueryOptions& q, int reps,
-                  QueryStats* stats) {
+double ColdBestOf(ShardedDb* db, const QueryOptions& q, int reps) {
   double best = 0;
   for (int r = 0; r < reps; ++r) {
     if (!db->DropCaches().ok()) exit(1);
-    const double ms = QueryMs(db, q, stats);
+    const double ms = QueryMs(db, q);
     if (r == 0 || ms < best) best = ms;
   }
   return best;
 }
 
 double WarmBestOf(ShardedDb* db, const QueryOptions& q, int reps) {
-  QueryMs(db, q, nullptr);  // populate the caches
+  QueryMs(db, q);  // populate the caches
   double best = 0;
   for (int r = 0; r < reps; ++r) {
-    const double ms = QueryMs(db, q, nullptr);
+    const double ms = QueryMs(db, q);
     if (r == 0 || ms < best) best = ms;
   }
   return best;
@@ -165,9 +156,6 @@ int main() {
   const std::vector<size_t> kShards = {1, 2, 4, 8};
   constexpr int kReps = 3;
   std::vector<double> cold_ms, warm_ms, appends_per_sec;
-  double fwd_on_ms = 0, fwd_off_ms = 0;
-  uint64_t fwd_on_pruned = 0, fwd_off_pruned = 0;
-  uint64_t fwd_on_saved = 0, fwd_off_saved = 0;
 
   eval::PrintHeader("Scatter-gather selective top-5 (eval_threads=1/shard)");
   eval::PrintRow({"shards", "cold ms", "warm ms", "appends/s"}, {8, 10, 10, 11});
@@ -193,38 +181,15 @@ int main() {
 
     // ---- 1. Cold / warm latency ----------------------------------------
     const QueryOptions q = SelectiveTop5(pattern);
-    QueryStats stats;
-    cold_ms.push_back(ColdBestOf(db->get(), q, kReps, &stats));
+    cold_ms.push_back(ColdBestOf(db->get(), q, kReps));
     warm_ms.push_back(WarmBestOf(db->get(), q, kReps));
     eval::PrintRow({std::to_string(n), StringPrintf("%.2f", cold_ms.back()),
                     StringPrintf("%.2f", warm_ms.back()),
                     StringPrintf("%.0f", appends_per_sec.back())},
                    {8, 10, 10, 11});
-
-    // ---- 3. Forwarding ablation at 4 shards ----------------------------
-    if (n == 4) {
-      for (bool fwd : {true, false}) {
-        (*db)->set_forward_threshold(fwd);
-        QueryStats ab;
-        const double ms = ColdBestOf(db->get(), q, kReps, &ab);
-        (fwd ? fwd_on_ms : fwd_off_ms) = ms;
-        (fwd ? fwd_on_pruned : fwd_off_pruned) = ab.eval_pruned;
-        (fwd ? fwd_on_saved : fwd_off_saved) = ab.eval_steps_saved;
-      }
-      (*db)->set_forward_threshold(true);
-    }
   }
 
   const double speedup4 = cold_ms[0] / cold_ms[2];
-  eval::PrintHeader("Threshold forwarding ablation (4 shards, cold)");
-  eval::PrintRow({"forwarding", "ms", "pruned", "steps saved"}, {12, 10, 8, 12});
-  eval::PrintRow({"global", StringPrintf("%.2f", fwd_on_ms),
-                  std::to_string(fwd_on_pruned), std::to_string(fwd_on_saved)},
-                 {12, 10, 8, 12});
-  eval::PrintRow({"per-shard", StringPrintf("%.2f", fwd_off_ms),
-                  std::to_string(fwd_off_pruned),
-                  std::to_string(fwd_off_saved)},
-                 {12, 10, 8, 12});
   printf("\ncold top-5 speedup at 4 shards: %.2fx (hardware threads: %zu)\n",
          speedup4, hw);
 
@@ -239,22 +204,12 @@ int main() {
             "  \"cold_top5_ms\": [%.3f, %.3f, %.3f, %.3f],\n"
             "  \"warm_top5_ms\": [%.3f, %.3f, %.3f, %.3f],\n"
             "  \"ingest_appends_per_sec\": [%.1f, %.1f, %.1f, %.1f],\n"
-            "  \"cold_speedup_4_shards\": %.3f,\n"
-            "  \"forwarding_on_ms\": %.3f,\n"
-            "  \"forwarding_off_ms\": %.3f,\n"
-            "  \"forwarding_on_pruned\": %llu,\n"
-            "  \"forwarding_off_pruned\": %llu,\n"
-            "  \"forwarding_on_steps_saved\": %llu,\n"
-            "  \"forwarding_off_steps_saved\": %llu\n"
+            "  \"cold_speedup_4_shards\": %.3f\n"
             "}\n",
             total, hw, cold_ms[0], cold_ms[1], cold_ms[2], cold_ms[3],
             warm_ms[0], warm_ms[1], warm_ms[2], warm_ms[3],
             appends_per_sec[0], appends_per_sec[1], appends_per_sec[2],
-            appends_per_sec[3], speedup4, fwd_on_ms, fwd_off_ms,
-            static_cast<unsigned long long>(fwd_on_pruned),
-            static_cast<unsigned long long>(fwd_off_pruned),
-            static_cast<unsigned long long>(fwd_on_saved),
-            static_cast<unsigned long long>(fwd_off_saved));
+            appends_per_sec[3], speedup4);
     fclose(json);
     printf("wrote BENCH_shard.json\n");
   }

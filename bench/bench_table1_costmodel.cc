@@ -82,11 +82,10 @@ int main() {
   printf("\nQuery time interpolates roughly linearly in m between the k-MAP\n"
          "(m=1) and FullSFA (m=l) extremes, as Table 1 predicts.\n");
 
-  // Calibration: the measured per-unit costs the planner's CostConstants
-  // defaults were derived from (see the derivation comment in
-  // src/rdbms/plan.cc). ns/DP-step prices Eval work; ns/blob-byte prices
+  // Calibration: the measured per-unit costs the planner's cost constants
+  // were derived from (see the derivation comment in src/rdbms/plan.cc). ns/DP-step prices Eval work; ns/blob-byte prices
   // deserialization, the CPU side of the Fetch stage.
-  eval::PrintHeader("Calibration: measured per-unit costs for CostConstants");
+  eval::PrintHeader("Calibration: measured per-unit costs for the cost model");
   {
     auto big = MakeChainSfa(128, kSigma);
     if (!big.ok()) return 1;
@@ -111,7 +110,7 @@ int main() {
            static_cast<double>(steps) / static_cast<double>(blob.size()));
     printf("=> eval cost units per blob byte = ns/byte of eval divided by\n"
            "   ns/byte of a sequential 8 KiB page read; see plan.cc for the\n"
-           "   CostConstants derivation that consumes these numbers.\n");
+           "   cost-constant derivation that consumes these numbers.\n");
   }
   return 0;
 }

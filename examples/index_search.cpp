@@ -36,11 +36,13 @@ int main() {
   }
 
   // Why a dictionary? Show the direct-indexing blowup on one SFA.
-  auto sfa = (*wb)->db().LoadStaccatoSfa(0);
-  if (sfa.ok()) {
-    printf("\nDirect index of SFA #0 alone would hold ~%.2e postings;\n"
-           "the dictionary index stores only real terms.\n",
-           EstimateDirectIndexPostings(*sfa));
+  auto blob = (*wb)->db().ReadStaccatoBlob(0);
+  if (blob.ok()) {
+    if (auto sfa = Sfa::Deserialize(*blob); sfa.ok()) {
+      printf("\nDirect index of SFA #0 alone would hold ~%.2e postings;\n"
+             "the dictionary index stores only real terms.\n",
+             EstimateDirectIndexPostings(*sfa));
+    }
   }
 
   const std::string query = "Public Law (8|9)\\d";

@@ -177,6 +177,25 @@ if [ -n "$hits" ]; then
 fi
 
 # ---------------------------------------------------------------------------
+# 13. The environment-knob table in README.md ("### Environment knobs")
+# matches the code: every "STACCATO_..." string literal in src/ has a row,
+# and every row names a variable src/ reads. A knob nobody documents is
+# invisible to operators; a documented knob nothing reads is a lie.
+src_knobs=$(grep -rhoE '"STACCATO_[A-Z0-9_]+"' src/ --include="*.h" --include="*.cc" \
+  | tr -d '"' | sort -u)
+table_knobs=$(sed -n '/^### Environment knobs/,/^### /p' README.md \
+  | grep -oE '^\| `STACCATO_[A-Z0-9_]+`' | grep -oE 'STACCATO_[A-Z0-9_]+' \
+  | sort -u)
+hits=$(comm -23 <(echo "$src_knobs") <(echo "$table_knobs") | grep -v '^$' || true)
+if [ -n "$hits" ]; then
+  fail "environment variable read in src/ without a row in README's knob table" "$hits"
+fi
+hits=$(comm -13 <(echo "$src_knobs") <(echo "$table_knobs") | grep -v '^$' || true)
+if [ -n "$hits" ]; then
+  fail "README knob-table row for a variable src/ does not read" "$hits"
+fi
+
+# ---------------------------------------------------------------------------
 if [ "$failures" -ne 0 ]; then
   echo "" >&2
   echo "lint: $failures rule(s) failed" >&2

@@ -1,11 +1,11 @@
 #include "cache/buffer_cache.h"
 
-#include <cstdlib>
 #include <limits>
 #include <unordered_map>
 
 #include "telemetry/metrics_registry.h"
 #include "util/mutex.h"
+#include "util/strings.h"
 
 namespace staccato::cache {
 
@@ -71,16 +71,10 @@ size_t CacheKeyHash::operator()(const CacheKey& k) const {
 
 CacheConfig CacheConfig::Default() {
   CacheConfig cfg;
-  if (const char* env = std::getenv("STACCATO_CACHE_MB")) {
-    char* end = nullptr;
-    unsigned long long mb = std::strtoull(env, &end, 10);
-    // strtoull wraps a leading '-' instead of failing; a negative knob
-    // must not become a near-unbounded budget.
-    if (env[0] != '-' && end != env && *end == '\0' &&
-        mb <= (std::numeric_limits<size_t>::max() >> 20)) {
-      cfg.budget_bytes = static_cast<size_t>(mb) << 20;
-    }
-  }
+  cfg.budget_bytes = static_cast<size_t>(
+      EnvUint("STACCATO_CACHE_MB", kDefaultBudgetBytes >> 20,
+              std::numeric_limits<size_t>::max() >> 20)
+      << 20);
   return cfg;
 }
 

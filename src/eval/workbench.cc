@@ -33,20 +33,6 @@ Result<std::unique_ptr<Workbench>> Workbench::Create(const WorkbenchSpec& spec) 
   // comparisons are undisturbed; Run's eval_threads opts into parallelism.
   const rdbms::SessionOptions session_opts{/*eval_threads=*/1,
                                            /*num_ans=*/100};
-  if (spec.shards > 1) {
-    STACCATO_ASSIGN_OR_RETURN(
-        wb->sharded_,
-        ShardedDb::Open(wb->spec_.work_dir,
-                        rdbms::ShardConfig{spec.shards, spec.cache}));
-    STACCATO_RETURN_NOT_OK(wb->sharded_->Load(wb->dataset_, spec.load));
-    if (spec.build_index) {
-      std::vector<std::string> dict =
-          BuildDictionaryFromCorpus(wb->dataset_.corpus.lines);
-      STACCATO_RETURN_NOT_OK(wb->sharded_->BuildInvertedIndex(dict));
-    }
-    wb->session_ = std::make_unique<Session>(wb->sharded_.get(), session_opts);
-    return wb;
-  }
   STACCATO_ASSIGN_OR_RETURN(wb->db_,
                             StaccatoDb::Open(wb->spec_.work_dir, spec.cache));
   STACCATO_RETURN_NOT_OK(wb->db_->Load(wb->dataset_, spec.load));
@@ -57,15 +43,6 @@ Result<std::unique_ptr<Workbench>> Workbench::Create(const WorkbenchSpec& spec) 
   }
   wb->session_ = std::make_unique<Session>(wb->db_.get(), session_opts);
   return wb;
-}
-
-Status Workbench::DropCaches() {
-  return sharded_ != nullptr ? sharded_->DropCaches() : db_->DropCaches();
-}
-
-Result<std::set<DocId>> Workbench::GroundTruthFor(const std::string& pattern) {
-  return sharded_ != nullptr ? sharded_->GroundTruthFor(pattern)
-                             : db_->GroundTruthFor(pattern);
 }
 
 Result<ExperimentRow> Workbench::Run(Approach approach,
@@ -86,10 +63,11 @@ Result<ExperimentRow> Workbench::Run(Approach approach,
   q.use_projection = use_projection;
   q.eval_threads = eval_threads;
   STACCATO_ASSIGN_OR_RETURN(PreparedQuery pq, session_->Prepare(approach, q));
-  STACCATO_RETURN_NOT_OK(DropCaches());
+  STACCATO_RETURN_NOT_OK(db_->DropCaches());
   STACCATO_ASSIGN_OR_RETURN(std::vector<Answer> answers,
                             pq.Execute(&row.stats));
-  STACCATO_ASSIGN_OR_RETURN(std::set<DocId> truth, GroundTruthFor(pattern));
+  STACCATO_ASSIGN_OR_RETURN(std::set<DocId> truth,
+                            db_->GroundTruthFor(pattern));
   row.quality = ScoreAnswers(answers, truth);
   row.truth_size = truth.size();
   row.answers = answers.size();

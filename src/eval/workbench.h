@@ -10,7 +10,6 @@
 #include "metrics/metrics.h"
 #include "ocr/corpus.h"
 #include "rdbms/session.h"
-#include "rdbms/shard.h"
 #include "rdbms/staccato_db.h"
 #include "util/result.h"
 
@@ -22,7 +21,6 @@ using rdbms::PreparedQuery;
 using rdbms::QueryOptions;
 using rdbms::QueryStats;
 using rdbms::Session;
-using rdbms::ShardedDb;
 using rdbms::StaccatoDb;
 
 /// \brief Everything a bench needs to describe a dataset + representation.
@@ -34,13 +32,7 @@ struct WorkbenchSpec {
   bool build_index = false;
   /// Shared buffer-cache sizing passed to StaccatoDb::Open; the default
   /// honors STACCATO_CACHE_MB, and budget_bytes = 0 disables caching.
-  /// With shards > 1 this is the total budget, divided across shards.
   cache::CacheConfig cache = cache::CacheConfig::Default();
-  /// Corpus partitions: 1 = a single StaccatoDb (the historical shape);
-  /// > 1 loads the dataset into a ShardedDb and every Run scatter-gathers
-  /// (bit-identical answers, different wall clock). db() is only valid
-  /// at 1 shard; use sharded() otherwise.
-  size_t shards = 1;
 };
 
 /// \brief One measured query execution.
@@ -75,21 +67,14 @@ class Workbench {
   }
 
   const OcrDataset& dataset() const { return dataset_; }
-  /// The single-partition database (valid only when spec.shards == 1).
   StaccatoDb& db() { return *db_; }
-  /// The sharded database, or null when spec.shards == 1.
-  ShardedDb* sharded() { return sharded_.get(); }
   Session& session() { return *session_; }
   const WorkbenchSpec& spec() const { return spec_; }
 
  private:
-  Status DropCaches();
-  Result<std::set<DocId>> GroundTruthFor(const std::string& pattern);
-
   WorkbenchSpec spec_;
   OcrDataset dataset_;
-  std::unique_ptr<StaccatoDb> db_;        // spec.shards == 1
-  std::unique_ptr<ShardedDb> sharded_;    // spec.shards > 1
+  std::unique_ptr<StaccatoDb> db_;
   std::unique_ptr<Session> session_;
 };
 

@@ -88,15 +88,14 @@ size_t ResolveThreads(size_t requested, size_t default_threads) {
 // ---- Cost model ------------------------------------------------------------
 //
 // Costs are abstract units where 1.0 is one sequential 8 KiB page read.
-// The constants (CostConstants, plan.h) only have to rank the scan and
-// index paths of the same query correctly; they are not wall-clock
-// predictions.
+// The constants below only have to rank the scan and index paths of the
+// same query correctly; they are not wall-clock predictions.
 //
-// Calibration (bench_table1_costmodel "calibration" section +
-// bench_topk_earlystop kernel table, Release build, reference container):
+// Calibration (bench_table1_costmodel "calibration" section + the
+// reference-vs-view kernel timings, Release build, reference container):
 //
 //   * One B+-tree descent + heap point Get + blob read measured ~0.65 µs
-//     warm. That operation is priced point_read_cost = 2.0, anchoring the
+//     warm. That operation is priced kPointReadCost = 2.0, anchoring the
 //     abstract unit at ≈ 0.33 µs. A blob fetch reads its blob id from
 //     BaseEpoch's in-memory arrays and makes no heap point get, so the
 //     model overcharges a fetch miss; re-pricing is left open so that no
@@ -110,14 +109,32 @@ size_t ResolveThreads(size_t requested, size_t default_threads) {
 //     e2ebench's traced inference.ns_per_dp_step reads 0.43–0.57 ns per
 //     nominal step for it (scan_topk and lookup_sql, 4-vCPU VM).
 //
-// eval_cost_per_byte = 4.9 ns / 0.33 µs ≈ 1/67, rounded to 1/64. The
+// kEvalCostPerByte = 4.9 ns / 0.33 µs ≈ 1/67, rounded to 1/64. The
 // pre-calibration guess of 1/256 undercharged Eval ~4× against the I/O
 // terms and made the planner too scan-happy on large blobs. The constant
 // still prices the reference kernel, about 10× the executor's step;
 // re-deriving it from the benchmark's per-layer figures is open work,
 // and until then every plan choice stays as it was.
-// string_match_cost_per_tuple stays 1/64: one DFA pass over a ~100-char
+// kStringMatchCostPerTuple stays 1/64: one DFA pass over a ~100-char
 // stored transcription ≈ 0.3–0.5 µs ≈ one eval unit.
+
+/// A B+-tree descent plus one heap point Get (random, not sequential).
+/// A blob fetch miss is also charged one (see above).
+constexpr double kPointReadCost = 2.0;
+/// DFA×SFA dynamic-programming cost per serialized blob byte.
+constexpr double kEvalCostPerByte = 1.0 / 64.0;
+/// Projection evaluates only the region around each posting instead of
+/// the whole transducer.
+constexpr double kProjectionEvalDiscount = 0.1;
+/// DFA match over one stored transcription string.
+constexpr double kStringMatchCostPerTuple = 1.0 / 64.0;
+/// Selectivity guess per equality predicate (no histograms; System R's
+/// classic 1/10).
+constexpr double kEqualityDefaultSelectivity = 0.1;
+/// One blob fetch served from the shared buffer cache (shard hash probe
+/// + pin; no pread). The estimated hit fraction of fetches is priced at
+/// this instead of the per-byte read cost.
+constexpr double kCacheHitCost = 0.25;
 
 size_t EstimateSurvivors(size_t rows, double selectivity) {
   if (rows == 0) return 0;
@@ -125,15 +142,15 @@ size_t EstimateSurvivors(size_t rows, double selectivity) {
       std::max(1.0, std::ceil(static_cast<double>(rows) * selectivity)));
 }
 
-}  // namespace
-
+/// Prices the scan and index paths for one query from statistics alone.
+/// `anchor` is the resolved dictionary anchor term ("" = none); the index
+/// path is feasible only when the anchor resolves.
 CostEstimate EstimateCost(const PlanContext& ctx, Approach approach,
                           bool use_projection, size_t num_equalities,
-                          const std::string& anchor,
-                          const CostConstants& consts) {
+                          const std::string& anchor) {
   CostEstimate est;
   est.table_cardinality = ctx.num_sfas;
-  est.equality_selectivity = std::pow(consts.equality_default_selectivity,
+  est.equality_selectivity = std::pow(kEqualityDefaultSelectivity,
                                       static_cast<double>(num_equalities));
   // Warm-cache Fetch pricing: the blob store's lifetime cached-read
   // totals say what fraction of *blob* fetches have been skipping disk
@@ -174,18 +191,18 @@ CostEstimate EstimateCost(const PlanContext& ctx, Approach approach,
     est.scan.io_cost =
         filter_io + static_cast<double>(ctx.base->kmap()->NumPages());
     est.scan.eval_cost = static_cast<double>(ctx.base->kmap()->NumTuples()) *
-                         consts.string_match_cost_per_tuple;
+                         kStringMatchCostPerTuple;
   } else {
     const double cand = static_cast<double>(est.scan.candidates);
     est.scan.fetch_bytes = cand * avg_blob_bytes;
     // A cache hit skips the pread a miss pays (priced, with the blob-id
-    // lookup, as a point read), paying cache_hit_cost instead.
+    // lookup, as a point read), paying kCacheHitCost instead.
     est.scan.io_cost =
         filter_io +
-        miss_rate * (cand * consts.point_read_cost +
+        miss_rate * (cand * kPointReadCost +
                      est.scan.fetch_bytes / kPageSize) +
-        cand * est.cache_hit_rate * consts.cache_hit_cost;
-    est.scan.eval_cost = cand * avg_blob_bytes * consts.eval_cost_per_byte;
+        cand * est.cache_hit_rate * kCacheHitCost;
+    est.scan.eval_cost = cand * avg_blob_bytes * kEvalCostPerByte;
   }
   est.scan.total = est.scan.io_cost + est.scan.eval_cost;
 
@@ -204,17 +221,19 @@ CostEstimate EstimateCost(const PlanContext& ctx, Approach approach,
     est.index.fetch_bytes = cand * avg_blob_bytes;
     est.index.io_cost =
         filter_io +
-        static_cast<double>(est.anchor_postings) * consts.point_read_cost +
-        miss_rate * (cand * consts.point_read_cost +
+        static_cast<double>(est.anchor_postings) * kPointReadCost +
+        miss_rate * (cand * kPointReadCost +
                      est.index.fetch_bytes / kPageSize) +
-        cand * est.cache_hit_rate * consts.cache_hit_cost;
+        cand * est.cache_hit_rate * kCacheHitCost;
     est.index.eval_cost =
-        cand * avg_blob_bytes * consts.eval_cost_per_byte *
-        (use_projection ? consts.projection_eval_discount : 1.0);
+        cand * avg_blob_bytes * kEvalCostPerByte *
+        (use_projection ? kProjectionEvalDiscount : 1.0);
     est.index.total = est.index.io_cost + est.index.eval_cost;
   }
   return est;
 }
+
+}  // namespace
 
 std::string CostEstimate::ToString() const {
   const PathCost& c = chosen_cost();
@@ -493,7 +512,6 @@ size_t CountStringCandidates(const PlanContext& ctx, const PlanSpec& plan,
 void InitQueryStats(QueryStats* stats, const PlanSpec& plan) {
   *stats = QueryStats{};
   stats->used_index = plan.source == CandidateSource::kIndexProbe;
-  stats->used_projection = plan.fetch == FetchMethod::kProjection;
   stats->plan_summary = PlanSummary(plan);
   stats->est_candidates = plan.cost.chosen_cost().candidates;
   stats->est_cost = plan.cost.chosen_cost().total;
@@ -655,7 +673,7 @@ Result<std::vector<Answer>> ExecuteSfas(const PlanContext& ctx,
                                         const PlanCacheEntry& entry,
                                         PlanCacheEntry* fill,
                                         QueryStats* stats,
-                                        TopKThreshold* shared_topk) {
+                                        TopKThreshold& topk) {
   const bool full = plan.approach == Approach::kFullSfa;
 
   size_t total_postings = 0;
@@ -683,12 +701,10 @@ Result<std::vector<Answer>> ExecuteSfas(const PlanContext& ctx,
       return cands[a].postings->size() > cands[b].postings->size();
     });
   }
-  // The pruning threshold: query-local by default; a caller-owned one
-  // (PreparedQuery's scatter-gather) forwards the *global* k-th best into
-  // this shard's Eval. The global bound is always >= any shard-local bound and
-  // the kernel prunes strictly below it, so forwarding is answer-neutral.
-  TopKThreshold local_topk(plan.num_ans);
-  TopKThreshold& topk = shared_topk != nullptr ? *shared_topk : local_topk;
+  // `topk` is the scatter's shared threshold: it forwards the *global*
+  // k-th best into this shard's Eval. The global bound is always >= any
+  // shard-local bound and the kernel prunes strictly below it, so
+  // forwarding is answer-neutral.
   const size_t horizon = plan.pattern.size() + 8;
   struct WorkerState {
     EvalScratch scratch;
@@ -812,7 +828,7 @@ Result<std::vector<Answer>> ExecuteSfas(const PlanContext& ctx,
 Result<std::vector<Answer>> ExecutePlan(
     const PlanContext& ctx, const PlanSpec& plan, const Dfa& dfa,
     QueryStats* stats, std::shared_ptr<const PlanCacheEntry>* entry,
-    TopKThreshold* shared_topk) {
+    TopKThreshold& topk) {
   InitQueryStats(stats, plan);
   const uint64_t plan_start_ns = telemetry::MonotonicNanos();
   // Cancellation point: query entry. An already-expired deadline fails (or
@@ -843,7 +859,7 @@ Result<std::vector<Answer>> ExecutePlan(
       std::vector<Answer> answers,
       plan.eval == EvalStrategy::kStrings
           ? ExecuteStrings(ctx, plan, dfa, memo.bitmap, stats)
-          : ExecuteSfas(ctx, plan, dfa, memo, fill.get(), stats, shared_topk));
+          : ExecuteSfas(ctx, plan, dfa, memo, fill.get(), stats, topk));
   stats->selectivity = ctx.num_sfas == 0
                            ? 0.0
                            : static_cast<double>(stats->candidates) /
@@ -927,9 +943,12 @@ std::string ExplainPlan(const PlanSpec& plan, const QueryStats& stats) {
     for (const ShardStats& s : stats.shards) {
       out += StringPrintf(
           "    shard %zu: candidates=%zu pruned=%zu steps-saved=%llu "
+          "plan-cache: filter=%s candidates=%s "
           "cache=%llu/%llu pages=%llu blob=%llu B est-cost=%.1f (%.1f ms)\n",
           s.shard, s.candidates, s.eval_pruned,
           static_cast<unsigned long long>(s.eval_steps_saved),
+          s.filter_from_cache ? "hit" : "miss",
+          s.candidates_from_cache ? "hit" : "miss",
           static_cast<unsigned long long>(s.cache_hits),
           static_cast<unsigned long long>(s.cache_misses),
           static_cast<unsigned long long>(s.heap_pages_read),
@@ -962,6 +981,13 @@ void FoldShardStats(const std::vector<QueryStats>& per_shard,
                     size_t total_docs, QueryStats* out) {
   *out = QueryStats{};
   out->shards.reserve(per_shard.size());
+  // A stage counts as served from cache only when every shard that ran it
+  // served it: one shard re-scanning MasterData makes the Filter a miss.
+  // Every shard runs the same Filter; CandidateGen is an index probe only
+  // on the shards that chose one.
+  bool all_filters_cached = !per_shard.empty();
+  size_t probes = 0;
+  size_t cached_probes = 0;
   for (size_t s = 0; s < per_shard.size(); ++s) {
     const QueryStats& ps = per_shard[s];
     out->heap_pages_read += ps.heap_pages_read;
@@ -969,12 +995,12 @@ void FoldShardStats(const std::vector<QueryStats>& per_shard,
     out->candidates += ps.candidates;
     out->index_postings += ps.index_postings;
     out->used_index |= ps.used_index;
-    out->used_projection |= ps.used_projection;
     out->threads_used = std::max(out->threads_used, ps.threads_used);
     out->est_candidates += ps.est_candidates;
     out->est_cost += ps.est_cost;
-    out->filter_from_cache |= ps.filter_from_cache;
-    out->candidates_from_cache |= ps.candidates_from_cache;
+    all_filters_cached &= ps.filter_from_cache;
+    probes += ps.used_index;
+    cached_probes += ps.candidates_from_cache;  // set only on a probe
     out->cache_hits += ps.cache_hits;
     out->cache_misses += ps.cache_misses;
     out->cache_bytes += ps.cache_bytes;
@@ -998,6 +1024,8 @@ void FoldShardStats(const std::vector<QueryStats>& per_shard,
     ShardStats row;
     row.shard = s;
     row.candidates = ps.candidates;
+    row.filter_from_cache = ps.filter_from_cache;
+    row.candidates_from_cache = ps.candidates_from_cache;
     row.eval_pruned = ps.eval_pruned;
     row.eval_steps_saved = ps.eval_steps_saved;
     row.cache_hits = ps.cache_hits;
@@ -1008,6 +1036,8 @@ void FoldShardStats(const std::vector<QueryStats>& per_shard,
     row.stage = ps.stage;
     out->shards.push_back(std::move(row));
   }
+  out->filter_from_cache = all_filters_cached;
+  out->candidates_from_cache = probes > 0 && cached_probes == probes;
   out->selectivity = total_docs == 0
                          ? 0.0
                          : static_cast<double>(out->candidates) /

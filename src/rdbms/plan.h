@@ -134,11 +134,16 @@ struct StageTimings {
 /// every PreparedQuery::Execute so skew across shards is visible without
 /// a profiler (a plain StaccatoDb runs as one shard and reports one row).
 /// `ExplainPlan(plan, stats)` renders one "Shards:" line per entry. Every
-/// counter here is this shard's own figure — FoldShardStats copies them
+/// field here is this shard's own figure — FoldShardStats copies them
 /// from the shard's QueryStats.
 struct ShardStats {
   size_t shard = 0;            ///< shard ordinal (directory suffix)
   size_t candidates = 0;       ///< SFAs evaluated on this shard
+  /// This shard's Filter / index CandidateGen served from its pinned
+  /// plan-cache entry (QueryStats::filter_from_cache and
+  /// candidates_from_cache hold only when every shard's do).
+  bool filter_from_cache = false;
+  bool candidates_from_cache = false;
   size_t eval_pruned = 0;      ///< candidates aborted by the global bound
   uint64_t eval_steps_saved = 0;
   uint64_t cache_hits = 0;     ///< blob reads served warm on this shard
@@ -162,7 +167,6 @@ struct QueryStats {
   double selectivity = 0.0;  ///< candidates / total SFAs
   // Chosen plan shape, so benches can report what actually executed.
   bool used_index = false;
-  bool used_projection = false;
   size_t threads_used = 1;    ///< workers in the streamed Fetch+Eval stage
   std::string plan_summary;   ///< one-line operator pipeline
   // Planner estimate for the chosen path, so estimated vs. actual
@@ -171,6 +175,8 @@ struct QueryStats {
   double est_cost = 0.0;      ///< chosen path's total cost units
   // Plan-cache observability: which stages were served from the
   // plan-cache entry the PreparedQuery pinned instead of being recomputed.
+  // Across shards a stage counts as served only when every shard whose
+  // plan runs it served it (ShardStats carries each shard's own flags).
   bool filter_from_cache = false;      ///< equality bitmap reused
   bool candidates_from_cache = false;  ///< index CandidateSet reused
   // Buffer-cache observability for the Fetch stage: this query's blob
@@ -233,34 +239,6 @@ struct BoundEquality {
   Value value;
 };
 
-/// \brief Calibrated planner constants, in cost units where 1.0 is one
-/// sequential 8 KiB page read. The defaults were derived from
-/// `bench_table1_costmodel`'s calibration section (ns-per-DP-step and
-/// ns-per-blob-byte on the reference container); see the derivation
-/// comment in plan.cc. Exposed as a struct so benches and tests can
-/// re-estimate with their own measurements.
-struct CostConstants {
-  /// A B+-tree descent plus one heap point Get (random, not sequential).
-  /// A blob fetch miss is also charged one, though it reads the blob id
-  /// from memory (see the calibration comment in plan.cc).
-  double point_read_cost = 2.0;
-  /// DFA×SFA dynamic-programming cost per serialized blob byte.
-  double eval_cost_per_byte = 1.0 / 64.0;
-  /// Projection evaluates only the region around each posting instead of
-  /// the whole transducer.
-  double projection_eval_discount = 0.1;
-  /// DFA match over one stored transcription string.
-  double string_match_cost_per_tuple = 1.0 / 64.0;
-  /// Selectivity guess per equality predicate (no histograms; System R's
-  /// classic 1/10).
-  double equality_default_selectivity = 0.1;
-  /// Cost of serving one blob fetch from the shared buffer cache (shard
-  /// hash probe + pin; no pread), in cost units. The
-  /// estimated hit fraction of fetches is priced at this instead of the
-  /// per-byte read cost.
-  double cache_hit_cost = 0.25;
-};
-
 /// \brief One access path priced by the planner. Costs are abstract "cost
 /// units" where 1.0 is roughly one sequential 8 KiB page read; the units
 /// only need to be comparable across the alternatives of one query.
@@ -290,7 +268,7 @@ struct CostEstimate {
   /// Observed lifetime hit rate of the shared buffer cache at plan time
   /// (hits / lookups; 0 when the cache is cold or disabled). The Fetch
   /// terms of both paths price this fraction of blob reads as warm cache
-  /// hits (CostConstants::cache_hit_cost) instead of disk I/O.
+  /// hits (a fixed per-hit charge, see plan.cc) instead of disk I/O.
   double cache_hit_rate = 0.0;
   CandidateSource chosen = CandidateSource::kFullScan;
 
@@ -388,15 +366,6 @@ struct PlanContext {
 Result<PlanSpec> BuildPlan(const PlanContext& ctx, Approach approach,
                            const QueryOptions& q, size_t default_threads);
 
-/// Prices the scan and index paths for one query from statistics alone.
-/// `anchor` is the resolved dictionary anchor term ("" = none); the index
-/// path is feasible only when the anchor resolves. Exposed for tests and
-/// benches; BuildPlan calls it internally with the calibrated defaults.
-CostEstimate EstimateCost(const PlanContext& ctx, Approach approach,
-                          bool use_projection, size_t num_equalities,
-                          const std::string& anchor,
-                          const CostConstants& consts = CostConstants());
-
 /// \brief The running k-th best probability among answers scored so far:
 /// the TopK operator's pruning threshold, shared across Eval workers.
 /// Get() returns 0 until k positive answers exist (nothing may be pruned
@@ -454,16 +423,16 @@ class TopKThreshold {
 /// artifacts: an entry current for `ctx.load_generation` serves Filter and
 /// CandidateGen in place (`stats` reports the hits); a null pin makes those
 /// stages build a fresh entry, which a successful run leaves in `*entry`
-/// for the caller to publish. `shared_topk`, when non-null, replaces the
-/// Eval stage's query-local pruning threshold — the scatter passes one
-/// instance to every shard's ExecutePlan so the global k-th best bound
-/// forwards across shards (answer-neutral: the kernel prunes strictly
-/// below the threshold, and the global bound is at least as high as any
-/// shard-local one). PreparedQuery's scatter-gather is the only caller.
+/// for the caller to publish. `topk` is the Eval stage's pruning
+/// threshold: the scatter passes one instance to every shard's
+/// ExecutePlan so the global k-th best bound forwards across shards
+/// (answer-neutral: the kernel prunes strictly below the threshold, and
+/// the global bound is at least as high as any shard-local one).
+/// PreparedQuery's scatter-gather is the only caller.
 Result<std::vector<Answer>> ExecutePlan(
     const PlanContext& ctx, const PlanSpec& plan, const Dfa& dfa,
     QueryStats* stats, std::shared_ptr<const PlanCacheEntry>* entry,
-    TopKThreshold* shared_topk);
+    TopKThreshold& topk);
 
 /// Probes the inverted index with `anchor` (CandidateGen, index flavor).
 /// The caller guarantees ctx.index/ctx.dict are present.
@@ -496,7 +465,9 @@ std::string PlanSummary(const PlanSpec& plan);
 /// top-level counters become cross-shard totals and one ShardStats entry
 /// per shard records the skew (ExplainPlan renders them as "Shards:"
 /// lines), carrying the shard's full counter set — candidates, pruning,
-/// cache hits/misses, heap pages, blob bytes, and per-stage timings.
+/// plan-cache flags, cache hits/misses, heap pages, blob bytes, and
+/// per-stage timings. A top-level plan-cache flag is true only when every
+/// shard whose plan runs that stage served it from its pinned entry.
 /// `total_docs` is the global document count for selectivity. io_retries
 /// is deliberately not folded — every shard reads the one shared
 /// QueryControl counter, so summing would multiply it by the shard count;

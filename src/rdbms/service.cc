@@ -8,6 +8,7 @@
 
 #include "telemetry/metrics_registry.h"
 #include "util/parallel.h"
+#include "util/strings.h"
 
 // This file owns every deadline/queue-timeout clock read in src/
 // (scripts/lint.sh rule 9): the executor and the rest of the engine see
@@ -61,20 +62,6 @@ const ServiceMetrics& Metrics() {
     return sm;
   }();
   return m;
-}
-
-/// Env knob parse: plain non-negative number in a sane range, else the
-/// fallback (same defensive shape as ThreadPool::DefaultThreads).
-uint64_t EnvUint(const char* name, uint64_t fallback, uint64_t max) {
-  const char* env = std::getenv(name);
-  if (env == nullptr) return fallback;
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(env, &end, 10);
-  if (env[0] >= '0' && env[0] <= '9' && end != env && *end == '\0' &&
-      v <= max) {
-    return static_cast<uint64_t>(v);
-  }
-  return fallback;
 }
 
 std::chrono::nanoseconds MsToNs(double ms) {

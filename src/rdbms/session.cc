@@ -208,11 +208,8 @@ Result<std::vector<Answer>> PreparedQuery::ScatterGather(
       sdb_ != nullptr ? sdb_->map_snapshot() : nullptr;
   // The forwarded global bound: every shard's Eval offers its answers
   // here and prunes against the global k-th best, so selective queries
-  // kill candidates on one shard with answers found on another. Local
-  // fallback when forwarding is ablated off.
+  // kill candidates on one shard with answers found on another.
   TopKThreshold global_topk(plans_.front().num_ans);
-  TopKThreshold* forwarded =
-      sdb_ != nullptr && !sdb_->forward_threshold() ? nullptr : &global_topk;
   std::vector<QueryStats> per_shard(num_shards);
   std::vector<std::vector<Answer>> shard_answers(num_shards);
   // Every shard records its own Status and the lambda always returns OK,
@@ -228,7 +225,7 @@ Result<std::vector<Answer>> PreparedQuery::ScatterGather(
     ctxs[s].trace_parent = shard_span.id();
     Result<std::vector<Answer>> r =
         ExecutePlan(ctxs[s], plans_[s], dfa_, &per_shard[s], &entries[s],
-                    forwarded);
+                    global_topk);
     if (r.ok()) {
       shard_answers[s] = std::move(r).ValueUnsafe();
     } else {

@@ -108,9 +108,8 @@ class Session {
   /// A session over a sharded database. Prepare plans every shard
   /// independently (each shard's own statistics drive its scan-vs-probe
   /// choice) and Execute scatter-gathers: shard evals fan out over the
-  /// shared pool, share one global TopKThreshold when the database has
-  /// threshold forwarding on, and the merged ranking is bit-identical to
-  /// the 1-shard answer.
+  /// shared pool, share one global TopKThreshold, and the merged ranking
+  /// is bit-identical to the 1-shard answer.
   explicit Session(ShardedDb* db, SessionOptions opts = {});
 
   /// Compiles + plans a pattern query. The returned PreparedQuery remains
@@ -193,11 +192,6 @@ class PreparedQuery {
   const PlanSpec& plan() const { return plans_.front(); }
   const Dfa& dfa() const { return dfa_; }
 
-  /// Re-binds the answer budget without re-planning. (Cache-safe: the
-  /// memoized CandidateSet/bitmap do not depend on NumAns.)
-  void set_num_ans(size_t n) {
-    for (PlanSpec& p : plans_) p.num_ans = n;
-  }
   /// Re-binds the Eval worker count without re-planning (>= 1).
   void set_eval_threads(size_t t) {
     for (PlanSpec& p : plans_) p.eval_threads = t == 0 ? 1 : t;

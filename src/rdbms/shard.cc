@@ -1,7 +1,7 @@
 #include "rdbms/shard.h"
 
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 
@@ -12,17 +12,6 @@
 namespace staccato::rdbms {
 
 namespace {
-
-/// STACCATO_SHARDS: shard count when ShardConfig does not name one.
-size_t ShardsFromEnv() {
-  const char* env = std::getenv("STACCATO_SHARDS");
-  if (env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    unsigned long v = std::strtoul(env, &end, 10);
-    if (end != nullptr && *end == '\0' && v > 0) return static_cast<size_t>(v);
-  }
-  return 1;
-}
 
 std::string ShardsMetaPath(const std::string& dir) {
   return dir + "/shards.meta";
@@ -65,21 +54,14 @@ Result<size_t> ReadShardsMeta(const std::string& dir) {
   return shards;
 }
 
-/// The total cache budget is divided evenly across shards so an N-shard
-/// database never uses more memory than a 1-shard one (a zero slice
-/// disables that shard's cache, like any zero budget).
+/// The total cache budget is divided evenly across the (at least one)
+/// shards so an N-shard database never uses more memory than a 1-shard one
+/// (a zero slice disables that shard's cache, like any zero budget).
 cache::CacheConfig PerShardCache(const cache::CacheConfig& total,
                                  size_t shards) {
   cache::CacheConfig per = total;
-  per.budget_bytes = shards == 0 ? total.budget_bytes
-                                 : total.budget_bytes / shards;
+  per.budget_bytes = total.budget_bytes / shards;
   return per;
-}
-
-Result<size_t> ResolveShardCount(const ShardConfig& config) {
-  size_t n = config.shards == 0 ? ShardsFromEnv() : config.shards;
-  if (n == 0) return Status::InvalidArgument("shard count must be positive");
-  return n;
 }
 
 }  // namespace
@@ -102,7 +84,7 @@ size_t ShardOfDoc(DocId doc, size_t num_shards) {
 
 Result<std::unique_ptr<ShardedDb>> ShardedDb::Open(const std::string& dir,
                                                    ShardConfig config) {
-  STACCATO_ASSIGN_OR_RETURN(size_t n, ResolveShardCount(config));
+  const size_t n = std::max<size_t>(1, config.shards);
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) return Status::IOError("cannot create directory " + dir);
@@ -171,11 +153,8 @@ std::shared_ptr<const ShardMap> ShardedDb::map_snapshot() const {
 }
 
 Status ShardedDb::Load(const OcrDataset& dataset, const LoadOptions& opts) {
+  STACCATO_RETURN_NOT_OK(CheckDataset(dataset));
   const size_t n = shards_.size();
-  if (dataset.sfas.size() != dataset.corpus.lines.size() ||
-      dataset.corpus.page_of_line.size() != dataset.corpus.lines.size()) {
-    return Status::InvalidArgument("dataset line/sfa vectors disagree");
-  }
   // Route lines to their owning shards in ascending global order, so each
   // shard's local ids (its load order) agree with the id map. Corpus name
   // and per-line page numbers are preserved: DocName and Year — the

@@ -37,7 +37,6 @@
 //-level predicates over those columns are not portable across N.
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <set>
 #include <string>
@@ -52,8 +51,8 @@
 
 namespace staccato::rdbms {
 
-/// \brief Shard-count configuration. `shards == 0` defers to the
-/// STACCATO_SHARDS environment variable (default 1). `cache` is the
+/// \brief Shard-count configuration. `shards == 0` creates one shard
+/// (Open) or takes the persisted count (OpenExisting). `cache` is the
 /// *total* budget for the whole database; it is divided evenly across
 /// shards so a 4-shard database uses the same memory as a 1-shard one.
 struct ShardConfig {
@@ -146,17 +145,6 @@ class ShardedDb {
   /// the map mutex; the snapshot itself is safe to read concurrently.
   std::shared_ptr<const ShardMap> map_snapshot() const;
 
-  /// Cross-shard threshold forwarding (on by default). Off = each shard
-  /// prunes against its own local top-k only — the independent-top-k
-  /// baseline the bench ablates against. Answer sets are identical
-  /// either way; only pruned work changes.
-  void set_forward_threshold(bool on) {
-    forward_threshold_.store(on, std::memory_order_relaxed);
-  }
-  bool forward_threshold() const {
-    return forward_threshold_.load(std::memory_order_relaxed);
-  }
-
  private:
   explicit ShardedDb(std::string dir) : dir_(std::move(dir)) {}
 
@@ -166,7 +154,6 @@ class ShardedDb {
   Status RebuildMapLocked() REQUIRES(mu_);
 
   std::string dir_;
-  std::atomic<bool> forward_threshold_{true};
   std::vector<std::unique_ptr<StaccatoDb>> shards_;
   /// Guards the id map pointer (and serializes Append end to end, so a
   /// failed shard append can retract its map extension unobserved).

@@ -410,7 +410,19 @@ uint64_t StaccatoDb::Epoch() const {
   return base_->epoch();
 }
 
+Status CheckDataset(const OcrDataset& dataset) {
+  const size_t lines = dataset.corpus.lines.size();
+  if (dataset.sfas.size() != lines ||
+      dataset.corpus.page_of_line.size() != lines) {
+    return Status::InvalidArgument(StringPrintf(
+        "dataset vectors disagree: %zu sfas, %zu lines, %zu page numbers",
+        dataset.sfas.size(), lines, dataset.corpus.page_of_line.size()));
+  }
+  return Status::OK();
+}
+
 Status StaccatoDb::Load(const OcrDataset& dataset, const LoadOptions& opts) {
+  STACCATO_RETURN_NOT_OK(CheckDataset(dataset));
   util::MutexLock lock(&ingest_mu_);
   const size_t n = dataset.sfas.size();
   num_sfas_.store(n, std::memory_order_release);
@@ -517,22 +529,6 @@ std::shared_ptr<const DeltaDoc> StaccatoDb::DeltaDocOf(DocId doc) const {
   return delta_[doc - base_docs];
 }
 
-Result<cache::BufferCache::Handle> StaccatoDb::FetchBlobCached(DocId doc,
-                                                               bool full_sfa) {
-  // Delta documents live in memory: serve a detached handle over a copy
-  // of the exact bytes a checkpoint would persist.
-  if (std::shared_ptr<const DeltaDoc> d = DeltaDocOf(doc)) {
-    return cache::BufferCache::Detached(
-        std::string(full_sfa ? d->full_blob : d->graph_blob));
-  }
-  // The same shape as the executor's streaming Fetch: the blob id comes
-  // from memory, and a cache hit serves the pinned bytes without a pread.
-  STACCATO_ASSIGN_OR_RETURN(BlobId id, base_->BlobIdOf(doc, full_sfa));
-  return base_->blobs()->GetCached(
-      BlobCacheKey(full_sfa, doc, blob_gen_.load(std::memory_order_acquire)),
-      id);
-}
-
 Result<std::string> StaccatoDb::ReadBlob(DocId doc, bool full_sfa) {
   if (std::shared_ptr<const DeltaDoc> d = DeltaDocOf(doc)) {
     return full_sfa ? d->full_blob : d->graph_blob;
@@ -546,16 +542,6 @@ Result<std::string> StaccatoDb::ReadStaccatoBlob(DocId doc) {
 
 Result<std::string> StaccatoDb::ReadFullSfaBlob(DocId doc) {
   return ReadBlob(doc, /*full_sfa=*/true);
-}
-
-Result<Sfa> StaccatoDb::LoadStaccatoSfa(DocId doc) {
-  STACCATO_ASSIGN_OR_RETURN(std::string blob, ReadStaccatoBlob(doc));
-  return Sfa::Deserialize(blob);
-}
-
-Result<Sfa> StaccatoDb::LoadFullSfa(DocId doc) {
-  STACCATO_ASSIGN_OR_RETURN(std::string blob, ReadFullSfaBlob(doc));
-  return Sfa::Deserialize(blob);
 }
 
 PlanContext StaccatoDb::MakePlanContext() {

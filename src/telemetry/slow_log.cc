@@ -5,18 +5,11 @@
 #include <sys/stat.h>
 #include <utility>
 
+#include "util/strings.h"
+
 namespace staccato::telemetry {
 
 namespace {
-
-uint64_t EnvUint(const char* name, uint64_t def) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || v[0] == '\0') return def;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(v, &end, 10);
-  if (end == v) return def;
-  return static_cast<uint64_t>(parsed);
-}
 
 uint64_t FileSize(const std::string& path) {
   struct stat st;
@@ -31,11 +24,12 @@ SlowQueryLog::SlowQueryLog(Config config) : config_(std::move(config)) {}
 SlowQueryLog& SlowQueryLog::Global() {
   static SlowQueryLog* g = [] {
     Config c;
-    c.threshold_ms = EnvUint("STACCATO_SLOW_QUERY_MS", 0);
+    c.threshold_ms = EnvUint("STACCATO_SLOW_QUERY_MS", 0, UINT64_MAX);
     const char* path = std::getenv("STACCATO_SLOW_QUERY_LOG");
     c.path = (path != nullptr && path[0] != '\0') ? path
                                                   : "staccato_slow.log";
-    c.max_bytes = EnvUint("STACCATO_SLOW_LOG_MB", 16) << 20;
+    // The MiB cap is bounded so the shift to bytes cannot wrap to 0.
+    c.max_bytes = EnvUint("STACCATO_SLOW_LOG_MB", 16, UINT64_MAX >> 20) << 20;
     return new SlowQueryLog(std::move(c));
   }();
   return *g;

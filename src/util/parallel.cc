@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 
 #include "telemetry/metrics_registry.h"
+#include "util/strings.h"
 
 namespace staccato {
 
@@ -35,17 +35,10 @@ ThreadPool::~ThreadPool() {
 }
 
 size_t ThreadPool::DefaultThreads() {
-  if (const char* env = std::getenv("STACCATO_THREADS")) {
-    // Accept only a plain positive integer in a sane range; strtoul would
-    // happily wrap "-1" to ULONG_MAX and size the pool at 2^64 workers.
-    constexpr unsigned long kMaxPool = 1024;
-    char* end = nullptr;
-    unsigned long v = std::strtoul(env, &end, 10);
-    if (env[0] >= '0' && env[0] <= '9' && end != env && *end == '\0' &&
-        v > 0 && v <= kMaxPool) {
-      return static_cast<size_t>(v);
-    }
-  }
+  // At most 1024 workers; 0 (or anything EnvUint rejects) means
+  // hardware concurrency.
+  const uint64_t threads = EnvUint("STACCATO_THREADS", 0, 1024);
+  if (threads > 0) return static_cast<size_t>(threads);
   return std::max(1u, std::thread::hardware_concurrency());
 }
 

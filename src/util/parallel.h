@@ -79,8 +79,8 @@ class ThreadPool {
   static ThreadPool& Shared();
 
   /// Pool-size knob: the STACCATO_THREADS environment variable when set to
-  /// a positive integer, otherwise std::thread::hardware_concurrency
-  /// (minimum 1).
+  /// an integer in [1, 1024] (read through EnvUint), otherwise
+  /// std::thread::hardware_concurrency (minimum 1).
   static size_t DefaultThreads();
 
  private:

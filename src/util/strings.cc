@@ -2,6 +2,7 @@
 
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 
 namespace staccato {
 
@@ -64,6 +65,20 @@ std::string HumanBytes(uint64_t bytes) {
     ++u;
   }
   return StringPrintf("%.1f %s", v, units[u]);
+}
+
+uint64_t EnvUint(const char* name, uint64_t fallback, uint64_t max) {
+  const char* env = std::getenv(name);
+  if (env == nullptr || *env == '\0') return fallback;
+  uint64_t v = 0;
+  for (const char* p = env; *p != '\0'; ++p) {
+    if (*p < '0' || *p > '9') return fallback;
+    const uint64_t digit = static_cast<uint64_t>(*p - '0');
+    // v * 10 + digit <= max, without overflowing uint64_t.
+    if (digit > max || v > (max - digit) / 10) return fallback;
+    v = v * 10 + digit;
+  }
+  return v;
 }
 
 }  // namespace staccato

@@ -1,6 +1,7 @@
 // Small string helpers shared across modules.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -25,5 +26,12 @@ std::string StringPrintf(const char* fmt, ...) __attribute__((format(printf, 1, 
 
 /// Human-readable byte count, e.g. "1.5 MB".
 std::string HumanBytes(uint64_t bytes);
+
+/// The one parser of numeric STACCATO_* environment knobs: the value of
+/// `name` when it is a plain decimal number no greater than `max`, else
+/// `fallback`. Unset, empty, signed ("-1", "+5"), padded (" 5"), trailing
+/// characters ("12abc", "1.5") and out-of-range values all read as the
+/// fallback.
+uint64_t EnvUint(const char* name, uint64_t fallback, uint64_t max);
 
 }  // namespace staccato

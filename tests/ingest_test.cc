@@ -193,6 +193,30 @@ class IngestTest : public ::testing::Test {
   std::vector<std::string> patterns_;
 };
 
+// Load checks that the dataset's vectors are parallel before it changes
+// anything (the WAL reset, the epoch truncation): a refused Load leaves
+// the previous load serving, with the same document count and answers.
+TEST_F(IngestTest, LoadRejectsMismatchedDatasetAndKeepsServing) {
+  const size_t n = total_ - 2;
+  auto db = Oracle(n);
+  const std::vector<Answer> before = RunQuery(
+      db.get(), Approach::kStaccato, patterns_[0], IndexMode::kNever, 1, true);
+  ASSERT_FALSE(before.empty());
+  OcrDataset too_many_sfas = Prefix(full_, n);
+  too_many_sfas.sfas.push_back(full_.sfas[n]);
+  OcrDataset too_few_pages = Prefix(full_, n);
+  too_few_pages.corpus.page_of_line.pop_back();
+  for (const OcrDataset* bad : {&too_many_sfas, &too_few_pages}) {
+    const Status st = db->Load(*bad, SmallLoad());
+    EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+    EXPECT_EQ(db->NumSfas(), n);
+    ExpectSameAnswers(before,
+                      RunQuery(db.get(), Approach::kStaccato, patterns_[0],
+                               IndexMode::kNever, 1, true),
+                      "after a refused Load");
+  }
+}
+
 // The core differential property: Load(prefix) + Append(rest) must be
 // bit-identical to Load(full), across the whole execution matrix.
 TEST_F(IngestTest, AppendMatchesBulkLoad) {

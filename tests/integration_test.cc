@@ -151,10 +151,14 @@ TEST(IntegrationTest, BlobRoundTripPreservesSfas) {
   auto wb = Workbench::Create(SmallSpec(DatasetKind::kDbPapers));
   ASSERT_TRUE(wb.ok());
   for (DocId d : {DocId{0}, DocId{7}, DocId{59}}) {
-    auto full = (*wb)->db().LoadFullSfa(d);
+    auto full_blob = (*wb)->db().ReadFullSfaBlob(d);
+    ASSERT_TRUE(full_blob.ok());
+    auto full = Sfa::Deserialize(*full_blob);
     ASSERT_TRUE(full.ok());
     EXPECT_EQ(full->NumEdges(), (*wb)->dataset().sfas[d].NumEdges());
-    auto chunked = (*wb)->db().LoadStaccatoSfa(d);
+    auto chunked_blob = (*wb)->db().ReadStaccatoBlob(d);
+    ASSERT_TRUE(chunked_blob.ok());
+    auto chunked = Sfa::Deserialize(*chunked_blob);
     ASSERT_TRUE(chunked.ok());
     EXPECT_LE(chunked->NumEdges(), 20u);
   }

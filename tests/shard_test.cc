@@ -3,12 +3,12 @@
 // The invariant under test: a ShardedDb answers every query bit-identically
 // to the single-partition StaccatoDb holding the same dataset — the same
 // ranked documents with exactly equal probabilities — for every shard
-// count (1/2/4/7), eval thread count (1/4/8), early-stop setting, and
-// threshold-forwarding setting, including Append/Checkpoint interleavings
-// and reopen with per-shard WAL replay. A plain StaccatoDb session runs the
-// same scatter-gather as a 1-shard ShardedDb, and sharded sessions share
-// the session-wide plan cache. Concurrent Executes race against Append
-// under the TSan CI job.
+// count (1/2/4/7), eval thread count (1/4/8), and early-stop setting, with
+// the global top-k threshold forwarded across shards, including
+// Append/Checkpoint interleavings and reopen with per-shard WAL replay.
+// A plain StaccatoDb session runs the same scatter-gather as a 1-shard
+// ShardedDb, and sharded sessions share the session-wide plan cache.
+// Concurrent Executes race against Append under the TSan CI job.
 
 #include <gtest/gtest.h>
 
@@ -184,6 +184,13 @@ TEST_F(ShardTest, ShardDirAndPartitionAreStable) {
   }
 }
 
+TEST_F(ShardTest, ZeroShardsOpensOne) {
+  auto db = ShardedDb::Open(eval::MakeScratchDir("shard_zero"),
+                            ShardConfig{0, cache::CacheConfig()});
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  EXPECT_EQ((*db)->num_shards(), 1u);
+}
+
 TEST_F(ShardTest, AnswersBitIdenticalAcrossShardThreadEarlyStopMatrix) {
   const auto patterns = Patterns();
   for (size_t shards : {1u, 2u, 4u, 7u}) {
@@ -222,19 +229,24 @@ TEST_F(ShardTest, AnswersBitIdenticalAcrossShardThreadEarlyStopMatrix) {
   }
 }
 
+// Every shard's Eval prunes against the one forwarded global threshold;
+// the answers still equal the 1-shard oracle's, whose single shard
+// prunes against its own.
 TEST_F(ShardTest, ThresholdForwardingIsAnswerNeutral) {
   auto db = ShardedDb::Open(eval::MakeScratchDir("shard_fwd"),
                             ShardConfig{4, cache::CacheConfig()});
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   ASSERT_TRUE((*db)->Load(*dataset_, SmallLoad()).ok());
+  ASSERT_TRUE((*db)
+                  ->BuildInvertedIndex(
+                      DatasetQueries(DatasetKind::kCongressActs))
+                  .ok());
   for (const std::string& pat : Patterns()) {
-    (*db)->set_forward_threshold(true);
     QueryStats fwd_stats;
     auto fwd = RunQuery(db->get(), Approach::kStaccato, pat, 4, true,
                         &fwd_stats);
-    (*db)->set_forward_threshold(false);
-    auto solo = RunQuery(db->get(), Approach::kStaccato, pat, 4, true);
-    ExpectSameAnswers(fwd, solo, "forwarding on vs off: " + pat);
+    auto solo = RunQuery(oracle_, Approach::kStaccato, pat, 4, true);
+    ExpectSameAnswers(solo, fwd, "4 forwarded shards vs 1 shard: " + pat);
     // Per-shard breakdown reaches the stats and the Explain rendering.
     ASSERT_EQ(fwd_stats.shards.size(), 4u);
     Session session(db->get(), SessionOptions{1, 50});
@@ -492,6 +504,25 @@ TEST_F(ShardTest, ShardedSiblingsAdoptTheSharedPlanCache) {
   ASSERT_TRUE(post_ans.ok()) << post_ans.status().ToString();
   EXPECT_TRUE(post.shared_plan_hit) << "the untouched shard's entry is live";
   EXPECT_EQ(session.shared_plan_hits(), 2u);
+  // Only the untouched shard served its Filter from the cache; the
+  // appended shard re-scanned MasterData, so the query's Filter is a miss.
+  const size_t appended = ShardOfDoc(total - 1, 2);
+  ASSERT_EQ(post.shards.size(), 2u);
+  EXPECT_FALSE(post.filter_from_cache);
+  EXPECT_FALSE(post.shards[appended].filter_from_cache);
+  EXPECT_TRUE(post.shards[1 - appended].filter_from_cache);
+  const std::string rendered = ExplainPlan(after->plan(), post);
+  auto shard_line = [&rendered](size_t s) {
+    const size_t at = rendered.find(StringPrintf("shard %zu: ", s));
+    if (at == std::string::npos) return std::string();
+    return rendered.substr(at, rendered.find('\n', at) - at);
+  };
+  EXPECT_NE(shard_line(appended).find("plan-cache: filter=miss"),
+            std::string::npos)
+      << rendered;
+  EXPECT_NE(shard_line(1 - appended).find("plan-cache: filter=hit"),
+            std::string::npos)
+      << rendered;
   ExpectSameAnswers(ColdSqlAnswers(db->get(), sql, nullptr), *post_ans, "after append");
   bool has_new_doc = false;
   for (const Answer& a : *post_ans) has_new_doc |= a.doc == total - 1;

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
+
 #include "util/random.h"
 #include "util/result.h"
 #include "util/serde.h"
@@ -136,6 +139,67 @@ TEST(StringsTest, StringPrintf) {
 TEST(StringsTest, HumanBytes) {
   EXPECT_EQ(HumanBytes(512), "512.0 B");
   EXPECT_EQ(HumanBytes(2048), "2.0 kB");
+}
+
+/// EnvUint over `value` (null = unset) in a variable no other code reads.
+uint64_t EnvUintOf(const char* value, uint64_t fallback, uint64_t max) {
+  const char* kName = "STACCATO_UTIL_TEST_KNOB";
+  if (value == nullptr) {
+    unsetenv(kName);
+  } else {
+    setenv(kName, value, /*overwrite=*/1);
+  }
+  const uint64_t v = EnvUint(kName, fallback, max);
+  unsetenv(kName);
+  return v;
+}
+
+TEST(EnvUintTest, AcceptsPlainDecimalUpToMax) {
+  EXPECT_EQ(EnvUintOf("0", 7, 100), 0u);
+  EXPECT_EQ(EnvUintOf("42", 7, 100), 42u);
+  EXPECT_EQ(EnvUintOf("007", 9, 100), 7u);
+  EXPECT_EQ(EnvUintOf("100", 7, 100), 100u);
+  EXPECT_EQ(EnvUintOf("18446744073709551615", 7, UINT64_MAX), UINT64_MAX);
+}
+
+TEST(EnvUintTest, UnsetOrEmptyReadsFallback) {
+  EXPECT_EQ(EnvUintOf(nullptr, 7, 100), 7u);
+  EXPECT_EQ(EnvUintOf("", 7, 100), 7u);
+}
+
+// A sign is not a digit: strtoull would wrap "-1" to 2^64 - 1 and lift
+// the slow-query log's size cap.
+TEST(EnvUintTest, RejectsNegative) {
+  EXPECT_EQ(EnvUintOf("-1", 16, UINT64_MAX >> 20), 16u);
+  EXPECT_EQ(EnvUintOf("-0", 16, 100), 16u);
+}
+
+TEST(EnvUintTest, RejectsPlusSign) { EXPECT_EQ(EnvUintOf("+5", 7, 100), 7u); }
+
+TEST(EnvUintTest, RejectsWhitespace) {
+  EXPECT_EQ(EnvUintOf(" 5", 7, 100), 7u);
+  EXPECT_EQ(EnvUintOf("5 ", 7, 100), 7u);
+}
+
+TEST(EnvUintTest, RejectsTrailingCharacters) {
+  EXPECT_EQ(EnvUintOf("12abc", 7, 100), 7u);
+  EXPECT_EQ(EnvUintOf("1.5", 7, 100), 7u);
+  EXPECT_EQ(EnvUintOf("0x10", 7, 100), 7u);
+}
+
+TEST(EnvUintTest, RejectsAboveMax) {
+  EXPECT_EQ(EnvUintOf("101", 7, 100), 7u);
+  EXPECT_EQ(EnvUintOf("1025", 0, 1024), 0u);
+  // A MiB count past 2^44 - 1 would wrap to a 0-byte cap when shifted
+  // to bytes.
+  EXPECT_EQ(EnvUintOf("17592186044415", 16, UINT64_MAX >> 20),
+            (UINT64_MAX >> 20));
+  EXPECT_EQ(EnvUintOf("17592186044416", 16, UINT64_MAX >> 20), 16u);
+}
+
+TEST(EnvUintTest, RejectsValuesPastUint64) {
+  EXPECT_EQ(EnvUintOf("18446744073709551616", 7, UINT64_MAX), 7u);
+  EXPECT_EQ(EnvUintOf("99999999999999999999999", 7, UINT64_MAX), 7u);
 }
 
 TEST(RngTest, Deterministic) {

@@ -58,31 +58,6 @@ TEST(WorkbenchTest, CreatesAndRuns) {
   EXPECT_LE(row->answers, 100u);
 }
 
-TEST(WorkbenchTest, ShardedRunMatchesSinglePartition) {
-  WorkbenchSpec spec;
-  spec.corpus.kind = DatasetKind::kDbPapers;
-  spec.corpus.num_pages = 2;
-  spec.corpus.lines_per_page = 10;
-  spec.noise.alternatives = 6;
-  spec.load.kmap_k = 5;
-  spec.load.staccato = {10, 5, true};
-  auto solo = Workbench::Create(spec);
-  ASSERT_TRUE(solo.ok()) << solo.status().ToString();
-  spec.shards = 3;
-  auto sharded = Workbench::Create(spec);
-  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-  EXPECT_EQ((*sharded)->sharded()->NumSfas(), 20u);
-  auto a = (*solo)->Run(Approach::kStaccato, "database");
-  auto b = (*sharded)->Run(Approach::kStaccato, "database");
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok()) << b.status().ToString();
-  // Same dataset, same ground truth, bit-identical ranked quality.
-  EXPECT_EQ(a->truth_size, b->truth_size);
-  EXPECT_EQ(a->answers, b->answers);
-  EXPECT_EQ(a->quality.recall, b->quality.recall);
-  EXPECT_EQ(b->stats.shards.size(), 3u);
-}
-
 TEST(WorkbenchTest, InvalidPatternPropagates) {
   WorkbenchSpec spec;
   spec.corpus.num_pages = 1;
