@@ -112,13 +112,22 @@ fi
 # ---------------------------------------------------------------------------
 # 8. Shard directory naming is private to src/rdbms/shard.*: every other
 # component resolves a shard's directory through ShardDirName() (and the
-# shard count through shards.meta via Open/OpenExisting), so the on-disk
-# layout can change in one place. The '"shard."' literal must not leak.
+# shard count through Open/OpenExisting), so the on-disk layout can change
+# in one place. The '"shard."' literal must not leak. The shard-count
+# meta file's name and its magics (the current one and the retired one it
+# refuses) live in src/rdbms/shard.cc alone; tests/shard_test.cc, which
+# writes a retired-format file to check the refusal, is the one exception.
 hits=$(grep -rn '"shard\.' src/ tests/ bench/ examples/ \
   --include="*.h" --include="*.cc" \
   | grep -vE "^src/rdbms/shard\.(h|cc):" || true)
 if [ -n "$hits" ]; then
   fail "shard directory literal outside src/rdbms/shard.* (use ShardDirName)" "$hits"
+fi
+hits=$(grep -rnE 'shards\.meta|STACSHR' src/ tests/ bench/ examples/ \
+  --include="*.h" --include="*.cc" \
+  | grep -vE "^(src/rdbms/shard\.cc|tests/shard_test\.cc):" || true)
+if [ -n "$hits" ]; then
+  fail "shard meta file name or magic outside src/rdbms/shard.cc (use ShardedDb::Open/OpenExisting)" "$hits"
 fi
 
 # ---------------------------------------------------------------------------

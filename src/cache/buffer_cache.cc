@@ -302,13 +302,6 @@ BufferCache::Handle BufferCache::Insert(const CacheKey& key,
   return Handle(e);
 }
 
-void BufferCache::Erase(const CacheKey& key) {
-  Shard& sh = ShardFor(key);
-  util::MutexLock lock(&sh.mu);
-  auto it = sh.table.find(key);
-  if (it != sh.table.end()) sh.FinishErase(it->second);
-}
-
 void BufferCache::EraseSpace(uint64_t space) {
   for (Shard* sh : shards_) {
     util::MutexLock lock(&sh->mu);

@@ -133,17 +133,13 @@ class BufferCache {
   /// caller's read always succeeds, the budget is never exceeded.
   Handle Insert(const CacheKey& key, std::string value);
 
-  /// Drops the entry under `key`, if any. Pinned entries are detached
-  /// from the cache immediately (uncharged) and freed when the last
-  /// handle releases them.
-  void Erase(const CacheKey& key);
-
   /// Drops every entry whose key.space matches (e.g. all pages of one
-  /// table instance).
+  /// table instance). Pinned entries are detached from the cache
+  /// immediately (uncharged) and freed when the last handle releases them.
   void EraseSpace(uint64_t space);
 
   /// Drops every entry (DropCaches / cold-start). Pinned entries detach
-  /// as in Erase.
+  /// as in EraseSpace.
   void Clear();
 
   CacheStats stats() const;

@@ -66,6 +66,11 @@ std::string EpochFile(const std::string& dir, const char* base,
 
 }  // namespace
 
+Tuple MasterDataRow(int64_t key, const DeltaDoc& doc) {
+  return {Value::Int(key), Value::String(doc.doc_name), Value::Int(doc.year),
+          Value::Int(key)};
+}
+
 const BaseEpoch::RelationSpec BaseEpoch::kRelations[kNumRelations] = {
     {"master", MasterSchema},         {"truth", TruthSchema},
     {"kmap", KMapSchema},             {"fullsfa", FullSfaSchema},
@@ -128,11 +133,7 @@ Result<std::unique_ptr<BaseEpoch>> BaseEpoch::Make(const std::string& dir,
 
 Status BaseEpoch::AppendDocument(const DeltaDoc& doc) {
   const int64_t key = static_cast<int64_t>(NumDocuments());
-  STACCATO_RETURN_NOT_OK(
-      master()
-          ->Insert({Value::Int(key), Value::String(doc.doc_name),
-                    Value::Int(doc.year), Value::Int(key)})
-          .status());
+  STACCATO_RETURN_NOT_OK(master()->Insert(MasterDataRow(key, doc)).status());
   STACCATO_RETURN_NOT_OK(
       truth()->Insert({Value::Int(key), Value::String(doc.truth)}).status());
   // k-MAP rows (rank 0 is the MAP transcription).

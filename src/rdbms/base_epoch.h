@@ -37,6 +37,11 @@
 
 namespace staccato::rdbms {
 
+/// Document `key`'s MasterData row (DataKey, DocName, Year, SFANum): what
+/// AppendDocument writes, and what the Filter operator tests a delta
+/// document's equalities against before a checkpoint writes it.
+Tuple MasterDataRow(int64_t key, const DeltaDoc& doc);
+
 class BaseEpoch {
  public:
   /// Creates (truncates) the files of `epoch` under `dir`. Relations and

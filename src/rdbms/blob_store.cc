@@ -64,12 +64,6 @@ Status BlobStore::Sync() {
 }
 
 Result<std::string> BlobStore::Get(BlobId id, BlobIoStats* tally) {
-  std::string data;
-  STACCATO_RETURN_NOT_OK(GetInto(id, &data, tally));
-  return data;
-}
-
-Status BlobStore::GetInto(BlobId id, std::string* out, BlobIoStats* tally) {
   if (id >= end_) return Status::NotFound("blob id out of range");
   // Writes go through the buffered FILE*; make them visible to pread once
   // per write burst. Double-checked so the steady read state takes no
@@ -94,14 +88,14 @@ Status BlobStore::GetInto(BlobId id, std::string* out, BlobIoStats* tally) {
   if (avail < sizeof(len) || len > avail - sizeof(len)) {
     return Status::Corruption("blob length past end of store");
   }
-  out->resize(len);  // reuses the caller's capacity in steady state
+  std::string data(len, '\0');
   if (len > 0) {
     STACCATO_RETURN_NOT_OK(
-        util::CheckedPRead(fd_, out->data(), len, id + sizeof(len), path_));
+        util::CheckedPRead(fd_, data.data(), len, id + sizeof(len), path_));
   }
-  // Count only once the read fully succeeded, and on every path: Get
-  // delegates here and GetCached misses read through here, so the three
-  // read flavours report identical accounting for the same blob.
+  // Count only once the read fully succeeded, and on every path: GetCached
+  // misses read through here, so both read flavours report identical
+  // accounting for the same blob.
   reads_.fetch_add(1, std::memory_order_relaxed);
   bytes_read_.fetch_add(sizeof(len) + len, std::memory_order_relaxed);
   if (tally != nullptr) {
@@ -120,7 +114,7 @@ Status BlobStore::GetInto(BlobId id, std::string* out, BlobIoStats* tally) {
   }();
   m.reads->Increment();
   m.bytes->Increment(sizeof(len) + len);
-  return Status::OK();
+  return data;
 }
 
 Result<cache::BufferCache::Handle> BlobStore::GetCached(
@@ -136,8 +130,8 @@ Result<cache::BufferCache::Handle> BlobStore::GetCached(
       return h;
     }
   }
-  std::string data;
-  STACCATO_RETURN_NOT_OK(GetInto(id, &data, tally));  // counts reads/bytes
+  // Get counts the reads and bytes.
+  STACCATO_ASSIGN_OR_RETURN(std::string data, Get(id, tally));
   if (cache_ == nullptr) {
     return cache::BufferCache::Detached(std::move(data));
   }

@@ -2,7 +2,7 @@
 // FullSFA and StaccatoGraph columns point into (the paper stores serialized
 // transducers as Postgres large objects).
 //
-// Concurrency contract: Get/GetInto/GetCached are safe to call from any
+// Concurrency contract: Get/GetCached are safe to call from any
 // number of threads at once — reads use positioned I/O (pread) on the
 // underlying descriptor, so they share no file-position state and proceed
 // fully in parallel. This is the storage half of the executor's parallel
@@ -33,8 +33,8 @@ namespace staccato::rdbms {
 
 using BlobId = uint64_t;
 
-/// \brief Read accounting, counted identically by every read path: Get,
-/// GetInto, and GetCached all count one `reads`; `bytes_read` counts
+/// \brief Read accounting, counted identically by every read path: Get
+/// and GetCached both count one `reads`; `bytes_read` counts
 /// physical disk bytes only (a cache hit serves no physical bytes and
 /// counts under `cache_hits` instead). The store keeps lifetime totals
 /// (io_stats()); a caller that wants one query's share passes its own
@@ -82,13 +82,6 @@ class BlobStore {
   /// when given, by exactly what it adds to io_stats(); concurrent callers
   /// pass distinct tallies.
   Result<std::string> Get(BlobId id, BlobIoStats* tally = nullptr);
-
-  /// Buffer-reusing flavour for hot read loops: resizes `*out` to the blob
-  /// length, reusing its capacity, so a caller that keeps one buffer warm
-  /// reads successive blobs without heap allocation. Same concurrency
-  /// contract as Get; distinct callers must pass distinct buffers. Counts
-  /// exactly what a Get of the same blob would.
-  Status GetInto(BlobId id, std::string* out, BlobIoStats* tally = nullptr);
 
   /// Cache-aware read of blob `id`: consults the attached buffer cache
   /// under `key`; on a miss, reads the blob from disk and installs it. A

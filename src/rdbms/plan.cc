@@ -20,14 +20,12 @@ namespace staccato::rdbms {
 
 namespace {
 
-/// One cancellation-point poll of the (optional) per-query control block.
-/// OK with `*cut_now` false = keep going; OK with `*cut_now` true = the
-/// budget ran out but the caller allows partial results, so stop visiting
-/// new work and degrade; non-OK = fail the query with DeadlineExceeded.
-/// A null control (legacy unbudgeted execution) is free.
+/// One cancellation-point poll of the per-query control block. OK with
+/// `*cut_now` false = keep going; OK with `*cut_now` true = the budget ran
+/// out but the caller allows partial results, so stop visiting new work
+/// and degrade; non-OK = fail the query with DeadlineExceeded.
 Status PollControl(QueryControl* control, bool* cut_now) {
   *cut_now = false;
-  if (control == nullptr) return Status::OK();
   if (control->cut()) {
     *cut_now = true;
     return Status::OK();
@@ -438,16 +436,13 @@ Status EqualityBitmap(const PlanContext& ctx, const PlanSpec& plan,
   }));
   stats->heap_pages_read += master->NumPages();  // one full pass
   // Delta documents have no MasterData row yet; evaluate the bound
-  // equalities against the same column values Load would have written
-  // (DataKey, DocName, Year, SFANum), so filtering is representation-
+  // equalities against the row a checkpoint will write, so filtering is
   // independent of where the document currently lives.
   for (size_t i = 0; i < ctx.delta.docs.size(); ++i) {
-    const DeltaDoc& d = *ctx.delta.docs[i];
     const size_t key = ctx.delta.base_docs + i;
     if (key >= allowed.size()) continue;
-    const int64_t k = static_cast<int64_t>(key);
-    const Tuple row{Value::Int(k), Value::String(d.doc_name),
-                    Value::Int(d.year), Value::Int(k)};
+    const Tuple row =
+        MasterDataRow(static_cast<int64_t>(key), *ctx.delta.docs[i]);
     bool pass = true;
     for (const BoundEquality& eq : plan.equalities) {
       if (row[static_cast<size_t>(eq.column_index)] != eq.value) {
@@ -546,7 +541,7 @@ Result<std::vector<Answer>> ExecuteStrings(const PlanContext& ctx,
           return false;
         }
         const size_t key = static_cast<size_t>(row->key);
-        if (ctx.control != nullptr && (rows_seen++ & 255) == 0) {
+        if ((rows_seen++ & 255) == 0) {
           bool cut_now = false;
           scan_status = PollControl(ctx.control, &cut_now);
           if (!scan_status.ok() || cut_now) {
@@ -573,11 +568,9 @@ Result<std::vector<Answer>> ExecuteStrings(const PlanContext& ctx,
   EndStage(ctx, "Eval(kmap-scan)", scan_start_ns, &stats->stage.fetch_eval_s);
   stats->heap_pages_read += pages;
   stats->candidates = CountStringCandidates(ctx, plan, allowed);
-  if (ctx.control != nullptr) {
-    stats->visited_candidates = cut_key != SIZE_MAX
-                                    ? std::min(cut_key, ctx.num_sfas)
-                                    : stats->candidates;
-  }
+  stats->visited_candidates = cut_key != SIZE_MAX
+                                  ? std::min(cut_key, ctx.num_sfas)
+                                  : stats->candidates;
   std::vector<Answer> answers;
   for (size_t i = 0; i < prob.size(); ++i) {
     if (prob[i] > 0.0) answers.push_back({i, std::min(prob[i], 1.0)});
@@ -753,21 +746,18 @@ Result<std::vector<Answer>> ExecuteSfas(const PlanContext& ctx,
     };
     // Transient blob/heap read failures retry with exponential backoff,
     // bounded by the control's per-query budget; exhaustion (or a
-    // non-I/O failure, or unbudgeted execution) surfaces the underlying
-    // Status unchanged.
+    // non-I/O failure) surfaces the underlying Status unchanged.
     Status fetched = fetch_once();
-    while (!fetched.ok() && fetched.IsIOError() && ctx.control != nullptr &&
+    while (!fetched.ok() && fetched.IsIOError() &&
            ctx.control->AllowRetry()) {
       fetched = fetch_once();
     }
     STACCATO_RETURN_NOT_OK(fetched);
-    if (ctx.control != nullptr) {
-      ctx.control->AddFetchedBytes(blob->size());
-      // Cancellation point: between this candidate's Fetch and its Eval —
-      // a deadline or byte budget blown by the fetch stops before the DP.
-      STACCATO_RETURN_NOT_OK(PollControl(ctx.control, &cut_now));
-      if (cut_now) return Status::OK();
-    }
+    ctx.control->AddFetchedBytes(blob->size());
+    // Cancellation point: between this candidate's Fetch and its Eval — a
+    // deadline or byte budget blown by the fetch stops before the DP.
+    STACCATO_RETURN_NOT_OK(PollControl(ctx.control, &cut_now));
+    if (cut_now) return Status::OK();
     if (plan.fetch == FetchMethod::kProjection) {
       STACCATO_ASSIGN_OR_RETURN(
           prob[i], EvalProjectedBlob(*blob, *cand.postings, dfa, horizon));
@@ -779,7 +769,7 @@ Result<std::vector<Answer>> ExecuteSfas(const PlanContext& ctx,
     STACCATO_ASSIGN_OR_RETURN(
         prob[i], EvalSerializedSfaBounded(*blob, dfa, threshold,
                                           &ws.scratch, &bound));
-    if (ctx.control != nullptr) ctx.control->AddDpSteps(bound.steps);
+    ctx.control->AddDpSteps(bound.steps);
     if (bound.pruned) {
       prob[i] = 0.0;
       was_pruned[i] = 1;
@@ -808,10 +798,8 @@ Result<std::vector<Answer>> ExecuteSfas(const PlanContext& ctx,
   stats->candidates = cands.size();
   stats->index_postings = total_postings;
   stats->threads_used = threads;
-  if (ctx.control != nullptr) {
-    stats->visited_candidates = static_cast<size_t>(
-        std::count(visited.begin(), visited.end(), 1));
-  }
+  stats->visited_candidates =
+      static_cast<size_t>(std::count(visited.begin(), visited.end(), 1));
   std::vector<Answer> answers;
   for (size_t i = 0; i < cands.size(); ++i) {
     if (was_pruned[i]) {
@@ -864,7 +852,7 @@ Result<std::vector<Answer>> ExecutePlan(
                            ? 0.0
                            : static_cast<double>(stats->candidates) /
                                  static_cast<double>(ctx.num_sfas);
-  if (ctx.control != nullptr) stats->degraded = ctx.control->cut();
+  stats->degraded = ctx.control->cut();
   const uint64_t topk_start_ns = telemetry::MonotonicNanos();
   std::vector<Answer> ranked = RankAnswers(std::move(answers), plan.num_ans);
   EndStage(ctx, "TopK", topk_start_ns, &stats->stage.topk_s);

@@ -342,10 +342,10 @@ struct PlanContext {
   /// Snapshot of the mutable delta generation (appended documents). Doc
   /// ids >= delta.base_docs resolve here instead of in the base tables.
   DeltaView delta;
-  /// Optional per-query budget/cancellation block (rdbms/service.h),
-  /// polled at the executor's cancellation points: query entry, each
-  /// worker's fetch->eval stream, the kMAP scan loop, and the per-shard
-  /// gather. Null = unbudgeted legacy execution, zero overhead.
+  /// The per-query budget/cancellation block (rdbms/service.h), never
+  /// null when the plan executes: polled at the executor's cancellation
+  /// points — query entry, each worker's fetch->eval stream, the kMAP scan
+  /// loop, and the per-shard gather.
   QueryControl* control = nullptr;
   /// Optional per-query trace (telemetry/trace.h). Null = tracing off:
   /// every instrumentation point is one branch. The executor's stage

@@ -67,38 +67,17 @@ const SessionMetrics& Metrics() {
   return m;
 }
 
-/// Remaps one shard's ranked answers (shard-local doc ids) to global ids
-/// through the id-map snapshot and appends them to `merged`. A null map is
-/// the identity: a plain StaccatoDb's local ids are its global ones.
-Status GatherShardAnswers(const ShardMap* map, size_t shard,
-                          const std::vector<Answer>& answers,
-                          std::vector<Answer>* merged) {
-  if (map == nullptr) {
-    merged->insert(merged->end(), answers.begin(), answers.end());
-    return Status::OK();
-  }
-  const std::vector<DocId>& l2g = map->local_to_global[shard];
-  for (const Answer& a : answers) {
-    if (a.doc >= l2g.size()) {
-      return Status::Internal("shard answer missing from the id map");
-    }
-    merged->push_back(Answer{l2g[a.doc], a.prob});
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
-Session::Session(ShardedDb* db, SessionOptions opts) : sdb_(db), opts_(opts) {
+Session::Session(ShardedDb* db, SessionOptions opts) : opts_(opts) {
   for (size_t s = 0; s < db->num_shards(); ++s) shards_.push_back(db->shard(s));
 }
 
-PreparedQuery::PreparedQuery(std::vector<StaccatoDb*> shards, ShardedDb* sdb,
+PreparedQuery::PreparedQuery(std::vector<StaccatoDb*> shards,
                              std::vector<PlanSpec> plans, Dfa dfa,
                              std::shared_ptr<SharedPlanCacheTable> shared,
                              std::shared_ptr<telemetry::TraceSink> tracer)
     : shards_(std::move(shards)),
-      sdb_(sdb),
       plans_(std::move(plans)),
       pins_(plans_.size()),
       dfa_(std::move(dfa)),
@@ -164,8 +143,8 @@ Result<PreparedQuery> Session::Prepare(Approach approach,
                                  opts_.eval_threads));
     plans.push_back(std::move(plan));
   }
-  return PreparedQuery(shards_, sdb_, std::move(plans), std::move(dfa),
-                       plan_cache_, tracer_);
+  return PreparedQuery(shards_, std::move(plans), std::move(dfa), plan_cache_,
+                       tracer_);
 }
 
 Result<PreparedQuery> Session::PrepareSql(Approach approach,
@@ -188,9 +167,6 @@ Result<std::vector<Answer>> PreparedQuery::ScatterGather(
   // The scatter span: one child span per shard, so cross-shard skew shows
   // up in the trace the same way it does in the "Shards:" lines.
   telemetry::ScopedSpan scatter_span(trace, "Scatter");
-  // Plan contexts first, id-map snapshot second: ShardedDb::Append
-  // publishes its map extension before touching the owning shard, so
-  // every document a context can see is translatable.
   std::vector<PlanContext> ctxs(num_shards);
   std::vector<std::shared_ptr<const PlanCacheEntry>> entries(num_shards);
   bool shared_hit = false;
@@ -204,8 +180,6 @@ Result<std::vector<Answer>> PreparedQuery::ScatterGather(
     entries[s] = pins_[s];  // null: this Execute builds the shard's entry
   }
   if (shared_hit) shared_->hits.fetch_add(1, std::memory_order_relaxed);
-  std::shared_ptr<const ShardMap> map =
-      sdb_ != nullptr ? sdb_->map_snapshot() : nullptr;
   // The forwarded global bound: every shard's Eval offers its answers
   // here and prunes against the global k-th best, so selective queries
   // kill candidates on one shard with answers found on another.
@@ -233,7 +207,7 @@ Result<std::vector<Answer>> PreparedQuery::ScatterGather(
     }
     return Status::OK();
   }));
-  // Gather: remap shard-local doc ids to global ones and re-rank. Each
+  // Gather: turn shard-local doc ids into global ones and re-rank. Each
   // shard already returned its own ranked top num_ans, and the global
   // top num_ans is a subset of their union, so one RankAnswers over the
   // concatenation reproduces the 1-shard answer bit for bit. The budget
@@ -243,11 +217,10 @@ Result<std::vector<Answer>> PreparedQuery::ScatterGather(
   std::vector<Answer> merged;
   for (size_t s = 0; s < num_shards; ++s) {
     STACCATO_RETURN_NOT_OK(shard_status[s]);
-    if (control != nullptr && !control->allow_partial()) {
-      STACCATO_RETURN_NOT_OK(control->Check());
+    if (!control->allow_partial()) STACCATO_RETURN_NOT_OK(control->Check());
+    for (const Answer& a : shard_answers[s]) {
+      merged.push_back(Answer{GlobalDocId(s, a.doc, num_shards), a.prob});
     }
-    STACCATO_RETURN_NOT_OK(
-        GatherShardAnswers(map.get(), s, shard_answers[s], &merged));
   }
   for (size_t s = 0; s < num_shards; ++s) {
     if (entries[s] != pins_[s]) PublishEntry(s, std::move(entries[s]));
@@ -260,7 +233,10 @@ Result<std::vector<Answer>> PreparedQuery::ScatterGather(
 }
 
 Result<std::vector<Answer>> PreparedQuery::Execute(QueryStats* stats) {
-  return Execute(/*control=*/nullptr, stats);
+  ExecBudget unlimited;
+  unlimited.max_io_retries = 0;
+  QueryControl control(unlimited);
+  return Execute(&control, stats);
 }
 
 Result<std::vector<Answer>> PreparedQuery::Execute(QueryControl* control,
@@ -273,7 +249,7 @@ Result<std::vector<Answer>> PreparedQuery::Execute(QueryControl* control,
   std::shared_ptr<telemetry::QueryTrace> trace;
   if (tracer_->enabled()) {
     trace = telemetry::QueryTrace::Make(plan().pattern);
-    if (control != nullptr && control->admission_wait_ns() > 0) {
+    if (control->admission_wait_ns() > 0) {
       // Measured by the service before Execute began; backdate the span
       // so the trace timeline starts at "entered the admission queue".
       trace->AddSpan("admission-wait", start_ns - control->admission_wait_ns(),
@@ -283,12 +259,10 @@ Result<std::vector<Answer>> PreparedQuery::Execute(QueryControl* control,
   Result<std::vector<Answer>> result =
       ScatterGather(control, stats, trace.get());
   if (stats != nullptr) {
-    if (control != nullptr) {
-      // One write at the top level: per-shard stats must not fold this
-      // shared counter (see FoldShardStats).
-      stats->io_retries = control->io_retries();
-      if (result.ok()) stats->degraded = control->cut();
-    }
+    // One write at the top level: per-shard stats must not fold this
+    // shared counter (see FoldShardStats).
+    stats->io_retries = control->io_retries();
+    if (result.ok()) stats->degraded = control->cut();
     stats->seconds = timer.ElapsedSeconds();
     stats->trace = trace;  // after the executor: FoldShardStats resets it
   }

@@ -20,13 +20,15 @@
 // TopK answer budget (NumAns).
 //
 // Every Execute is one scatter-gather over the session's shard list: a
-// ShardedDb contributes its N shards and owns the global <-> local id map,
-// and a plain StaccatoDb is a 1-shard list whose id map is the identity.
-// Prepare plans each shard from that shard's own statistics; Execute runs
-// every shard's plan over the shared ThreadPool against one forwarded
-// TopKThreshold, then remaps and re-ranks the per-shard top-k lists. The
-// 1-shard case runs inline on the calling thread, so a plain database pays
-// no scheduling cost for the uniform shape.
+// ShardedDb contributes its N shards, and a plain StaccatoDb is a 1-shard
+// list. Prepare plans each shard from that shard's own statistics; Execute
+// runs every shard's plan over the shared ThreadPool against one forwarded
+// TopKThreshold, turns each shard's local doc ids into global ones with
+// GlobalDocId (rdbms/shard.h: round-robin placement, the identity for one
+// shard), and re-ranks the per-shard top-k lists. The 1-shard case runs
+// inline on the calling thread, so a plain database pays no scheduling
+// cost for the uniform shape. Every Execute runs under a QueryControl
+// (rdbms/service.h); the one-argument overload supplies an unlimited one.
 //
 // A Session is the only way to run a query, and its plan-cache table is
 // the only plan cache. The table holds immutable PlanCacheEntry objects
@@ -101,7 +103,7 @@ struct SessionOptions {
 class Session {
  public:
   /// A session over a single database: every query runs as a 1-shard
-  /// scatter-gather with the identity id map.
+  /// scatter-gather.
   explicit Session(StaccatoDb* db, SessionOptions opts = {})
       : shards_{db}, opts_(opts) {}
 
@@ -150,9 +152,6 @@ class Session {
   /// The shards every query scatters to: the ShardedDb's shards in
   /// ordinal order, or the one plain database.
   std::vector<StaccatoDb*> shards_;
-  /// The sharded database that owns the global <-> local id map; null for
-  /// a plain database, whose id map is the identity.
-  ShardedDb* sdb_ = nullptr;
   SessionOptions opts_;
   std::shared_ptr<SharedPlanCacheTable> plan_cache_ =
       std::make_shared<SharedPlanCacheTable>();
@@ -171,17 +170,17 @@ class PreparedQuery {
   /// serve CandidateGen/Filter from the pinned plan-cache entry
   /// (bit-identical results); the pin is dropped when the database
   /// reloads data. Non-const because it re-pins — the honest signal that
-  /// one PreparedQuery must not Execute concurrently with itself.
+  /// one PreparedQuery must not Execute concurrently with itself. Runs
+  /// under an unlimited QueryControl with no I/O retries.
   Result<std::vector<Answer>> Execute(QueryStats* stats = nullptr);
 
-  /// Execute under a per-query budget/cancellation block (rdbms/service.h):
-  /// the executor polls `control` at its cancellation points, retries
-  /// transient I/O against its retry budget, and either fails with
+  /// Execute under a per-query budget/cancellation block (rdbms/service.h,
+  /// never null): the executor polls `control` at its cancellation points,
+  /// retries transient I/O against its retry budget, and either fails with
   /// DeadlineExceeded or (allow_partial) degrades to the exact top-k of
   /// the visited candidates, reporting QueryStats::degraded /
-  /// visited_candidates / io_retries. `control` may be null (identical to
-  /// the overload above); both parameters are explicit so the overloads
-  /// never collide. This is what QueryService::Execute runs.
+  /// visited_candidates / io_retries. This is what QueryService::Execute
+  /// runs.
   Result<std::vector<Answer>> Execute(QueryControl* control,
                                       QueryStats* stats);
 
@@ -205,14 +204,14 @@ class PreparedQuery {
 
  private:
   friend class Session;
-  PreparedQuery(std::vector<StaccatoDb*> shards, ShardedDb* sdb,
-                std::vector<PlanSpec> plans, Dfa dfa,
+  PreparedQuery(std::vector<StaccatoDb*> shards, std::vector<PlanSpec> plans,
+                Dfa dfa,
                 std::shared_ptr<SharedPlanCacheTable> shared,
                 std::shared_ptr<telemetry::TraceSink> tracer);
 
-  /// The scatter-gather body (see session.cc). `control` (nullable)
-  /// threads the query budget into every shard's ExecutePlan and is polled
-  /// again at the per-shard gather. `trace` (nullable) receives a scatter
+  /// The scatter-gather body (see session.cc). `control` threads the query
+  /// budget into every shard's ExecutePlan and is polled again at the
+  /// per-shard gather. `trace` (nullable) receives a scatter
   /// span with one child span per shard, then a gather span.
   Result<std::vector<Answer>> ScatterGather(QueryControl* control,
                                             QueryStats* stats,
@@ -227,7 +226,6 @@ class PreparedQuery {
   void PublishEntry(size_t s, std::shared_ptr<const PlanCacheEntry> entry);
 
   std::vector<StaccatoDb*> shards_;
-  ShardedDb* sdb_;  ///< owns the id map; null = identity (plain database)
   /// One independently planned PlanSpec per shard, the plan-cache entry
   /// pinned for each shard (null until an Execute succeeds), and each
   /// shard's key into the session table (shard ordinal + plan

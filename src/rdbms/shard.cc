@@ -17,13 +17,20 @@ std::string ShardsMetaPath(const std::string& dir) {
   return dir + "/shards.meta";
 }
 
-/// Persists the shard count ("STACSHRD <n>\n", atomic rename plus a
+// The meta file's magic versions the placement: STACSHR2 directories place
+// documents round-robin, and a STACSHRD directory was written with the
+// retired id-hash placement, whose shards hold other documents.
+constexpr char kMetaMagic[] = "STACSHR2";
+constexpr char kRetiredMetaMagic[] = "STACSHRD";
+constexpr size_t kMetaMagicLen = sizeof(kMetaMagic) - 1;
+
+/// Persists the shard count ("STACSHR2 <n>\n", atomic rename plus a
 /// directory sync) so OpenExisting recovers the partition width without
 /// guessing from the directory listing.
 Status WriteShardsMeta(const std::string& dir, size_t shards) {
   const std::string path = ShardsMetaPath(dir);
   const std::string tmp = path + ".tmp";
-  const std::string body = StringPrintf("STACSHRD %zu\n", shards);
+  const std::string body = StringPrintf("%s %zu\n", kMetaMagic, shards);
   FILE* f = fopen(tmp.c_str(), "wb");
   if (f == nullptr) return Status::IOError("cannot open " + tmp);
   Status st = util::CheckedWrite(f, body.data(), body.size(), tmp);
@@ -47,8 +54,15 @@ Result<size_t> ReadShardsMeta(const std::string& dir) {
   char buf[64] = {0};
   size_t n = fread(buf, 1, sizeof(buf) - 1, f);
   fclose(f);
+  if (n >= kMetaMagicLen &&
+      std::memcmp(buf, kRetiredMetaMagic, kMetaMagicLen) == 0) {
+    return Status::Corruption(
+        dir + " places documents by the retired id hash; reload the "
+        "database from its source documents");
+  }
   size_t shards = 0;
-  if (n == 0 || sscanf(buf, "STACSHRD %zu", &shards) != 1 || shards == 0) {
+  if (n < kMetaMagicLen || std::memcmp(buf, kMetaMagic, kMetaMagicLen) != 0 ||
+      sscanf(buf + kMetaMagicLen, " %zu", &shards) != 1 || shards == 0) {
     return Status::Corruption("bad shard meta file " + path);
   }
   return shards;
@@ -70,18 +84,6 @@ std::string ShardDirName(const std::string& dir, size_t shard) {
   return StringPrintf("%s/shard.%zu", dir.c_str(), shard);
 }
 
-size_t ShardOfDoc(DocId doc, size_t num_shards) {
-  if (num_shards <= 1) return 0;
-  // splitmix64 finalizer: the placement must be a pure, platform-stable
-  // function of the global id so reopen / WAL replay / map rebuilds all
-  // agree, and a stream of sequential ids must still spread evenly.
-  uint64_t x = doc + 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  x ^= x >> 31;
-  return static_cast<size_t>(x % num_shards);
-}
-
 Result<std::unique_ptr<ShardedDb>> ShardedDb::Open(const std::string& dir,
                                                    ShardConfig config) {
   const size_t n = std::max<size_t>(1, config.shards);
@@ -97,8 +99,6 @@ Result<std::unique_ptr<ShardedDb>> ShardedDb::Open(const std::string& dir,
     db->shards_.push_back(std::move(shard));
   }
   STACCATO_RETURN_NOT_OK(WriteShardsMeta(dir, n));
-  util::MutexLock lock(&db->mu_);
-  STACCATO_RETURN_NOT_OK(db->RebuildMapLocked());
   return db;
 }
 
@@ -120,45 +120,28 @@ Result<std::unique_ptr<ShardedDb>> ShardedDb::OpenExisting(
         StaccatoDb::OpenExisting(ShardDirName(dir, s), per_cache));
     db->shards_.push_back(std::move(shard));
   }
-  util::MutexLock lock(&db->mu_);
-  STACCATO_RETURN_NOT_OK(db->RebuildMapLocked());
-  return db;
-}
-
-Status ShardedDb::RebuildMapLocked() {
-  const size_t n = shards_.size();
-  size_t total = 0;
-  for (const auto& shard : shards_) total += shard->NumSfas();
-  auto map = std::make_shared<ShardMap>();
-  map->local_to_global.resize(n);
-  for (DocId g = 0; g < total; ++g) {
-    map->local_to_global[ShardOfDoc(g, n)].push_back(g);
-  }
+  // Round-robin leaves shard s with every N-th document from s on: the
+  // recovered counts must be exactly that split of their total.
+  const size_t total = db->NumSfas();
   for (size_t s = 0; s < n; ++s) {
-    if (map->local_to_global[s].size() != shards_[s]->NumSfas()) {
+    const size_t want = (total + n - 1 - s) / n;
+    if (db->shards_[s]->NumSfas() != want) {
       return Status::Corruption(StringPrintf(
-          "shard %zu holds %zu documents but the stable-hash partition "
-          "assigns it %zu — directory opened with the wrong shard layout?",
-          s, shards_[s]->NumSfas(), map->local_to_global[s].size()));
+          "shard %zu holds %zu documents but the round-robin split of %zu "
+          "assigns it %zu",
+          s, db->shards_[s]->NumSfas(), total, want));
     }
   }
-  map->total = total;
-  map_ = std::move(map);
-  return Status::OK();
-}
-
-std::shared_ptr<const ShardMap> ShardedDb::map_snapshot() const {
-  util::MutexLock lock(&mu_);
-  return map_;
+  return db;
 }
 
 Status ShardedDb::Load(const OcrDataset& dataset, const LoadOptions& opts) {
   STACCATO_RETURN_NOT_OK(CheckDataset(dataset));
   const size_t n = shards_.size();
-  // Route lines to their owning shards in ascending global order, so each
-  // shard's local ids (its load order) agree with the id map. Corpus name
-  // and per-line page numbers are preserved: DocName and Year — the
-  // schema columns equality predicates see — are shard-invariant.
+  // Route lines to their owning shards in ascending global order, so line
+  // g becomes shard g % n's local document g / n. Corpus name and per-line
+  // page numbers are preserved: DocName and Year — the schema columns
+  // equality predicates see — are shard-invariant.
   std::vector<OcrDataset> parts(n);
   for (OcrDataset& part : parts) {
     part.corpus.name = dataset.corpus.name;
@@ -175,27 +158,14 @@ Status ShardedDb::Load(const OcrDataset& dataset, const LoadOptions& opts) {
   for (size_t s = 0; s < n; ++s) {
     STACCATO_RETURN_NOT_OK(shards_[s]->Load(parts[s], opts));
   }
-  util::MutexLock lock(&mu_);
-  return RebuildMapLocked();
+  return Status::OK();
 }
 
 Status ShardedDb::Append(const DocumentInput& doc) {
-  util::MutexLock lock(&mu_);
-  const DocId g = map_->total;
-  const size_t s = ShardOfDoc(g, shards_.size());
-  // Publish the id-map extension BEFORE the shard append: a concurrent
-  // query snapshots its plan contexts first and the map second, so if
-  // its contexts can see the new document, the map it reads can
-  // translate it. The retraction on failure is unobservable — both the
-  // map swap and the shard append happen under the map mutex.
-  auto next = std::make_shared<ShardMap>(*map_);
-  next->local_to_global[s].push_back(g);
-  next->total = g + 1;
-  std::shared_ptr<const ShardMap> prev = map_;
-  map_ = std::move(next);
-  Status st = shards_[s]->Append(doc);
-  if (!st.ok()) map_ = std::move(prev);
-  return st;
+  // The mutex only orders appends: the next global id is the document
+  // count, and a failed shard append leaves that count unchanged.
+  util::MutexLock lock(&append_mu_);
+  return shards_[ShardOfDoc(NumSfas(), shards_.size())]->Append(doc);
 }
 
 Status ShardedDb::Checkpoint() {
@@ -213,21 +183,11 @@ Status ShardedDb::BuildInvertedIndex(
 
 Result<std::set<DocId>> ShardedDb::GroundTruthFor(const std::string& pattern) {
   const size_t n = shards_.size();
-  std::vector<std::set<DocId>> local(n);
-  for (size_t s = 0; s < n; ++s) {
-    STACCATO_ASSIGN_OR_RETURN(local[s], shards_[s]->GroundTruthFor(pattern));
-  }
-  // Map snapshot AFTER the shard scans: any document a scan saw was
-  // published into the map before its shard append (see Append).
-  std::shared_ptr<const ShardMap> map = map_snapshot();
   std::set<DocId> out;
   for (size_t s = 0; s < n; ++s) {
-    for (DocId local_doc : local[s]) {
-      if (local_doc >= map->local_to_global[s].size()) {
-        return Status::Internal("shard document missing from the id map");
-      }
-      out.insert(map->local_to_global[s][local_doc]);
-    }
+    STACCATO_ASSIGN_OR_RETURN(std::set<DocId> local,
+                              shards_[s]->GroundTruthFor(pattern));
+    for (DocId doc : local) out.insert(GlobalDocId(s, doc, n));
   }
   return out;
 }

@@ -1,14 +1,15 @@
-// ShardedDb: the corpus partitioned by stable hash into N independent
-// StaccatoDb shards, queried by scatter-gather top-k.
+// ShardedDb: the corpus partitioned round-robin by global document id
+// into N independent StaccatoDb shards, queried by scatter-gather top-k.
 //
 // Each shard is a complete single-partition database — its own heap
 // tables, postings relation, blob store, WAL, and cache namespaces (the
-// per-instance CacheKey::space of PR 5 keeps shard pages disjoint inside
-// the one shared budget) — living in its own subdirectory `shard.<i>` of
-// the database directory. Documents route to shards by a stable hash of
-// their global id, so the partition is a pure function of (doc, N):
-// reopening, replaying a WAL, or rebuilding the id map always reproduces
-// the same placement.
+// per-instance CacheKey::space keeps shard pages disjoint inside the one
+// shared budget) — living in its own subdirectory `shard.<i>` of
+// the database directory. Global document g lives on shard g % N as that
+// shard's local document g / N (ShardOfDoc / GlobalDocId). Ids are
+// assigned densely and in order, so every shard's documents are exactly
+// its residue class: reopening, replaying a WAL, or appending reproduces
+// the placement by arithmetic, with no id map to store or publish.
 //
 // Planning happens per shard: each shard keeps its own TermStats and
 // table statistics, so a skewed shard can pick an index probe while its
@@ -27,9 +28,9 @@
 // Ingest routes Append to the owning shard (per-shard WAL + delta);
 // Checkpoint and BuildInvertedIndex run shard-parallel. Session /
 // PreparedQuery sit on top with the same API as for a plain StaccatoDb:
-// every PreparedQuery executes as a scatter-gather (a plain StaccatoDb is
-// its 1-shard case), so a Session built from a ShardedDb plans per shard
-// and remaps answers through this database's id map.
+// every PreparedQuery executes as a scatter-gather over the shard list (a
+// plain StaccatoDb is its 1-shard case), and the gather turns each
+// shard's local ids into global ones with GlobalDocId.
 //
 // Caveat: global doc ids are stable across shard counts (DocName / Year
 // equality predicates are shard-invariant), but the *DataKey / SFANum
@@ -65,56 +66,56 @@ struct ShardConfig {
 /// lives — scripts/lint.sh confines the literal to rdbms/shard.{h,cc}.
 std::string ShardDirName(const std::string& dir, size_t shard);
 
-/// Stable hash partition: the owning shard of global document `doc` among
-/// `num_shards` shards. Pure function of its arguments (splitmix64
-/// finalizer), identical across runs, platforms, and reopens.
-size_t ShardOfDoc(DocId doc, size_t num_shards);
+/// Round-robin placement: global document `doc` lives on shard
+/// `doc % num_shards`, as that shard's local document `doc / num_shards`
+/// (`num_shards` >= 1).
+inline size_t ShardOfDoc(DocId doc, size_t num_shards) {
+  return static_cast<size_t>(doc % num_shards);
+}
 
-/// \brief Immutable snapshot of the global <-> shard-local document id
-/// mapping. Shard answers carry shard-local ids; the gather stage remaps
-/// them through `local_to_global` before ranking. Rebuildable from the
-/// shard document counts alone (the partition is a pure function of the
-/// global id), which is how OpenExisting recovers it.
-struct ShardMap {
-  std::vector<std::vector<DocId>> local_to_global;  ///< [shard][local] = global
-  size_t total = 0;  ///< global documents (== next Append's id)
-};
+/// The inverse of the placement: the global id of shard `shard`'s local
+/// document `local` among `num_shards` shards.
+inline DocId GlobalDocId(size_t shard, DocId local, size_t num_shards) {
+  return local * num_shards + shard;
+}
 
 /// \brief N StaccatoDb shards behind the single-partition facade, queried
 /// through a Session (rdbms/session.h) like a plain StaccatoDb.
 ///
-/// Concurrency: Append is safe against concurrent query execution (it
-/// publishes the id-map extension before touching the owning shard, so a
-/// query's map snapshot always covers every document its plan contexts
-/// can see). Load, Checkpoint, and BuildInvertedIndex keep StaccatoDb's
+/// Concurrency: Append is safe against concurrent query execution — a
+/// shard-local id translates to its global id by arithmetic alone, so
+/// whatever documents a query's per-shard snapshots hold, the gather can
+/// name them. Load, Checkpoint, and BuildInvertedIndex keep StaccatoDb's
 /// external-exclusive contract: no concurrent queries while they run.
 class ShardedDb {
  public:
   /// Creates a fresh sharded database under `dir` (created if needed):
-  /// N empty shards in `shard.<i>` subdirectories plus a `shards.meta`
-  /// file recording N for OpenExisting.
+  /// N empty shards in `shard.<i>` subdirectories plus a meta file
+  /// recording N for OpenExisting.
   static Result<std::unique_ptr<ShardedDb>> Open(const std::string& dir,
                                                  ShardConfig config = {});
 
   /// Reopens a sharded database: reads the persisted shard count,
-  /// reopens every shard (each replays its own WAL), and rebuilds the
-  /// global id map from the recovered per-shard document counts. A
-  /// nonzero `config.shards` must match the persisted count — the
-  /// partition is fixed at creation time.
+  /// reopens every shard (each replays its own WAL), and checks that the
+  /// recovered per-shard document counts are the round-robin split of
+  /// their total. A nonzero `config.shards` must match the persisted
+  /// count — the partition is fixed at creation time. A directory written
+  /// with the retired hash placement is refused with a Corruption that
+  /// says to reload it.
   static Result<std::unique_ptr<ShardedDb>> OpenExisting(
       const std::string& dir, ShardConfig config = {});
 
-  /// Bulk-loads a dataset: lines are routed to their owning shards (in
-  /// ascending global order, so shard-local ids agree with the id map)
-  /// and each shard runs its own Load. Corpus name and page numbers are
+  /// Bulk-loads a dataset: line g goes to shard g % N (in ascending
+  /// global order, so its local id is g / N) and each shard runs its own
+  /// Load. Corpus name and page numbers are
   /// preserved per line, so DocName / Year values — and therefore
   /// equality-predicate results — are identical for every shard count.
   Status Load(const OcrDataset& dataset, const LoadOptions& opts);
 
   /// Appends one document to its owning shard (per-shard WAL + delta).
-  /// The global id is the next unassigned one; the id map is extended
-  /// before the shard append so concurrent queries never observe a
-  /// document the map cannot translate.
+  /// Its global id is the next unassigned one, the sum of the shard
+  /// counts; a failed shard append leaves every count, and so the next
+  /// id, unchanged.
   Status Append(const DocumentInput& doc);
 
   /// Checkpoints every shard, shard-parallel (each folds its own delta
@@ -126,7 +127,7 @@ class ShardedDb {
   /// identically everywhere (a shard without postings probes to empty).
   Status BuildInvertedIndex(const std::vector<std::string>& dictionary_terms);
 
-  /// Ground-truth answer set, remapped to global doc ids.
+  /// Ground-truth answer set, in global doc ids.
   Result<std::set<DocId>> GroundTruthFor(const std::string& pattern);
 
   /// Total documents across shards (base + delta).
@@ -141,24 +142,13 @@ class ShardedDb {
   size_t num_shards() const { return shards_.size(); }
   StaccatoDb* shard(size_t i) { return shards_[i].get(); }
 
-  /// Immutable snapshot of the global <-> local id mapping. Taken under
-  /// the map mutex; the snapshot itself is safe to read concurrently.
-  std::shared_ptr<const ShardMap> map_snapshot() const;
-
  private:
   explicit ShardedDb(std::string dir) : dir_(std::move(dir)) {}
 
-  /// Recomputes the id map from the shards' current document counts
-  /// (pure function of total and N) and verifies the per-shard counts
-  /// match the stable-hash partition.
-  Status RebuildMapLocked() REQUIRES(mu_);
-
   std::string dir_;
   std::vector<std::unique_ptr<StaccatoDb>> shards_;
-  /// Guards the id map pointer (and serializes Append end to end, so a
-  /// failed shard append can retract its map extension unobserved).
-  mutable util::Mutex mu_;
-  std::shared_ptr<const ShardMap> map_ GUARDED_BY(mu_);
+  /// Serializes Append end to end, so documents land in global-id order.
+  util::Mutex append_mu_;
 };
 
 }  // namespace staccato::rdbms

@@ -455,24 +455,28 @@ Status StaccatoDb::Load(const OcrDataset& dataset, const LoadOptions& opts) {
   dict_.reset();
   term_stats_.clear();
 
-  // Staccato construction is the expensive part; parallelize across SFAs
-  // on the shared pool.
+  // Deriving a document — its k-MAP rows and its Staccato chunking — is
+  // the expensive part; parallelize it across SFAs on the shared pool and
+  // keep the writes serial, in DataKey order.
   STACCATO_ASSIGN_OR_RETURN(
-      std::vector<Sfa> chunked,
-      ParallelMap<Sfa>(n, /*grain=*/1, [&](size_t i) {
-        return ApproximateSfa(dataset.sfas[i], opts.staccato);
+      std::vector<DeltaDoc> docs,
+      ParallelMap<DeltaDoc>(n, /*grain=*/1, [&](size_t i) -> Result<DeltaDoc> {
+        DeltaDoc doc;
+        doc.kmap = KMapRows(dataset.sfas[i], opts.kmap_k);
+        STACCATO_ASSIGN_OR_RETURN(
+            Sfa chunked, ApproximateSfa(dataset.sfas[i], opts.staccato));
+        doc.graph_blob = chunked.Serialize();
+        return doc;
       }));
 
   for (size_t i = 0; i < n; ++i) {
-    DeltaDoc doc;
+    DeltaDoc doc = std::move(docs[i]);  // freed once written
     const uint32_t page = dataset.corpus.page_of_line[i];
     doc.doc_name =
         StringPrintf("%s-page-%u", dataset.corpus.name.c_str(), page);
     doc.year = kBaseYear + page;
     doc.truth = dataset.corpus.lines[i];
-    doc.kmap = KMapRows(dataset.sfas[i], opts.kmap_k);
     doc.full_blob = dataset.sfas[i].Serialize();
-    doc.graph_blob = chunked[i].Serialize();
     STACCATO_RETURN_NOT_OK(base_->AppendDocument(doc));
   }
   STACCATO_RETURN_NOT_OK(base_->Flush());

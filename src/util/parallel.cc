@@ -58,14 +58,6 @@ ThreadPool& ThreadPool::Shared() {
 
 bool ThreadPool::OnWorkerThread() const { return tls_worker_pool == this; }
 
-void ThreadPool::Submit(std::function<void()> task) {
-  if (!TryEnqueue(task)) {
-    // Full queue: degrade to inline execution. The caller's thread does
-    // the work itself rather than buffering unbounded backlog.
-    task();
-  }
-}
-
 bool ThreadPool::TryEnqueue(std::function<void()> task) {
   {
     util::MutexLock lock(&mu_);

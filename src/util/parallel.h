@@ -28,15 +28,15 @@
 namespace staccato {
 
 /// \brief A lazily started pool of worker threads. Construction is cheap:
-/// no thread is spawned until the first Submit.
+/// no thread is spawned until the first TryEnqueue.
 ///
 /// The task queue is bounded (`max_queued`): a saturated pool makes
 /// overload *visible* instead of buffering unbounded work. TryEnqueue
-/// reports the rejection to the caller; Submit degrades by running the
-/// task inline on the calling thread, so no work is ever dropped — it
-/// just stops being parallel. The admission controller in rdbms/service
-/// reads queue_depth()/saturation_rejects() to size its retry-after
-/// hints.
+/// reports the rejection to the caller, which degrades (ParallelFor runs
+/// with fewer helpers, its calling thread doing the rest), so no work is
+/// ever dropped — it just stops being parallel. The admission controller
+/// in rdbms/service reads queue_depth()/saturation_rejects() to size its
+/// retry-after hints.
 class ThreadPool {
  public:
   /// `capacity` = number of workers; 0 = DefaultThreads().
@@ -49,15 +49,10 @@ class ThreadPool {
   size_t capacity() const { return capacity_; }
   size_t max_queued() const { return max_queued_; }
 
-  /// Enqueues a task; worker threads are started on first use. If the
-  /// queue is at max_queued(), runs the task inline on the calling
-  /// thread instead (never blocks, never drops).
-  void Submit(std::function<void()> task);
-
-  /// Enqueues a task unless the queue is full. Returns false — without
-  /// enqueuing or running anything — iff the pending-task queue is at
-  /// max_queued(); the caller decides how to degrade (ParallelFor runs
-  /// with fewer helpers; Submit falls back to inline execution).
+  /// Enqueues a task unless the queue is full; worker threads are started
+  /// on first use. Returns false — without enqueuing or running anything
+  /// — iff the pending-task queue is at max_queued(); the caller decides
+  /// how to degrade (ParallelFor runs with fewer helpers).
   bool TryEnqueue(std::function<void()> task);
 
   /// Tasks enqueued but not yet claimed by a worker. A snapshot: stale

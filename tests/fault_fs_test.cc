@@ -273,8 +273,8 @@ bool FileExists(const std::string& path) {
 }
 
 // A rename is durable only once its directory is synced, so every meta
-// commit (StaccatoDb's staccato.meta, ShardedDb's shards.meta) syncs the
-// directory and reports a failed sync instead of claiming durability.
+// commit (StaccatoDb's staccato.meta, ShardedDb's shard-count file) syncs
+// the directory and reports a failed sync instead of claiming durability.
 TEST_F(FaultFsTest, DirSyncFaultsSurfaceFromMetaCommits) {
   EXPECT_TRUE(SyncDir(dir_).ok());
   EXPECT_TRUE(SyncDir(Path("no_such_dir")).IsIOError());

@@ -212,10 +212,10 @@ TEST(BlobStoreTest, TracksBytesRead) {
   EXPECT_EQ((*store)->io_stats().bytes_read, tally.bytes_read);
 }
 
-TEST(BlobStoreTest, GetAndGetIntoReportIdenticalIoStats) {
+TEST(BlobStoreTest, GetAndGetCachedReportIdenticalIoStats) {
   // Regression: every read path must count the same way — one `reads`
   // and header+payload `bytes_read` per blob served, whether the caller
-  // used Get, GetInto, or a cacheless GetCached.
+  // used Get or a cacheless GetCached.
   auto store = BlobStore::Create(TempPath("b3.dat"));
   ASSERT_TRUE(store.ok());
   auto id = (*store)->Put(std::string(500, 'q'));
@@ -223,31 +223,26 @@ TEST(BlobStoreTest, GetAndGetIntoReportIdenticalIoStats) {
   const uint64_t expect_bytes = 500u + sizeof(uint64_t);
 
   BlobIoStats via_get;
-  ASSERT_TRUE((*store)->Get(*id, &via_get).ok());
+  auto got = (*store)->Get(*id, &via_get);
+  ASSERT_TRUE(got.ok());
   EXPECT_EQ(via_get.reads, 1u);
   EXPECT_EQ(via_get.bytes_read, expect_bytes);
-
-  BlobIoStats via_into;
-  std::string buf;
-  ASSERT_TRUE((*store)->GetInto(*id, &buf, &via_into).ok());
-  EXPECT_EQ(via_into.reads, via_get.reads);
-  EXPECT_EQ(via_into.bytes_read, via_get.bytes_read);
 
   BlobIoStats via_cached;
   auto handle = (*store)->GetCached(cache::CacheKey{1, 2, 3}, *id,
                                     &via_cached);
   ASSERT_TRUE(handle.ok());
-  EXPECT_EQ(handle->value(), buf);
+  EXPECT_EQ(handle->value(), *got);
   EXPECT_EQ(via_cached.reads, via_get.reads);
   EXPECT_EQ(via_cached.bytes_read, via_get.bytes_read);
   // No cache attached: nothing to hit or miss.
   EXPECT_EQ(via_cached.cache_hits, 0u);
   EXPECT_EQ(via_cached.cache_misses, 0u);
 
-  // The store's lifetime totals are the sum of the three calls.
+  // The store's lifetime totals are the sum of the two calls.
   const BlobIoStats total = (*store)->io_stats();
-  EXPECT_EQ(total.reads, 3u);
-  EXPECT_EQ(total.bytes_read, 3 * expect_bytes);
+  EXPECT_EQ(total.reads, 2u);
+  EXPECT_EQ(total.bytes_read, 2 * expect_bytes);
   EXPECT_EQ(total.cache_hits, 0u);
   EXPECT_EQ(total.cache_misses, 0u);
 }

@@ -27,6 +27,8 @@
 #include "rdbms/session.h"
 #include "rdbms/shard.h"
 #include "rdbms/staccato_db.h"
+#include "rdbms/wal.h"
+#include "util/fault_fs.h"
 #include "util/strings.h"
 
 namespace staccato {
@@ -174,13 +176,35 @@ StaccatoDb* ShardTest::oracle_ = nullptr;
 
 TEST_F(ShardTest, ShardDirAndPartitionAreStable) {
   EXPECT_EQ(ShardDirName("/tmp/db", 3), "/tmp/db/shard.3");
-  EXPECT_EQ(ShardOfDoc(42, 1), 0u);
-  for (size_t n : {2u, 4u, 7u}) {
+  // Round-robin: global g is shard g % n's local document g / n, and
+  // GlobalDocId is its inverse.
+  for (size_t n : {1u, 2u, 4u, 7u}) {
     for (DocId g = 0; g < 100; ++g) {
-      size_t s = ShardOfDoc(g, n);
-      EXPECT_LT(s, n);
-      EXPECT_EQ(s, ShardOfDoc(g, n)) << "placement must be deterministic";
+      const size_t s = ShardOfDoc(g, n);
+      EXPECT_EQ(s, g % n);
+      EXPECT_EQ(GlobalDocId(s, g / n, n), g) << "n=" << n;
     }
+  }
+  // A 2-shard Load splits every page's documents (one Year each) between
+  // the shards to within one document.
+  auto db = ShardedDb::Open(eval::MakeScratchDir("shard_split"),
+                            ShardConfig{2, cache::CacheConfig()});
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  ASSERT_TRUE((*db)->Load(*dataset_, SmallLoad()).ok());
+  Session session(db->get(), SessionOptions{1, 50});
+  for (uint32_t page = 0; page < dataset_->corpus.num_pages; ++page) {
+    QueryOptions q;
+    q.pattern = Patterns()[0];
+    q.equalities = {{"Year", std::to_string(2010 + page)}};
+    auto pq = session.Prepare(Approach::kKMap, q);
+    ASSERT_TRUE(pq.ok()) << pq.status().ToString();
+    QueryStats stats;
+    ASSERT_TRUE(pq->Execute(&stats).ok());
+    ASSERT_EQ(stats.shards.size(), 2u);
+    const size_t a = stats.shards[0].candidates;
+    const size_t b = stats.shards[1].candidates;
+    EXPECT_GT(a + b, 0u) << "page " << page;
+    EXPECT_LE(a > b ? a - b : b - a, 1u) << "page " << page;
   }
 }
 
@@ -304,6 +328,68 @@ TEST_F(ShardTest, ReopenRejectsRetiredSfaFormatShard) {
   EXPECT_TRUE(db.status().IsCorruption()) << db.status().ToString();
   EXPECT_NE(db.status().message().find("SFA1"), std::string::npos)
       << db.status().ToString();
+}
+
+// A directory whose shard-count file carries the retired hash-placement
+// magic holds other documents on each shard than round-robin names: the
+// reopen refuses it and says to reload.
+TEST_F(ShardTest, ReopenRefusesHashPlacedDirectory) {
+  const std::string dir = eval::MakeScratchDir("shard_hash_placed");
+  {
+    auto db = ShardedDb::Open(dir, ShardConfig{2, cache::CacheConfig()});
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    ASSERT_TRUE((*db)->Load(*dataset_, SmallLoad()).ok());
+  }
+  FILE* f = fopen((dir + "/shards.meta").c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  const std::string retired = "STACSHRD 2\n";
+  ASSERT_EQ(fwrite(retired.data(), 1, retired.size(), f), retired.size());
+  ASSERT_EQ(fclose(f), 0);
+  auto db = ShardedDb::OpenExisting(dir);
+  ASSERT_FALSE(db.ok());
+  EXPECT_TRUE(db.status().IsCorruption()) << db.status().ToString();
+  EXPECT_NE(db.status().message().find("reload"), std::string::npos)
+      << db.status().ToString();
+}
+
+// An Append whose owning shard fails its WAL write changes nothing: the
+// document count and the answers stay put, and the retried Append takes
+// the same global id, so the grown database still matches the oracle.
+TEST_F(ShardTest, FailedAppendLeavesIdsAndAnswersUnchanged) {
+  const std::string dir = eval::MakeScratchDir("shard_failed_append");
+  const size_t total = dataset_->sfas.size();
+  const size_t base = total - 2;
+  auto db = ShardedDb::Open(dir, ShardConfig{4, cache::CacheConfig()});
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  ASSERT_TRUE((*db)->Load(Prefix(*dataset_, base), SmallLoad()).ok());
+  const std::string pat = Patterns()[0];
+  const auto before = RunQuery(db->get(), Approach::kStaccato, pat, 2, true);
+
+  const size_t owner = ShardOfDoc(base, 4);
+  const size_t owner_docs = (*db)->shard(owner)->NumSfas();
+  util::FaultInjector::Global()->Install(
+      {util::FaultOp::kWrite, WalPath(ShardDirName(dir, owner)), 0, 0, false});
+  EXPECT_FALSE((*db)->Append(InputFor(*dataset_, base)).ok());
+  util::FaultInjector::Global()->Clear();
+  EXPECT_EQ((*db)->NumSfas(), base);
+  EXPECT_EQ((*db)->shard(owner)->NumSfas(), owner_docs);
+  ExpectSameAnswers(before,
+                    RunQuery(db->get(), Approach::kStaccato, pat, 2, true),
+                    "after the failed append");
+
+  ASSERT_TRUE((*db)->Append(InputFor(*dataset_, base)).ok());
+  EXPECT_EQ((*db)->shard(owner)->NumSfas(), owner_docs + 1)
+      << "the retry must land on the same shard";
+  ASSERT_TRUE((*db)->Append(InputFor(*dataset_, base + 1)).ok());
+  ASSERT_EQ((*db)->NumSfas(), oracle_->NumSfas());
+  ExpectSameAnswers(RunQuery(oracle_, Approach::kStaccato, pat, 2, true),
+                    RunQuery(db->get(), Approach::kStaccato, pat, 2, true),
+                    "after the retried append");
+  auto truth_want = oracle_->GroundTruthFor(pat);
+  auto truth_got = (*db)->GroundTruthFor(pat);
+  ASSERT_TRUE(truth_want.ok());
+  ASSERT_TRUE(truth_got.ok()) << truth_got.status().ToString();
+  EXPECT_EQ(*truth_want, *truth_got);
 }
 
 TEST_F(ShardTest, ReopenReplaysEveryShardWal) {
