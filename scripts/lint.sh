@@ -98,11 +98,11 @@ fi
 # ---------------------------------------------------------------------------
 # 7. The WAL's on-disk format is private to src/rdbms/wal.*: every other
 # component resolves the log file through WalPath() and reads/writes
-# records through WalWriter/WalReader, so recovery invariants live in one
-# place. The "wal.log" literal and the physical framing constants must
-# not leak (tests/wal_test.cc, the format's own test harness, is the one
+# frames through WalWriter/WalReader, so recovery invariants live in one
+# place. The "wal.log" literal and the frame constants must not leak
+# (tests/wal_test.cc, the format's own test harness, is the one
 # exception).
-hits=$(grep -rnE '"wal\.log"|kWal(Zero|Full|First|Middle|Last|BlockSize|HeaderSize)' \
+hits=$(grep -rnE '"wal\.log"|kWalFrame[A-Za-z]*' \
   src/ tests/ bench/ examples/ --include="*.h" --include="*.cc" \
   | grep -vE "^(src/rdbms/wal\.(h|cc)|tests/wal_test\.cc):" || true)
 if [ -n "$hits" ]; then

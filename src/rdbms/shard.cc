@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 
 #include "util/fault_fs.h"
@@ -28,41 +27,22 @@ constexpr size_t kMetaMagicLen = sizeof(kMetaMagic) - 1;
 /// directory sync) so OpenExisting recovers the partition width without
 /// guessing from the directory listing.
 Status WriteShardsMeta(const std::string& dir, size_t shards) {
-  const std::string path = ShardsMetaPath(dir);
-  const std::string tmp = path + ".tmp";
-  const std::string body = StringPrintf("%s %zu\n", kMetaMagic, shards);
-  FILE* f = fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return Status::IOError("cannot open " + tmp);
-  Status st = util::CheckedWrite(f, body.data(), body.size(), tmp);
-  if (st.ok()) st = util::CheckedSync(f, tmp);
-  fclose(f);
-  if (!st.ok()) {
-    std::remove(tmp.c_str());
-    return st;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IOError("cannot commit " + path);
-  }
-  return util::SyncDir(dir);  // make the rename itself durable
+  return util::WriteFileAtomic(
+      dir, ShardsMetaPath(dir), StringPrintf("%s %zu\n", kMetaMagic, shards));
 }
 
 Result<size_t> ReadShardsMeta(const std::string& dir) {
   const std::string path = ShardsMetaPath(dir);
-  FILE* f = fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::NotFound("no shard meta at " + path);
-  char buf[64] = {0};
-  size_t n = fread(buf, 1, sizeof(buf) - 1, f);
-  fclose(f);
-  if (n >= kMetaMagicLen &&
-      std::memcmp(buf, kRetiredMetaMagic, kMetaMagicLen) == 0) {
+  STACCATO_ASSIGN_OR_RETURN(std::string data, util::ReadFile(path));
+  if (data.compare(0, kMetaMagicLen, kRetiredMetaMagic) == 0) {
     return Status::Corruption(
         dir + " places documents by the retired id hash; reload the "
         "database from its source documents");
   }
   size_t shards = 0;
-  if (n < kMetaMagicLen || std::memcmp(buf, kMetaMagic, kMetaMagicLen) != 0 ||
-      sscanf(buf + kMetaMagicLen, " %zu", &shards) != 1 || shards == 0) {
+  if (data.compare(0, kMetaMagicLen, kMetaMagic) != 0 ||
+      sscanf(data.c_str() + kMetaMagicLen, " %zu", &shards) != 1 ||
+      shards == 0) {
     return Status::Corruption("bad shard meta file " + path);
   }
   return shards;

@@ -59,39 +59,17 @@ Status WriteMetaAtomic(const std::string& dir, uint64_t epoch,
   w.PutU64(opts.staccato.m);
   w.PutU64(opts.staccato.k);
   w.PutU32(util::Crc32(w.buffer()));
-  const std::string path = MetaPath(dir);
-  const std::string tmp = path + ".tmp";
-  FILE* f = fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return Status::IOError("cannot create " + tmp);
-  Status st = util::CheckedWrite(f, w.buffer().data(), w.size(), tmp);
-  if (st.ok()) st = util::CheckedSync(f, tmp);
-  fclose(f);
-  if (!st.ok()) {
-    std::remove(tmp.c_str());
-    return st;
-  }
-  // The atomic commit point: readers see either the old pointer or the
-  // new one, never a torn write.
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IOError("cannot commit " + path);
-  }
-  // The rename is durable only once the directory entry is: without this
-  // sync a power loss could keep Checkpoint's later WAL truncate but lose
-  // the rename, dropping committed appends.
-  return util::SyncDir(dir);
+  // The directory sync makes the rename durable: without it a power loss
+  // could keep Checkpoint's later WAL truncate but lose the rename,
+  // dropping committed appends.
+  return util::WriteFileAtomic(dir, MetaPath(dir), w.buffer());
 }
 
 Result<DbMeta> ReadMeta(const std::string& dir) {
-  FILE* f = fopen(MetaPath(dir).c_str(), "rb");
-  if (f == nullptr) return DbMeta{};  // never checkpointed: epoch 0
-  std::string data;
-  char buf[256];
-  size_t n;
-  while ((n = fread(buf, 1, sizeof(buf), f)) > 0) data.append(buf, n);
-  const bool read_err = ferror(f) != 0;
-  fclose(f);
-  if (read_err) return Status::IOError("cannot read " + MetaPath(dir));
+  Result<std::string> read = util::ReadFile(MetaPath(dir));
+  if (read.status().IsNotFound()) return DbMeta{};  // never checkpointed
+  STACCATO_RETURN_NOT_OK(read.status());
+  const std::string& data = *read;
   if (data.compare(0, sizeof(kRetiredMetaMagic), kRetiredMetaMagic,
                    sizeof(kRetiredMetaMagic)) == 0) {
     return Status::Corruption(
@@ -227,40 +205,20 @@ Status StaccatoDb::RecoverWal() {
   auto reader_or = WalReader::Open(path);
   if (reader_or.ok()) {
     WalReader& reader = **reader_or;
-    std::string rec;
-    WalDocRecord pending;
-    uint32_t pending_crc = 0;
-    bool have_pending = false;
-    while (reader.ReadRecord(&rec)) {
-      if (rec.empty()) break;
-      const uint8_t tag = static_cast<uint8_t>(rec[0]);
-      if (tag == kWalDocTag) {
-        auto doc = DecodeWalDoc(rec);
-        if (!doc.ok()) break;  // committed-prefix semantics: stop here
-        pending = std::move(*doc);
-        pending_crc = util::Crc32(rec);
-        have_pending = true;
-        continue;
-      }
-      if (tag != kWalCommitTag) break;
-      auto commit = DecodeWalCommit(rec);
-      // Header-last: a commit record applies its document only when it
-      // binds the exact bytes of the doc record that precedes it.
-      if (!commit.ok() || !have_pending || commit->seq != pending.seq ||
-          commit->payload_crc != pending_crc) {
-        break;
-      }
-      have_pending = false;
+    std::string_view frame;
+    while (reader.ReadRecord(&frame)) {
+      auto rec = DecodeWalDoc(frame);
+      if (!rec.ok()) break;  // committed-prefix semantics: stop here
       const uint64_t next = base_->NumDocuments() + delta_.size();
-      if (pending.seq < next) {
+      if (rec->seq < next) {
         // Already folded into the base by a checkpoint that committed its
         // meta pointer but crashed before truncating the log.
         resume = reader.last_record_end();
         continue;
       }
-      if (pending.seq != next) break;  // gap: nothing past it can apply
+      if (rec->seq != next) break;  // gap: nothing past it can apply
       STACCATO_ASSIGN_OR_RETURN(std::shared_ptr<const DeltaDoc> d,
-                                MaterializeDelta(pending));
+                                MaterializeDelta(*rec));
       delta_.push_back(std::move(d));
       num_sfas_.fetch_add(1, std::memory_order_release);
       resume = reader.last_record_end();
@@ -268,8 +226,8 @@ Status StaccatoDb::RecoverWal() {
   } else if (!reader_or.status().IsNotFound()) {
     return reader_or.status();
   }
-  // Position the writer just past the applied prefix: a torn tail — or an
-  // orphaned doc record whose commit never made it — is truncated away.
+  // Position the writer just past the applied prefix: a torn tail is
+  // truncated away.
   STACCATO_ASSIGN_OR_RETURN(
       wal_, WalWriter::Open(path, resume, WalSyncPolicyFromEnv()));
   return Status::OK();
@@ -307,12 +265,11 @@ Status StaccatoDb::Append(const DocumentInput& doc) {
   rec.staccato_m = load_opts_.staccato.m;
   rec.staccato_k = load_opts_.staccato.k;
   rec.full_sfa = doc.sfa.Serialize();
-  const std::string payload = EncodeWalDoc(rec);
-  WalCommitRecord commit;
-  commit.seq = rec.seq;
-  commit.payload_crc = util::Crc32(payload);
-  // Durability first: the document exists exactly when its commit record
-  // is on disk (per the sync policy).
+  // Derive first, from the record replay will decode: a document that
+  // cannot be derived never reaches the log, and a recovered document is
+  // bit-identical to the one this process serves.
+  STACCATO_ASSIGN_OR_RETURN(std::shared_ptr<const DeltaDoc> d,
+                            MaterializeDelta(rec));
   struct WalMetrics {
     telemetry::Counter* commits;
     telemetry::Histogram* commit_us;
@@ -322,20 +279,16 @@ Status StaccatoDb::Append(const DocumentInput& doc) {
     return WalMetrics{r.GetCounter("staccato_wal_commits_total"),
                       r.GetHistogram("staccato_wal_commit_us")};
   }();
-  // The interval spans record append through fsync (Commit), i.e. the
-  // full durability cost of one ingest — the figure an fsync-bound
-  // ingest pipeline needs to see.
+  // The interval spans the frame's write through its fsync, i.e. the full
+  // durability cost of one ingest — the figure an fsync-bound ingest
+  // pipeline needs to see.
   const uint64_t commit_start_ns = telemetry::MonotonicNanos();
-  STACCATO_RETURN_NOT_OK(wal_->AddRecord(payload));
-  STACCATO_RETURN_NOT_OK(wal_->AddRecord(EncodeWalCommit(commit)));
-  STACCATO_RETURN_NOT_OK(wal_->Commit());
+  // The frame is the commit: the document exists exactly when its frame
+  // is on disk (per the sync policy). A failed append leaves no frame.
+  STACCATO_RETURN_NOT_OK(wal_->Append(EncodeWalDoc(rec)));
   wal_metrics.commits->Increment();
   wal_metrics.commit_us->Record(
       (telemetry::MonotonicNanos() - commit_start_ns) / 1000);
-  // Materialize from the *serialized* record, exactly as replay would —
-  // a crashed-and-recovered database serves bit-identical delta state.
-  STACCATO_ASSIGN_OR_RETURN(std::shared_ptr<const DeltaDoc> d,
-                            MaterializeDelta(rec));
   delta_.push_back(std::move(d));
   num_sfas_.fetch_add(1, std::memory_order_release);
   load_gen_.fetch_add(1, std::memory_order_acq_rel);

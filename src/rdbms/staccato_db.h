@@ -10,8 +10,8 @@
 //   Staccato — the chunked approximation of Section 3
 //
 // Incremental ingest: after a bulk Load, single documents arrive through
-// Append. Each append is made durable by a CRC-framed write-ahead log
-// record (rdbms/wal.h) before it is applied to a mutable in-memory delta
+// Append. Each append is made durable by one self-checking write-ahead log
+// frame (rdbms/wal.h) before it is applied to a mutable in-memory delta
 // generation; queries merge the delta with the immutable base tables at
 // candidate generation, fetch, and eval. Checkpoint folds the delta into a
 // fresh epoch of base files and commits it atomically through the
@@ -119,13 +119,18 @@ class StaccatoDb {
   /// rejects leaves the database untouched.
   Status Load(const OcrDataset& dataset, const LoadOptions& opts);
 
-  /// Appends one document incrementally. The document is logged (WAL
-  /// record + commit record, fsynced per STACCATO_WAL_SYNC) before it is
-  /// materialized into the in-memory delta generation, so a crash after
-  /// Append returns loses nothing. Derived representations reuse the
-  /// LoadOptions of the last Load. Safe against concurrent query
-  /// execution; folding the delta into the base is always an explicit
-  /// Checkpoint.
+  /// Appends one document incrementally, in three steps. It derives the
+  /// document (k-MAP rows, chunked graph, postings) from the record WAL
+  /// replay will decode, with the LoadOptions of the last Load; a document
+  /// that cannot be derived fails here, before anything is logged. It
+  /// then logs that record as one self-checking WAL frame, flushed or
+  /// fsynced per STACCATO_WAL_SYNC; a failed write, flush or sync rolls
+  /// the log back to the previous frame, so nothing is left to replay.
+  /// Only then does it publish the document to the in-memory delta
+  /// generation, so a crash after Append returns loses nothing and a
+  /// reopen replays exactly what the live database served. Safe against
+  /// concurrent query execution; folding the delta into the base is
+  /// always an explicit Checkpoint.
   Status Append(const DocumentInput& doc);
 
   /// Folds the delta generation into a fresh epoch of base files, commits
@@ -205,8 +210,8 @@ class StaccatoDb {
   /// truncating any torn tail.
   Status RecoverWal() REQUIRES(ingest_mu_);
 
-  /// Computes every derived representation of a logged document: k-MAP
-  /// strings, the chunked Staccato graph, and (when an index exists)
+  /// Computes every derived representation of a WAL document record:
+  /// k-MAP strings, the chunked Staccato graph, and (when an index exists)
   /// packed postings. Both the live Append path and WAL replay build the
   /// delta from the *serialized* record, so a recovered document is
   /// bit-identical to the one the crashed process served.

@@ -5,6 +5,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "util/crc32.h"
 #include "util/fault_fs.h"
@@ -15,13 +16,11 @@ namespace rdbms {
 
 namespace {
 
-void PutFixed32(std::string* dst, uint32_t v) {
-  char buf[4];
-  buf[0] = static_cast<char>(v & 0xFF);
-  buf[1] = static_cast<char>((v >> 8) & 0xFF);
-  buf[2] = static_cast<char>((v >> 16) & 0xFF);
-  buf[3] = static_cast<char>((v >> 24) & 0xFF);
-  dst->append(buf, 4);
+void PutFixed32(char* dst, uint32_t v) {
+  dst[0] = static_cast<char>(v & 0xFF);
+  dst[1] = static_cast<char>((v >> 8) & 0xFF);
+  dst[2] = static_cast<char>((v >> 16) & 0xFF);
+  dst[3] = static_cast<char>((v >> 24) & 0xFF);
 }
 
 uint32_t GetFixed32(const char* p) {
@@ -31,14 +30,32 @@ uint32_t GetFixed32(const char* p) {
          static_cast<uint32_t>(static_cast<uint8_t>(p[3])) << 24;
 }
 
-/// CRC over the type byte followed by the fragment payload, so neither
-/// can be swapped or truncated without detection.
-uint32_t FragmentCrc(uint8_t type, const char* data, size_t n) {
-  std::string scratch;
-  scratch.reserve(n + 1);
-  scratch.push_back(static_cast<char>(type));
-  scratch.append(data, n);
-  return util::Crc32(scratch.data(), scratch.size());
+/// Points `*payload` at the payload of the frame starting at `pos`; false
+/// when no intact frame starts there.
+bool FrameAt(std::string_view data, size_t pos, std::string_view* payload) {
+  const size_t remaining = data.size() - pos;
+  if (remaining < kWalFrameHeaderSize) return false;
+  const char* frame = data.data() + pos;
+  const uint32_t len = GetFixed32(frame + 4);
+  if (len > remaining - kWalFrameHeaderSize ||
+      util::Crc32(frame + 4, 4 + size_t{len}) != GetFixed32(frame)) {
+    return false;
+  }
+  *payload = std::string_view(frame + kWalFrameHeaderSize, len);
+  return true;
+}
+
+/// True if `data` starts with a fragment of the retired block-framed log
+/// that opens a record: crc32[4] + length[2] + type[1], type FULL (1) or
+/// FIRST (2), whose CRC over the type byte and the payload verifies.
+bool StartsWithRetiredFragment(std::string_view data) {
+  constexpr size_t kHeader = 7;
+  if (data.size() < kHeader) return false;
+  const uint8_t type = static_cast<uint8_t>(data[6]);
+  const size_t len = static_cast<uint8_t>(data[4]) |
+                     static_cast<size_t>(static_cast<uint8_t>(data[5])) << 8;
+  if ((type != 1 && type != 2) || data.size() - kHeader < len) return false;
+  return util::Crc32(data.data() + 6, 1 + len) == GetFixed32(data.data());
 }
 
 }  // namespace
@@ -72,7 +89,7 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(const std::string& path,
                            std::strerror(errno));
   }
   // Drop any torn tail recovery identified before the first new append
-  // lands, so fresh records never sit behind garbage.
+  // lands, so fresh frames never sit behind garbage.
   if (ftruncate(fileno(file), static_cast<off_t>(resume_offset)) != 0) {
     fclose(file);
     return Status::IOError("cannot truncate WAL " + path + ": " +
@@ -86,54 +103,29 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(const std::string& path,
       new WalWriter(file, path, resume_offset, policy));
 }
 
-Status WalWriter::AddRecord(std::string_view payload) {
+Status WalWriter::Append(std::string_view payload) {
   STACCATO_RETURN_NOT_OK(sticky_error_);
-
-  // Build the full on-disk span of this record — block-trailer padding
-  // plus every fragment — then write it with one call, so a failed write
-  // has a single boundary to roll back to.
-  std::string buf;
-  uint64_t pos = offset_;
-  size_t block_offset = pos % kWalBlockSize;
-  if (kWalBlockSize - block_offset < kWalHeaderSize) {
-    buf.append(kWalBlockSize - block_offset, '\0');
-    pos += kWalBlockSize - block_offset;
-    block_offset = 0;
+  if (payload.size() > std::numeric_limits<uint32_t>::max()) {
+    return Status::InvalidArgument("WAL payload longer than 2^32 - 1 bytes");
   }
+  // One buffer, one write: a failed write has a single boundary to roll
+  // back to.
+  std::string frame(kWalFrameHeaderSize, '\0');
+  PutFixed32(&frame[4], static_cast<uint32_t>(payload.size()));
+  frame.append(payload);
+  PutFixed32(&frame[0], util::Crc32(frame.data() + 4, frame.size() - 4));
 
-  const char* data = payload.data();
-  size_t left = payload.size();
-  bool first = true;
-  do {
-    const size_t avail = kWalBlockSize - block_offset - kWalHeaderSize;
-    const size_t frag = left < avail ? left : avail;
-    const bool last = frag == left;
-    const uint8_t type = first ? (last ? kWalFull : kWalFirst)
-                               : (last ? kWalLast : kWalMiddle);
-    PutFixed32(&buf, FragmentCrc(type, data, frag));
-    buf.push_back(static_cast<char>(frag & 0xFF));
-    buf.push_back(static_cast<char>((frag >> 8) & 0xFF));
-    buf.push_back(static_cast<char>(type));
-    buf.append(data, frag);
-    data += frag;
-    left -= frag;
-    pos += kWalHeaderSize + frag;
-    block_offset = pos % kWalBlockSize;
-    if (kWalBlockSize - block_offset < kWalHeaderSize && left > 0) {
-      buf.append(kWalBlockSize - block_offset, '\0');
-      pos += kWalBlockSize - block_offset;
-      block_offset = 0;
-    }
-    first = false;
-  } while (left > 0);
-
-  Status st = util::CheckedWrite(file_, buf.data(), buf.size(), path_);
+  Status st = util::CheckedWrite(file_, frame.data(), frame.size(), path_);
+  if (st.ok()) {
+    st = policy_ == WalSyncPolicy::kCommit ? util::CheckedSync(file_, path_)
+                                           : util::CheckedFlush(file_, path_);
+  }
   if (!st.ok()) {
-    // Roll back to the previous record boundary: a torn fragment must not
-    // end up in front of later successful appends, where it would make
-    // recovery silently drop them.
-    (void)fflush(file_);
-    if (ftruncate(fileno(file_), static_cast<off_t>(offset_)) != 0 ||
+    // Roll back to the previous frame's end, so a frame whose Append
+    // failed is never replayed. Push the stdio buffer out first: bytes
+    // still buffered would otherwise land after the truncate.
+    if (fflush(file_) != 0 ||
+        ftruncate(fileno(file_), static_cast<off_t>(offset_)) != 0 ||
         fseek(file_, static_cast<long>(offset_), SEEK_SET) != 0) {
       sticky_error_ = Status::IOError(
           "WAL left torn after failed append to " + path_);
@@ -141,21 +133,8 @@ Status WalWriter::AddRecord(std::string_view payload) {
     }
     return st;
   }
-  offset_ = pos;
+  offset_ += frame.size();
   return Status::OK();
-}
-
-Status WalWriter::Commit() {
-  STACCATO_RETURN_NOT_OK(sticky_error_);
-  if (policy_ == WalSyncPolicy::kCommit) {
-    return util::CheckedSync(file_, path_);
-  }
-  return util::CheckedFlush(file_, path_);
-}
-
-Status WalWriter::Sync() {
-  STACCATO_RETURN_NOT_OK(sticky_error_);
-  return util::CheckedSync(file_, path_);
 }
 
 Status WalWriter::Reset() {
@@ -173,116 +152,25 @@ Status WalWriter::Reset() {
 
 // ---- WalReader --------------------------------------------------------------
 
-WalReader::WalReader(std::string data) : data_(std::move(data)) {}
-
 Result<std::unique_ptr<WalReader>> WalReader::Open(const std::string& path) {
-  FILE* file = fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    return Status::NotFound("no WAL at " + path);
-  }
-  std::string data;
-  char buf[1 << 16];
-  size_t n;
-  while ((n = fread(buf, 1, sizeof(buf), file)) > 0) {
-    data.append(buf, n);
-  }
-  const bool read_error = ferror(file) != 0;
-  fclose(file);
-  if (read_error) {
-    return Status::IOError("cannot read WAL " + path);
+  STACCATO_ASSIGN_OR_RETURN(std::string data, util::ReadFile(path));
+  std::string_view first;
+  if (!FrameAt(data, 0, &first) && StartsWithRetiredFragment(data)) {
+    return Status::Corruption(
+        path + " is a write-ahead log in the retired block-framed format; "
+        "reload the database from its source documents");
   }
   return std::unique_ptr<WalReader>(new WalReader(std::move(data)));
 }
 
-bool WalReader::ReadRecord(std::string* out) {
-  if (done_) return false;
-  out->clear();
-  bool mid_record = false;
-
-  while (true) {
-    const size_t remaining = data_.size() - pos_;
-    const size_t block_left = kWalBlockSize - pos_ % kWalBlockSize;
-
-    if (block_left < kWalHeaderSize) {
-      // Block trailer: must be zero padding.
-      const size_t n = block_left < remaining ? block_left : remaining;
-      for (size_t i = 0; i < n; ++i) {
-        if (data_[pos_ + i] != '\0') {
-          torn_tail_ = true;
-          done_ = true;
-          return false;
-        }
-      }
-      pos_ += n;
-      if (pos_ == data_.size()) {
-        // EOF inside (or right after) padding. If a record was mid-flight
-        // its fragments never completed: torn.
-        torn_tail_ = mid_record;
-        done_ = true;
-        return false;
-      }
-      continue;
-    }
-
-    if (remaining < kWalHeaderSize) {
-      // Partial header at EOF. All-zero bytes are a crashed append that
-      // wrote nothing meaningful (clean); anything else is torn.
-      bool all_zero = true;
-      for (size_t i = 0; i < remaining; ++i) {
-        if (data_[pos_ + i] != '\0') all_zero = false;
-      }
-      torn_tail_ = mid_record || !all_zero;
-      done_ = true;
-      return false;
-    }
-
-    const char* header = data_.data() + pos_;
-    const uint32_t expected_crc = GetFixed32(header);
-    const size_t len = static_cast<uint8_t>(header[4]) |
-                       static_cast<size_t>(static_cast<uint8_t>(header[5]))
-                           << 8;
-    const uint8_t type = static_cast<uint8_t>(header[6]);
-
-    if (type == kWalZero && len == 0 && expected_crc == 0) {
-      // A whole zero header only appears at a truncated-to-zeros tail;
-      // treat like clean EOF of the intact prefix.
-      torn_tail_ = mid_record;
-      done_ = true;
-      return false;
-    }
-    if (type > kWalLast || len > block_left - kWalHeaderSize ||
-        remaining - kWalHeaderSize < len) {
-      torn_tail_ = true;
-      done_ = true;
-      return false;
-    }
-    const char* payload = header + kWalHeaderSize;
-    if (FragmentCrc(type, payload, len) != expected_crc) {
-      torn_tail_ = true;
-      done_ = true;
-      return false;
-    }
-    const bool starts = type == kWalFull || type == kWalFirst;
-    if (starts == mid_record) {
-      // FULL/FIRST while assembling, or MIDDLE/LAST with nothing started:
-      // the sequence is broken.
-      torn_tail_ = true;
-      done_ = true;
-      return false;
-    }
-    pos_ += kWalHeaderSize + len;
-    out->append(payload, len);
-    if (type == kWalFull || type == kWalLast) {
-      last_record_end_ = pos_;
-      return true;
-    }
-    mid_record = true;
-    if (pos_ == data_.size()) {
-      torn_tail_ = true;  // record never completed
-      done_ = true;
-      return false;
-    }
+bool WalReader::ReadRecord(std::string_view* out) {
+  if (pos_ == data_.size()) return false;
+  if (!FrameAt(data_, pos_, out)) {
+    torn_tail_ = true;
+    return false;
   }
+  pos_ += kWalFrameHeaderSize + out->size();
+  return true;
 }
 
 // ---- Logical records --------------------------------------------------------
@@ -318,29 +206,6 @@ Result<WalDocRecord> DecodeWalDoc(std::string_view bytes) {
   STACCATO_ASSIGN_OR_RETURN(rec.full_sfa, r.GetString());
   if (!r.AtEnd()) {
     return Status::Corruption("trailing bytes after WAL doc record");
-  }
-  return rec;
-}
-
-std::string EncodeWalCommit(const WalCommitRecord& rec) {
-  BinaryWriter w;
-  w.PutU8(kWalCommitTag);
-  w.PutVarint(rec.seq);
-  w.PutU32(rec.payload_crc);
-  return w.Release();
-}
-
-Result<WalCommitRecord> DecodeWalCommit(std::string_view bytes) {
-  BinaryReader r(bytes.data(), bytes.size());
-  STACCATO_ASSIGN_OR_RETURN(uint8_t tag, r.GetU8());
-  if (tag != kWalCommitTag) {
-    return Status::Corruption("WAL record is not a commit record");
-  }
-  WalCommitRecord rec;
-  STACCATO_ASSIGN_OR_RETURN(rec.seq, r.GetVarint());
-  STACCATO_ASSIGN_OR_RETURN(rec.payload_crc, r.GetU32());
-  if (!r.AtEnd()) {
-    return Status::Corruption("trailing bytes after WAL commit record");
   }
   return rec;
 }

@@ -1,26 +1,28 @@
 // Crash-safe write-ahead log for incremental ingest.
 //
-// Physical layer (LevelDB log_format lineage): the file is a sequence of
-// 32 KiB blocks; each record is split into fragments, one fragment per
-// contiguous run inside a block, framed as
+// The log is a sequence of frames, one per appended document:
 //
-//     +---------+--------+------+----------------------+
-//     | crc32 4B| len 2B | type | payload (len bytes)  |
-//     +---------+--------+------+----------------------+
+//     +----------+----------+---------------------+
+//     | crc32 4B | len 4B   | payload (len bytes) |
+//     +----------+----------+---------------------+
 //
-// with type FULL / FIRST / MIDDLE / LAST and the CRC covering the type
-// byte plus the payload. A trailer of < 7 bytes at the end of a block is
-// zero-filled before the next fragment starts, so every byte of the file
-// belongs to exactly one record's span — which is what makes the
-// recovery matrix's expectations exact (corrupting any byte of record i
-// recovers precisely records 0..i-1).
+// Both integers are little-endian, and the CRC covers the length field
+// plus the payload, so every frame checks itself. The reader stops at the
+// first frame that does not verify (bad CRC, or a length running past the
+// end of the file); the frames before it are the committed prefix, and
+// the writer resumes at its end, truncating the rest.
 //
-// Logical layer (header-last commit): each appended document is written
-// as a doc record ('D' tag, the full serialized document) followed by a
-// commit record ('C' tag: sequence number + CRC32 of the doc record
-// bytes). Recovery applies a document only after seeing its intact
-// commit record, so a torn doc record — even one whose fragment CRCs
-// happen to verify — can never be half-applied.
+// A frame is the whole commit. StaccatoDb::Append derives a document
+// before it logs it and publishes it only after WalWriter::Append
+// returns; a failed write, flush or sync truncates the file back to the
+// previous frame's end. So the log replays exactly the documents the live
+// database served.
+//
+// A log in the retired block-framed format (LevelDB-style 32 KiB blocks
+// of fragments, plus a commit record per document) is refused with a
+// Corruption that says to reload, and left untouched: read as frames it
+// would look torn at offset 0, and resuming there would truncate every
+// append it holds.
 //
 // This header and wal.cc are the only code allowed to touch the on-disk
 // log format (scripts/lint.sh rule 7).
@@ -37,23 +39,13 @@
 namespace staccato {
 namespace rdbms {
 
-// ---- Physical framing constants --------------------------------------------
-
-constexpr size_t kWalBlockSize = 32768;
-constexpr size_t kWalHeaderSize = 7;  // crc32[4] + length[2] + type[1]
-
-constexpr uint8_t kWalZero = 0;  // zero-filled block trailer padding
-constexpr uint8_t kWalFull = 1;
-constexpr uint8_t kWalFirst = 2;
-constexpr uint8_t kWalMiddle = 3;
-constexpr uint8_t kWalLast = 4;
-
-// ---- Policy / paths ---------------------------------------------------------
+/// Bytes in front of every frame's payload: crc32[4] + length[4].
+constexpr size_t kWalFrameHeaderSize = 8;
 
 /// \brief When the WAL reaches durable storage.
 enum class WalSyncPolicy : uint8_t {
   kNever = 0,   ///< OS-buffered only; fast, loses the tail on power cut
-  kCommit = 1,  ///< fsync on every Commit() (the default)
+  kCommit = 1,  ///< fsync on every Append (the default)
 };
 
 /// \brief Reads STACCATO_WAL_SYNC ("never" | "commit"); default kCommit.
@@ -62,14 +54,12 @@ WalSyncPolicy WalSyncPolicyFromEnv();
 /// \brief The log file for a database directory (`<dir>/wal.log`).
 std::string WalPath(const std::string& dir);
 
-// ---- Writer -----------------------------------------------------------------
-
-/// \brief Appends framed records to the log. Not thread-safe; the caller
+/// \brief Appends frames to the log. Not thread-safe; the caller
 /// (StaccatoDb::Append) serializes access.
 class WalWriter {
  public:
   /// Opens (creating if needed) the log and truncates it to
-  /// `resume_offset` — the end of the last intact record as reported by
+  /// `resume_offset` — the end of the last intact frame as reported by
   /// recovery — so a torn tail never precedes fresh appends.
   static Result<std::unique_ptr<WalWriter>> Open(const std::string& path,
                                                  uint64_t resume_offset,
@@ -79,24 +69,19 @@ class WalWriter {
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
-  /// Appends one record. On failure the file is truncated back to the
-  /// previous record boundary so a torn fragment cannot sit in front of
-  /// later successful appends; if even the truncate fails the writer
-  /// becomes sticky-errored.
-  Status AddRecord(std::string_view payload);
-
-  /// Makes prior records visible to a reopening process: fflush, plus
-  /// fsync when the policy is kCommit.
-  Status Commit();
-
-  /// Forces durability regardless of policy (checkpoint barrier).
-  Status Sync();
+  /// Writes one frame holding `payload`, then flushes it (kNever) or
+  /// fsyncs it (kCommit). On a failed write, flush or sync the file is
+  /// truncated back to the previous frame's end, so the frame is never
+  /// replayed; if even that rollback fails the writer becomes
+  /// sticky-errored. A payload longer than 2^32 - 1 bytes is refused with
+  /// InvalidArgument before anything is written.
+  Status Append(std::string_view payload);
 
   /// Truncates the log to empty (after a checkpoint folded its contents
   /// into the base segments).
   Status Reset();
 
-  /// End of the last successfully appended record.
+  /// End of the last successfully appended frame.
   uint64_t offset() const { return offset_; }
 
  private:
@@ -105,46 +90,41 @@ class WalWriter {
 
   FILE* file_ = nullptr;
   std::string path_;
-  uint64_t offset_ = 0;  // end of last complete record
+  uint64_t offset_ = 0;  // end of the last complete frame
   WalSyncPolicy policy_ = WalSyncPolicy::kCommit;
   Status sticky_error_;
 };
 
-// ---- Reader -----------------------------------------------------------------
-
-/// \brief Sequentially decodes records, stopping at the first anomaly
-/// (bad CRC, torn fragment, nonzero trailer garbage). Everything before
-/// the stop point is the committed prefix; `last_record_end()` is where a
-/// writer should resume.
+/// \brief Sequentially decodes frames, stopping at the first one that does
+/// not verify. Everything before the stop point is the committed prefix;
+/// `last_record_end()` is where a writer should resume.
 class WalReader {
  public:
+  /// Reads the whole log. NotFound when there is none; Corruption when it
+  /// was written in the retired block-framed format.
   static Result<std::unique_ptr<WalReader>> Open(const std::string& path);
 
-  /// Returns true and fills `*out` with the next record; false at end of
-  /// the intact prefix (clean or torn — check torn_tail()).
-  bool ReadRecord(std::string* out);
+  /// Returns true and points `*out` at the next frame's payload (valid
+  /// while the reader lives); false at the end of the intact prefix
+  /// (clean or torn — check torn_tail()).
+  bool ReadRecord(std::string_view* out);
 
-  /// True if reading stopped because of a torn/corrupt tail rather than
-  /// a clean end of file.
+  /// True if reading stopped at a frame that does not verify rather than
+  /// at a clean end of file.
   bool torn_tail() const { return torn_tail_; }
 
-  /// Byte offset just past the last intact record.
-  uint64_t last_record_end() const { return last_record_end_; }
+  /// Byte offset just past the last intact frame.
+  uint64_t last_record_end() const { return pos_; }
 
  private:
-  explicit WalReader(std::string data);
+  explicit WalReader(std::string data) : data_(std::move(data)) {}
 
   std::string data_;
-  size_t pos_ = 0;
-  uint64_t last_record_end_ = 0;
+  size_t pos_ = 0;  // start of the next unread frame
   bool torn_tail_ = false;
-  bool done_ = false;
 };
 
-// ---- Logical records --------------------------------------------------------
-
 constexpr uint8_t kWalDocTag = 'D';
-constexpr uint8_t kWalCommitTag = 'C';
 
 /// \brief One appended document, self-contained: recovery re-derives the
 /// k-map rows, chunked SFA, and postings from the serialized SFA with the
@@ -163,16 +143,6 @@ struct WalDocRecord {
 
 std::string EncodeWalDoc(const WalDocRecord& rec);
 Result<WalDocRecord> DecodeWalDoc(std::string_view bytes);
-
-/// \brief Header-last commit marker: binds `seq` to the CRC of the doc
-/// record it commits.
-struct WalCommitRecord {
-  uint64_t seq = 0;
-  uint32_t payload_crc = 0;  ///< Crc32 of the full encoded doc record
-};
-
-std::string EncodeWalCommit(const WalCommitRecord& rec);
-Result<WalCommitRecord> DecodeWalCommit(std::string_view bytes);
 
 }  // namespace rdbms
 }  // namespace staccato

@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
 
 namespace staccato {
@@ -157,6 +158,48 @@ Status SyncDir(const std::string& dir) {
     return Status::IOError("fsync failed: " + dir + ": " + std::strerror(err));
   }
   return Status::OK();
+}
+
+Status WriteFileAtomic(const std::string& dir, const std::string& path,
+                       std::string_view bytes) {
+  const std::string tmp = path + ".tmp";
+  FILE* f = fopen(tmp.c_str(), "wb");
+  if (f == nullptr) {
+    return Status::IOError("cannot create " + tmp + ": " +
+                           std::strerror(errno));
+  }
+  Status st = CheckedWrite(f, bytes.data(), bytes.size(), tmp);
+  if (st.ok()) st = CheckedSync(f, tmp);
+  fclose(f);
+  if (!st.ok()) {
+    std::remove(tmp.c_str());
+    return st;
+  }
+  // The atomic commit point: readers see either the old file or the new
+  // one, never a torn write.
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return Status::IOError("cannot commit " + path);
+  }
+  return SyncDir(dir);
+}
+
+Result<std::string> ReadFile(const std::string& path) {
+  FILE* f = fopen(path.c_str(), "rb");
+  if (f == nullptr) {
+    const int err = errno;
+    const std::string msg = "cannot open " + path + ": " + std::strerror(err);
+    if (err == ENOENT) return Status::NotFound(msg);
+    return Status::IOError(msg);
+  }
+  std::string data;
+  char buf[1 << 16];
+  size_t n;
+  while ((n = fread(buf, 1, sizeof(buf), f)) > 0) data.append(buf, n);
+  const bool read_error = ferror(f) != 0;
+  fclose(f);
+  if (read_error) return Status::IOError("cannot read " + path);
+  return data;
 }
 
 }  // namespace util

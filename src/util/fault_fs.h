@@ -9,14 +9,20 @@
 // that really leaves torn bytes on disk), then assert the failure surfaces
 // as a Status instead of being swallowed. With no rules armed the wrappers
 // are a single relaxed atomic load away from the bare calls.
+//
+// Small whole files (the meta pointers, the WAL at recovery) are written
+// through WriteFileAtomic, which is built on those wrappers, and read
+// through ReadFile, a plain read.
 #pragma once
 
 #include <atomic>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/mutex.h"
+#include "util/result.h"
 #include "util/status.h"
 
 namespace staccato {
@@ -88,6 +94,18 @@ Status CheckedSync(FILE* file, const std::string& path);
 /// directory is synced: call this after every atomic tmp-file rename that
 /// later steps (a WAL truncate) rely on having persisted.
 Status SyncDir(const std::string& dir);
+
+/// \brief Replaces `path` (a file in directory `dir`) with `bytes`
+/// atomically and durably: writes `path`.tmp, syncs it, renames it over
+/// `path`, then syncs `dir` so the rename itself survives power loss.
+/// Readers see the old contents or the new ones, never a torn write; on
+/// failure the tmp file is removed.
+Status WriteFileAtomic(const std::string& dir, const std::string& path,
+                       std::string_view bytes);
+
+/// \brief The whole contents of `path`. NotFound only when the file does
+/// not exist (ENOENT); IOError for any other open or read failure.
+Result<std::string> ReadFile(const std::string& path);
 
 /// \brief pread(fd, buf, n, offset) that retries EINTR and short reads and
 /// fails unless all `n` bytes arrive, with fault injection (FaultOp::kRead)

@@ -57,27 +57,27 @@ class BinaryReader {
   explicit BinaryReader(const std::string& s) : BinaryReader(s.data(), s.size()) {}
 
   Result<uint8_t> GetU8() {
-    uint8_t v;
+    uint8_t v{};
     STACCATO_RETURN_NOT_OK(GetRaw(&v, sizeof(v)));
     return v;
   }
   Result<uint32_t> GetU32() {
-    uint32_t v;
+    uint32_t v{};
     STACCATO_RETURN_NOT_OK(GetRaw(&v, sizeof(v)));
     return v;
   }
   Result<uint64_t> GetU64() {
-    uint64_t v;
+    uint64_t v{};
     STACCATO_RETURN_NOT_OK(GetRaw(&v, sizeof(v)));
     return v;
   }
   Result<int64_t> GetI64() {
-    int64_t v;
+    int64_t v{};
     STACCATO_RETURN_NOT_OK(GetRaw(&v, sizeof(v)));
     return v;
   }
   Result<double> GetDouble() {
-    double v;
+    double v{};
     STACCATO_RETURN_NOT_OK(GetRaw(&v, sizeof(v)));
     return v;
   }

@@ -2,6 +2,7 @@
 // short writes, flush failures, and fsync failures must surface as
 // Status errors through every storage layer that writes bytes —
 // HeapTable, BlobStore, and the WAL writer — instead of being swallowed.
+// ReadFile tells a missing file from an unreadable one.
 // Heap page reads go through the same seam as blob reads. Directory-sync
 // failures after the atomic meta renames must surface from Load,
 // Checkpoint, and ShardedDb::Open.
@@ -246,6 +247,9 @@ TEST_F(FaultFsTest, BlobStoreSurfacesWriteFaults) {
   EXPECT_TRUE(store->Sync().ok());
 }
 
+// Every WAL fault fails the Append and leaves the log at the previous
+// frame's end: kCommit fsyncs each frame, so a write, flush or sync fault
+// all hit it.
 TEST_F(FaultFsTest, WalWriterSurfacesFaults) {
   const std::string path = Path("faulty_wal.log");
   auto writer_or =
@@ -255,14 +259,20 @@ TEST_F(FaultFsTest, WalWriterSurfacesFaults) {
 
   FaultInjector::Global()->Install(
       {FaultOp::kWrite, "faulty_wal", 0, 0, false});
-  EXPECT_FALSE(writer->AddRecord("doomed").ok());
+  EXPECT_FALSE(writer->Append("doomed").ok());
   EXPECT_EQ(writer->offset(), 0u);
+  EXPECT_EQ(ReadFileBytes(path).size(), 0u);
 
-  ASSERT_TRUE(writer->AddRecord("record").ok());
-  // kCommit policy fsyncs on Commit, so a sync fault fails it.
-  FaultInjector::Global()->Install({FaultOp::kSync, "faulty_wal", 0, 0, false});
-  EXPECT_FALSE(writer->Commit().ok());
-  EXPECT_TRUE(writer->Commit().ok());
+  ASSERT_TRUE(writer->Append("record").ok());
+  const uint64_t end = writer->offset();
+  for (FaultOp op : {FaultOp::kFlush, FaultOp::kSync}) {
+    FaultInjector::Global()->Install({op, "faulty_wal", 0, 0, false});
+    EXPECT_FALSE(writer->Append("doomed").ok()) << static_cast<int>(op);
+    EXPECT_EQ(writer->offset(), end) << static_cast<int>(op);
+    EXPECT_EQ(ReadFileBytes(path).size(), end) << static_cast<int>(op);
+  }
+  EXPECT_TRUE(writer->Append("record").ok());
+  EXPECT_GT(writer->offset(), end);
 }
 
 bool FileExists(const std::string& path) {
@@ -342,6 +352,24 @@ TEST_F(FaultFsTest, DirSyncFaultsSurfaceFromMetaCommits) {
       rdbms::ShardedDb::Open(sharded_dir, rdbms::ShardConfig{2, {}});
   ASSERT_FALSE(sharded.ok());
   EXPECT_TRUE(sharded.status().IsIOError()) << sharded.status().ToString();
+}
+
+// ReadFile reports NotFound only for a file that does not exist: an open
+// that fails for another reason (here ENOTDIR, a path under a regular
+// file) is an IOError, so a caller never mistakes an unreadable file for
+// an absent one.
+TEST_F(FaultFsTest, ReadFileSeparatesMissingFromUnreadable) {
+  const std::string path = Path("whole.bin");
+  ASSERT_TRUE(WriteFileAtomic(dir_, path, std::string("a\0b", 3)).ok());
+  auto read = ReadFile(path);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, std::string("a\0b", 3));
+  EXPECT_FALSE(FileExists(path + ".tmp"));
+
+  EXPECT_TRUE(ReadFile(Path("missing.bin")).status().IsNotFound());
+  auto under_file = ReadFile(path + "/child");
+  EXPECT_TRUE(under_file.status().IsIOError())
+      << under_file.status().ToString();
 }
 
 }  // namespace

@@ -88,6 +88,22 @@ DocumentInput InputFor(const OcrDataset& d, size_t i) {
   return in;
 }
 
+/// The WAL record Append logs for `in` as document `seq`, with the
+/// SmallLoad() derivation knobs and `full_sfa` as its serialized SFA.
+WalDocRecord RecordFor(const DocumentInput& in, uint64_t seq,
+                       std::string full_sfa) {
+  WalDocRecord rec;
+  rec.seq = seq;
+  rec.doc_name = in.doc_name;
+  rec.year = in.year;
+  rec.truth = in.truth;
+  rec.kmap_k = SmallLoad().kmap_k;
+  rec.staccato_m = SmallLoad().staccato.m;
+  rec.staccato_k = SmallLoad().staccato.k;
+  rec.full_sfa = std::move(full_sfa);
+  return rec;
+}
+
 std::vector<Answer> RunQuery(StaccatoDb* db, Approach approach,
                              const std::string& pattern, IndexMode index_mode,
                              size_t threads, bool early_stop) {
@@ -112,6 +128,27 @@ void ExpectSameAnswers(const std::vector<Answer>& want,
     EXPECT_EQ(want[i].doc, got[i].doc) << what << " rank " << i;
     EXPECT_EQ(want[i].prob, got[i].prob)
         << what << " rank " << i << " (must be bit-identical)";
+  }
+}
+
+/// Every pattern's answers under the Staccato and FullSFA approaches.
+std::vector<std::vector<Answer>> AnswersOf(
+    StaccatoDb* db, const std::vector<std::string>& patterns) {
+  std::vector<std::vector<Answer>> out;
+  for (Approach a : {Approach::kStaccato, Approach::kFullSfa}) {
+    for (const std::string& pat : patterns) {
+      out.push_back(RunQuery(db, a, pat, IndexMode::kNever, 1, true));
+    }
+  }
+  return out;
+}
+
+void ExpectSameAnswerSets(const std::vector<std::vector<Answer>>& want,
+                          const std::vector<std::vector<Answer>>& got,
+                          const char* what) {
+  ASSERT_EQ(want.size(), got.size()) << what;
+  for (size_t i = 0; i < want.size(); ++i) {
+    ExpectSameAnswers(want[i], got[i], what);
   }
 }
 
@@ -464,7 +501,7 @@ TEST_F(IngestTest, TornWalTailRecoversCommittedPrefix) {
     ASSERT_TRUE(AppendRange(subject.get(), base, total_).ok());
   }
 
-  // Chop one byte off the log: the last commit record is torn, so the
+  // Chop one byte off the log: the last frame is torn, so the
   // last append must vanish while every earlier one survives.
   const std::string wal = WalPath(dir);
   FILE* f = fopen(wal.c_str(), "rb+");
@@ -516,27 +553,12 @@ TEST_F(IngestTest, RetiredSfaFormatInWalFailsOpen) {
       -> Result<std::unique_ptr<StaccatoDb>> {
     const std::string dir = eval::MakeScratchDir("ingest_sfa_format");
     STACCATO_RETURN_NOT_OK(OpenAt(dir)->Load(Prefix(full_, base), SmallLoad()));
-    const DocumentInput in = InputFor(full_, base);
-    WalDocRecord rec;
-    rec.seq = base;
-    rec.doc_name = in.doc_name;
-    rec.year = in.year;
-    rec.truth = in.truth;
-    rec.kmap_k = SmallLoad().kmap_k;
-    rec.staccato_m = SmallLoad().staccato.m;
-    rec.staccato_k = SmallLoad().staccato.k;
-    rec.full_sfa = full_sfa;
-    const std::string payload = EncodeWalDoc(rec);
-    WalCommitRecord commit;
-    commit.seq = base;
-    commit.payload_crc = util::Crc32(payload);
     {
       STACCATO_ASSIGN_OR_RETURN(
           std::unique_ptr<WalWriter> wal,
           WalWriter::Open(WalPath(dir), 0, WalSyncPolicy::kNever));
-      STACCATO_RETURN_NOT_OK(wal->AddRecord(payload));
-      STACCATO_RETURN_NOT_OK(wal->AddRecord(EncodeWalCommit(commit)));
-      STACCATO_RETURN_NOT_OK(wal->Commit());
+      STACCATO_RETURN_NOT_OK(wal->Append(
+          EncodeWalDoc(RecordFor(InputFor(full_, base), base, full_sfa))));
     }
     return StaccatoDb::OpenExisting(dir);
   };
@@ -559,6 +581,124 @@ TEST_F(IngestTest, RetiredSfaFormatInWalFailsOpen) {
       << retired.status().ToString();
   EXPECT_NE(retired.status().message().find("reload"), std::string::npos)
       << retired.status().ToString();
+}
+
+// A log written in the retired block-framed format is refused, not read
+// as torn. Its first record is one FULL fragment: the crc32 of the type
+// byte plus the payload, a u16 length, type byte 1, then the payload.
+// OpenExisting returns a Corruption that says to reload and leaves the
+// log byte for byte as it was; read as frames, the log would look torn at
+// offset 0 and the writer would truncate the append away.
+TEST_F(IngestTest, RetiredWalFormatFailsOpen) {
+  const std::string dir = eval::MakeScratchDir("ingest_wal_format");
+  const size_t base = total_ - 1;
+  ASSERT_TRUE(OpenAt(dir)->Load(Prefix(full_, base), SmallLoad()).ok());
+  const DocumentInput in = InputFor(full_, base);
+  const std::string payload =
+      EncodeWalDoc(RecordFor(in, base, in.sfa.Serialize()));
+  ASSERT_LE(payload.size(), 32768u - 7u) << "must fit one FULL fragment";
+  const char kFullType = 1;
+  BinaryWriter fragment;
+  fragment.PutU32(util::Crc32(std::string(1, kFullType) + payload));
+  fragment.PutU8(static_cast<uint8_t>(payload.size() & 0xFF));
+  fragment.PutU8(static_cast<uint8_t>(payload.size() >> 8));
+  fragment.PutU8(kFullType);
+  fragment.PutRaw(payload.data(), payload.size());
+  const std::string log = fragment.Release();
+  {
+    std::ofstream out(WalPath(dir), std::ios::binary | std::ios::trunc);
+    out.write(log.data(), static_cast<std::streamsize>(log.size()));
+    ASSERT_TRUE(out.good());
+  }
+
+  auto retired = StaccatoDb::OpenExisting(dir);
+  ASSERT_FALSE(retired.ok());
+  EXPECT_TRUE(retired.status().IsCorruption()) << retired.status().ToString();
+  EXPECT_NE(retired.status().message().find("reload"), std::string::npos)
+      << retired.status().ToString();
+  EXPECT_TRUE(FileBytes(WalPath(dir)) == log) << "the log was modified";
+}
+
+// A failed Append leaves nothing in the log. Whether the WAL's fsync, its
+// flush (STACCATO_WAL_SYNC=never) or its write fails, the live database
+// never serves document A, so the next Append gives B the same id; a
+// reopened database must hold B at that id and answer exactly as the live
+// one did before close.
+TEST_F(IngestTest, FailedAppendLeavesNothingToReplay) {
+  struct Case {
+    const char* name;
+    util::FaultOp op;
+    size_t short_bytes;
+    bool sync_never;
+  };
+  const Case cases[] = {
+      {"fsync", util::FaultOp::kSync, 0, false},
+      {"flush under never", util::FaultOp::kFlush, 0, true},
+      {"short write", util::FaultOp::kWrite, 5, false},
+  };
+  const size_t base = total_ / 2;
+  const DocumentInput a = InputFor(full_, base);
+  const DocumentInput b = InputFor(full_, base + 1);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string dir = eval::MakeScratchDir("ingest_failed_append");
+    std::vector<std::vector<Answer>> live;
+    {
+      if (c.sync_never) setenv("STACCATO_WAL_SYNC", "never", 1);
+      auto db = OpenAt(dir);
+      unsetenv("STACCATO_WAL_SYNC");
+      ASSERT_TRUE(db->Load(Prefix(full_, base), SmallLoad()).ok());
+      util::FaultRule fault;
+      fault.op = c.op;
+      fault.path_substr = WalPath(dir);
+      fault.short_bytes = c.short_bytes;
+      util::FaultInjector::Global()->Install(fault);
+      EXPECT_FALSE(db->Append(a).ok());
+      util::FaultInjector::Global()->Clear();
+      ASSERT_EQ(db->NumSfas(), base);
+      ASSERT_TRUE(db->Append(b).ok());
+      ASSERT_EQ(db->NumSfas(), base + 1);
+      live = AnswersOf(db.get(), patterns_);
+    }
+    auto reopened = StaccatoDb::OpenExisting(dir);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    EXPECT_EQ((*reopened)->NumSfas(), base + 1);
+    auto blob = (*reopened)->ReadFullSfaBlob(base);
+    ASSERT_TRUE(blob.ok()) << blob.status().ToString();
+    EXPECT_TRUE(*blob == b.sfa.Serialize())
+        << "document " << base << " is not B";
+    ExpectSameAnswerSets(live, AnswersOf(reopened->get(), patterns_),
+                         "after reopen");
+  }
+}
+
+// A document that cannot be derived (an SFA with no nodes) is refused
+// before it reaches the log: the document count and the log's size are
+// unchanged, the next Append succeeds, and the database reopens with the
+// live count.
+TEST_F(IngestTest, UnderivableAppendLeavesLogUntouched) {
+  const std::string dir = eval::MakeScratchDir("ingest_underivable");
+  const size_t base = total_ / 2;
+  {
+    auto db = OpenAt(dir);
+    ASSERT_TRUE(db->Load(Prefix(full_, base), SmallLoad()).ok());
+    ASSERT_TRUE(db->Append(InputFor(full_, base)).ok());
+    const size_t log_size = FileBytes(WalPath(dir)).size();
+    ASSERT_GT(log_size, 0u);
+    DocumentInput bad = InputFor(full_, base + 1);
+    bad.sfa = Sfa();
+    EXPECT_FALSE(db->Append(bad).ok());
+    EXPECT_EQ(db->NumSfas(), base + 1);
+    EXPECT_EQ(FileBytes(WalPath(dir)).size(), log_size);
+    ASSERT_TRUE(db->Append(InputFor(full_, base + 1)).ok());
+    ASSERT_EQ(db->NumSfas(), base + 2);
+  }
+  auto reopened = StaccatoDb::OpenExisting(dir);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->NumSfas(), base + 2);
+  auto oracle = Oracle(base + 2);
+  ExpectSameDb(oracle.get(), reopened->get(), Approach::kStaccato,
+               IndexMode::kNever, 1, true, patterns_);
 }
 
 // A directory written before the SFA blob format changed carries the
@@ -656,11 +796,10 @@ TEST_F(IngestTest, ConcurrentAppendAndExecute) {
 // fault-soak job). Appends race a flaky disk — every WAL write, flush,
 // and fsync fails independently with 10% probability — and the invariant
 // is the crash-safety contract, not any particular success count: each
-// Append either succeeds or fails cleanly with a Status, the database
-// stays queryable throughout, and after the disk heals a reopen recovers
-// every committed document (at least the reported successes, at most the
-// attempts — a fault after the commit record is a durable append that
-// reported failure).
+// Append either succeeds or fails cleanly with a Status and leaves
+// nothing in the log, the database stays queryable throughout, and after
+// the disk heals a reopen recovers exactly the reported successes — the
+// live count — and answers exactly as the live database did.
 TEST_F(IngestTest, FaultSoakAppendsSurviveFlakyDisk) {
   const char* soak = std::getenv("STACCATO_FAULT_SOAK");
   if (soak == nullptr || std::string(soak) != "1") {
@@ -669,6 +808,8 @@ TEST_F(IngestTest, FaultSoakAppendsSurviveFlakyDisk) {
   const std::string dir = eval::MakeScratchDir("ingest_soak");
   const size_t base = total_ / 2;
   size_t successes = 0;
+  size_t live_count = 0;
+  std::vector<std::vector<Answer>> live;
   {
     auto subject = OpenAt(dir);
     ASSERT_TRUE(subject->Load(Prefix(full_, base), SmallLoad()).ok());
@@ -696,17 +837,16 @@ TEST_F(IngestTest, FaultSoakAppendsSurviveFlakyDisk) {
       }
     }
     util::FaultInjector::Global()->Clear();
+    live_count = subject->NumSfas();
+    live = AnswersOf(subject.get(), patterns_);
   }  // close without checkpoint: recovery comes from the surviving WAL
 
   auto reopened = StaccatoDb::OpenExisting(dir);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  EXPECT_GE((*reopened)->NumSfas(), base + successes);
-  EXPECT_LE((*reopened)->NumSfas(), total_);
-  auto ans = RunQuery(reopened->get(), Approach::kStaccato, patterns_[0],
-                      IndexMode::kNever, 2, true);
-  for (size_t r = 1; r < ans.size(); ++r) {
-    EXPECT_LE(ans[r].prob, ans[r - 1].prob);
-  }
+  EXPECT_EQ((*reopened)->NumSfas(), base + successes);
+  EXPECT_EQ((*reopened)->NumSfas(), live_count);
+  ExpectSameAnswerSets(live, AnswersOf(reopened->get(), patterns_),
+                       "after reopen");
 }
 
 }  // namespace

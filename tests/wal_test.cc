@@ -1,12 +1,13 @@
 // Crash-recovery matrix for the write-ahead log (rdbms/wal.h).
 //
-// The physical framing guarantees that every byte of the file belongs to
-// exactly one record's span (trailer padding is attributed to the record
-// whose AddRecord wrote it). The matrix tests exploit that: truncating
-// the file at any byte L recovers exactly the records whose span ends at
-// or before L, and corrupting any single byte of record i's span
-// recovers exactly records 0..i-1. Both matrices are exhaustive over a
-// small multi-record log and targeted over a block-spanning one.
+// Every byte of the file belongs to exactly one frame, and a frame checks
+// itself. The matrix tests exploit that: truncating the file at any byte
+// L recovers exactly the frames that end at or before L, and corrupting
+// any single byte of frame i recovers exactly frames 0..i-1. Both
+// matrices are exhaustive over a small multi-frame log and targeted over
+// one with frames of tens of KiB.
+
+#include <sys/mman.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -55,8 +56,8 @@ std::string Payload(size_t i, size_t size) {
 struct BuiltLog {
   std::string path;
   std::vector<std::string> payloads;
-  /// ends[i] = file offset just past record i's span (writer.offset()
-  /// after the AddRecord); record i's span is [ends[i-1], ends[i]).
+  /// ends[i] = file offset just past frame i (writer.offset() after its
+  /// Append); frame i spans [ends[i-1], ends[i]).
   std::vector<uint64_t> ends;
 };
 
@@ -68,12 +69,10 @@ BuiltLog BuildLog(const std::string& path, const std::vector<size_t>& sizes) {
   auto writer = std::move(*writer_or);
   for (size_t i = 0; i < sizes.size(); ++i) {
     log.payloads.push_back(Payload(i, sizes[i]));
-    Status s = writer->AddRecord(log.payloads.back());
+    Status s = writer->Append(log.payloads.back());
     EXPECT_TRUE(s.ok()) << s.ToString();
     log.ends.push_back(writer->offset());
   }
-  Status s = writer->Commit();  // kNever: fflush only
-  EXPECT_TRUE(s.ok()) << s.ToString();
   return log;  // writer destructor closes the file
 }
 
@@ -83,21 +82,21 @@ struct ReadOutcome {
   uint64_t last_end = 0;
 };
 
-/// Reads `path` and asserts the recovered records are a bit-identical
+/// Reads `path` and asserts the recovered frames are a bit-identical
 /// prefix of `log`'s payloads.
 ReadOutcome ReadPrefix(const std::string& path, const BuiltLog& log) {
   ReadOutcome out;
   auto reader_or = WalReader::Open(path);
   EXPECT_TRUE(reader_or.ok()) << reader_or.status().ToString();
   auto reader = std::move(*reader_or);
-  std::string rec;
+  std::string_view rec;
   while (reader->ReadRecord(&rec)) {
     if (out.recovered >= log.payloads.size()) {
-      ADD_FAILURE() << "recovered more records than were written";
+      ADD_FAILURE() << "recovered more frames than were written";
       break;
     }
     EXPECT_EQ(rec, log.payloads[out.recovered])
-        << "record " << out.recovered << " not bit-identical";
+        << "frame " << out.recovered << " not bit-identical";
     ++out.recovered;
   }
   out.torn = reader->torn_tail();
@@ -105,19 +104,19 @@ ReadOutcome ReadPrefix(const std::string& path, const BuiltLog& log) {
   return out;
 }
 
-/// Number of records fully contained in the first `len` bytes.
+/// Number of frames fully contained in the first `len` bytes.
 size_t RecordsWithin(const BuiltLog& log, uint64_t len) {
   size_t n = 0;
   while (n < log.ends.size() && log.ends[n] <= len) ++n;
   return n;
 }
 
-/// Index of the record whose span [ends[i-1], ends[i]) contains byte P.
+/// Index of the frame whose span [ends[i-1], ends[i]) contains byte P.
 size_t SpanOwner(const BuiltLog& log, uint64_t pos) {
   for (size_t i = 0; i < log.ends.size(); ++i) {
     if (pos < log.ends[i]) return i;
   }
-  ADD_FAILURE() << "position " << pos << " beyond the last record";
+  ADD_FAILURE() << "position " << pos << " beyond the last frame";
   return log.ends.size();
 }
 
@@ -134,7 +133,7 @@ class WalTest : public ::testing::Test {
   std::string dir_;
 };
 
-// Small record sizes chosen so the whole log stays ~1.2 KiB — cheap
+// Small frame sizes chosen so the whole log stays ~1.2 KiB — cheap
 // enough for the exhaustive every-byte matrices below.
 const std::vector<size_t> kSmallSizes = {1, 100, 700, 7, 300};
 
@@ -148,14 +147,14 @@ TEST_F(WalTest, RoundTripCleanEof) {
 }
 
 TEST_F(WalTest, EmptyAndZeroLengthRecords) {
-  // A zero-length record still has a frame and still roundtrips.
+  // A zero-length payload still has a frame and still roundtrips.
   BuiltLog log = BuildLog(Path("zero"), {0, 5, 0});
   ReadOutcome out = ReadPrefix(log.path, log);
   EXPECT_EQ(out.recovered, 3u);
   EXPECT_FALSE(out.torn);
 
   // An absent file is NotFound; an empty file is a clean empty log.
-  EXPECT_FALSE(WalReader::Open(Path("missing")).ok());
+  EXPECT_TRUE(WalReader::Open(Path("missing")).status().IsNotFound());
   WriteFileBytes(Path("empty"), "");
   BuiltLog none;
   none.path = Path("empty");
@@ -165,7 +164,8 @@ TEST_F(WalTest, EmptyAndZeroLengthRecords) {
 }
 
 // Exhaustive truncation matrix: for every prefix length L of the log,
-// recovery yields exactly the records whose span ends at or before L.
+// recovery yields exactly the frames that end at or before L, and the
+// tail is torn exactly when L cuts inside a frame.
 TEST_F(WalTest, TruncationMatrixRecoversCommittedPrefix) {
   BuiltLog log = BuildLog(Path("trunc"), kSmallSizes);
   const std::string bytes = ReadFileBytes(log.path);
@@ -176,24 +176,15 @@ TEST_F(WalTest, TruncationMatrixRecoversCommittedPrefix) {
     WriteFileBytes(victim, std::string_view(bytes).substr(0, len));
     ReadOutcome out = ReadPrefix(victim, log);
     const size_t want = RecordsWithin(log, len);
-    EXPECT_EQ(out.recovered, want) << "truncated at " << len;
-    EXPECT_EQ(out.last_end, want == 0 ? 0 : log.ends[want - 1])
-        << "truncated at " << len;
-    // A cut exactly on a record boundary is a clean EOF. A cut inside a
-    // record is torn — unless the few leftover bytes happen to be all
-    // zero, which the reader cannot distinguish from trailer padding.
     const uint64_t prev = want == 0 ? 0 : log.ends[want - 1];
-    const size_t window =
-        static_cast<size_t>(std::min<uint64_t>(len - prev, kWalHeaderSize));
-    const bool leftover_zero =
-        bytes.compare(prev, window, std::string(window, '\0')) == 0;
-    EXPECT_EQ(out.torn, len != prev && !leftover_zero)
-        << "truncated at " << len;
+    EXPECT_EQ(out.recovered, want) << "truncated at " << len;
+    EXPECT_EQ(out.last_end, prev) << "truncated at " << len;
+    EXPECT_EQ(out.torn, len != prev) << "truncated at " << len;
   }
 }
 
-// Exhaustive corruption matrix: flipping any single byte of record i's
-// span recovers exactly records 0..i-1 and reports a torn tail.
+// Exhaustive corruption matrix: flipping any single byte of frame i
+// recovers exactly frames 0..i-1 and reports a torn tail.
 TEST_F(WalTest, CorruptionMatrixRecoversPrecedingRecords) {
   BuiltLog log = BuildLog(Path("corrupt"), kSmallSizes);
   const std::string bytes = ReadFileBytes(log.path);
@@ -212,47 +203,42 @@ TEST_F(WalTest, CorruptionMatrixRecoversPrecedingRecords) {
   }
 }
 
-// A log whose records span multiple 32 KiB blocks, including one record
-// engineered to end inside a block trailer (so zero padding is written
-// and attributed to the NEXT record's span). Exhaustive matrices would
-// be ~200k iterations here, so probe the interesting offsets: every
-// record-span boundary +-1 and every block boundary +-1 plus the header
-// width on either side.
-TEST_F(WalTest, BlockSpanningRecordMatrix) {
-  // First payload sized so the record ends at offset 32765: 3 bytes of
-  // trailer padding precede record 1's first fragment in block 1.
+// Frames of tens of KiB. Exhaustive matrices would be ~200k iterations
+// here, so probe the interesting offsets: every frame end +-1 and every
+// byte of every frame header.
+TEST_F(WalTest, LargeFrameMatrix) {
   const std::vector<size_t> sizes = {32758, 100, 80000, 50};
-  BuiltLog log = BuildLog(Path("span"), sizes);
+  BuiltLog log = BuildLog(Path("large"), sizes);
   const std::string bytes = ReadFileBytes(log.path);
-  ASSERT_EQ(log.ends[0], 32765u);
-  ASSERT_GT(bytes.size(), 3 * kWalBlockSize);
+  ASSERT_EQ(bytes.size(), log.ends.back());
 
-  // Sanity: the multi-fragment records roundtrip bit-identically.
   ReadOutcome clean = ReadPrefix(log.path, log);
   EXPECT_EQ(clean.recovered, sizes.size());
   EXPECT_FALSE(clean.torn);
 
   std::vector<uint64_t> probes;
+  uint64_t start = 0;
   for (uint64_t end : log.ends) {
+    for (uint64_t h = 0; h < kWalFrameHeaderSize; ++h) {
+      probes.push_back(start + h);
+    }
     for (int64_t d : {-1, 0, 1}) probes.push_back(end + d);
-  }
-  for (uint64_t b = kWalBlockSize; b < bytes.size(); b += kWalBlockSize) {
-    for (int64_t d : {-8, -7, -1, 0, 1, 6, 7, 8}) probes.push_back(b + d);
+    start = end;
   }
 
-  const std::string victim = Path("span_victim");
+  const std::string victim = Path("large_victim");
   for (uint64_t len : probes) {
     if (len > bytes.size()) continue;
     WriteFileBytes(victim, std::string_view(bytes).substr(0, len));
     ReadOutcome out = ReadPrefix(victim, log);
     const size_t want = RecordsWithin(log, len);
     EXPECT_EQ(out.recovered, want) << "truncated at " << len;
+    EXPECT_EQ(out.torn, len != (want == 0 ? 0 : log.ends[want - 1]))
+        << "truncated at " << len;
   }
   for (uint64_t pos : probes) {
     if (pos >= bytes.size()) continue;
     std::string mutated = bytes;
-    // In the trailer-padding bytes a flip must still kill the following
-    // record: nonzero padding is garbage, not a clean EOF.
     mutated[pos] = static_cast<char>(mutated[pos] ^ 0x55);
     WriteFileBytes(victim, mutated);
     ReadOutcome out = ReadPrefix(victim, log);
@@ -261,37 +247,44 @@ TEST_F(WalTest, BlockSpanningRecordMatrix) {
   }
 }
 
-// A failed AddRecord must leave the file at the previous record
-// boundary: no torn fragment may precede later successful appends.
+// A failed Append — its write, its flush or its fsync — must leave the
+// file at the previous frame's end: the frame is never replayed, and no
+// torn bytes precede later successful appends.
 TEST_F(WalTest, FailedAppendRollsBackToRecordBoundary) {
   const std::string path = Path("wal_fault.log");
-  auto writer_or = WalWriter::Open(path, 0, WalSyncPolicy::kNever);
+  auto writer_or = WalWriter::Open(path, 0, WalSyncPolicy::kCommit);
   ASSERT_TRUE(writer_or.ok());
   auto writer = std::move(*writer_or);
 
   BuiltLog log;
   log.path = path;
   log.payloads.push_back(Payload(0, 200));
-  ASSERT_TRUE(writer->AddRecord(log.payloads[0]).ok());
+  ASSERT_TRUE(writer->Append(log.payloads[0]).ok());
   log.ends.push_back(writer->offset());
 
-  // Full write failure, then a short write that persists a 5-byte torn
-  // prefix before failing: both must roll back.
-  for (size_t short_bytes : {size_t{0}, size_t{5}}) {
-    util::FaultInjector::Global()->Install(
-        {util::FaultOp::kWrite, "wal_fault", 0, short_bytes, false});
-    Status s = writer->AddRecord(Payload(9, 300));
-    EXPECT_FALSE(s.ok());
+  // A full write failure, a short write that persists a 5-byte torn
+  // prefix before failing, a failed flush, and a failed fsync (kCommit
+  // fsyncs every Append): each must roll back.
+  const std::vector<util::FaultRule> faults = {
+      {util::FaultOp::kWrite, "wal_fault", 0, 0, false},
+      {util::FaultOp::kWrite, "wal_fault", 0, 5, false},
+      {util::FaultOp::kFlush, "wal_fault", 0, 0, false},
+      {util::FaultOp::kSync, "wal_fault", 0, 0, false}};
+  for (const util::FaultRule& fault : faults) {
+    util::FaultInjector::Global()->Install(fault);
+    Status s = writer->Append(Payload(9, 300));
+    EXPECT_FALSE(s.ok()) << "op " << static_cast<int>(fault.op);
     EXPECT_EQ(writer->offset(), log.ends[0]);
+    EXPECT_EQ(ReadFileBytes(path).size(), log.ends[0])
+        << "op " << static_cast<int>(fault.op);
   }
   util::FaultInjector::Global()->Clear();
 
   // The writer keeps working after the fault clears, and a reopening
-  // reader sees exactly the successful records.
+  // reader sees exactly the successful frames.
   log.payloads.push_back(Payload(1, 64));
-  ASSERT_TRUE(writer->AddRecord(log.payloads[1]).ok());
+  ASSERT_TRUE(writer->Append(log.payloads[1]).ok());
   log.ends.push_back(writer->offset());
-  ASSERT_TRUE(writer->Commit().ok());
   writer.reset();
 
   ReadOutcome out = ReadPrefix(path, log);
@@ -302,20 +295,43 @@ TEST_F(WalTest, FailedAppendRollsBackToRecordBoundary) {
   auto resumed_or = WalWriter::Open(path, out.last_end, WalSyncPolicy::kNever);
   ASSERT_TRUE(resumed_or.ok());
   log.payloads.push_back(Payload(2, 1000));
-  ASSERT_TRUE((*resumed_or)->AddRecord(log.payloads[2]).ok());
+  ASSERT_TRUE((*resumed_or)->Append(log.payloads[2]).ok());
   log.ends.push_back((*resumed_or)->offset());
-  ASSERT_TRUE((*resumed_or)->Commit().ok());
   resumed_or->reset();
   out = ReadPrefix(path, log);
   EXPECT_EQ(out.recovered, 3u);
   EXPECT_FALSE(out.torn);
 }
 
+// A payload whose length does not fit the frame's 32-bit length field is
+// refused before anything is written. The payload is a PROT_NONE mapping,
+// so reading any of it would crash the test.
+TEST_F(WalTest, OversizedPayloadRefusedUnwritten) {
+  const std::string path = Path("oversized.log");
+  auto writer_or = WalWriter::Open(path, 0, WalSyncPolicy::kNever);
+  ASSERT_TRUE(writer_or.ok());
+  auto writer = std::move(*writer_or);
+  ASSERT_TRUE(writer->Append(Payload(0, 10)).ok());
+  const uint64_t end = writer->offset();
+
+  const size_t size = (size_t{1} << 32) + 1;
+  void* region = mmap(nullptr, size, PROT_NONE,
+                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  ASSERT_NE(region, MAP_FAILED);
+  Status s = writer->Append(
+      std::string_view(static_cast<const char*>(region), size));
+  munmap(region, size);
+  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+  EXPECT_EQ(writer->offset(), end);
+  EXPECT_EQ(ReadFileBytes(path).size(), end);
+  EXPECT_TRUE(writer->Append(Payload(1, 10)).ok()) << "writer not sticky";
+}
+
 TEST_F(WalTest, ResetTruncatesToEmpty) {
   const std::string path = Path("reset.log");
   auto writer_or = WalWriter::Open(path, 0, WalSyncPolicy::kNever);
   ASSERT_TRUE(writer_or.ok());
-  ASSERT_TRUE((*writer_or)->AddRecord(Payload(0, 500)).ok());
+  ASSERT_TRUE((*writer_or)->Append(Payload(0, 500)).ok());
   ASSERT_TRUE((*writer_or)->Reset().ok());
   EXPECT_EQ((*writer_or)->offset(), 0u);
   writer_or->reset();
@@ -347,28 +363,11 @@ TEST_F(WalTest, DocRecordRoundTrip) {
 
   // Wrong tag, trailing garbage, and truncation all fail to decode.
   std::string wrong_tag = bytes;
-  wrong_tag[0] = static_cast<char>(kWalCommitTag);
+  wrong_tag[0] = static_cast<char>(kWalDocTag + 1);
   EXPECT_FALSE(DecodeWalDoc(wrong_tag).ok());
   EXPECT_FALSE(DecodeWalDoc(bytes + "x").ok());
   EXPECT_FALSE(DecodeWalDoc(std::string_view(bytes).substr(0, 5)).ok());
   EXPECT_FALSE(DecodeWalDoc("").ok());
-}
-
-TEST_F(WalTest, CommitRecordRoundTrip) {
-  WalCommitRecord rec;
-  rec.seq = 12345678901ull;
-  rec.payload_crc = 0xdeadbeef;
-  const std::string bytes = EncodeWalCommit(rec);
-  auto got_or = DecodeWalCommit(bytes);
-  ASSERT_TRUE(got_or.ok()) << got_or.status().ToString();
-  EXPECT_EQ(got_or->seq, rec.seq);
-  EXPECT_EQ(got_or->payload_crc, rec.payload_crc);
-
-  std::string wrong_tag = bytes;
-  wrong_tag[0] = static_cast<char>(kWalDocTag);
-  EXPECT_FALSE(DecodeWalCommit(wrong_tag).ok());
-  EXPECT_FALSE(DecodeWalCommit(bytes + "x").ok());
-  EXPECT_FALSE(DecodeWalCommit("").ok());
 }
 
 }  // namespace
